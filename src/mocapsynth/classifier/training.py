@@ -57,8 +57,8 @@ def evaluate(
     if labels.min() < 0 or labels.max() >= n_classes:
         raise LabelError(f"label outside [0, {n_classes}): {labels.min()}..{labels.max()}")
     preds = predict_logits(model, views).argmax(axis=1)
-    confusion = np.zeros((n_classes, n_classes), dtype=int)
-    np.add.at(confusion, (labels, preds), 1)
+    confusion = np.bincount(labels * n_classes + preds, minlength=n_classes * n_classes)
+    confusion = confusion.reshape(n_classes, n_classes)
     accuracy = float(np.trace(confusion) / labels.size)
     return accuracy, confusion
 

@@ -48,7 +48,7 @@ from .dataset import (
     write_sequence_csv,
 )
 from .dataset.preprocess import NormStats
-from .errors import DataError, MocapError, NoMotionError, StateError, TooShortError
+from .errors import ContractError, DataError, MocapError, NoMotionError, StateError, TooShortError
 from .gan import (
     ConditionLabel,
     CriticSpec,
@@ -444,8 +444,12 @@ def _parse_label(text: str) -> ConditionLabel:
 
 def cmd_generate(resolved: dict) -> int:
     _require(resolved, "model", "out")
+    if not isinstance(resolved["count"], int) or resolved["count"] < 1:
+        raise UsageError("--count must be a whole number of at least 1")
     out_dir = Path(resolved["out"])
     generator, meta = load_model(resolved["model"])
+    if meta.get("role") != "generator":
+        raise ContractError(f"{resolved['model']}: not a generator checkpoint (role {meta.get('role')!r})")
     gen_spec = GeneratorSpec.from_dict(meta["spec"])
     stats_path = resolved["stats"] or str(Path(resolved["model"]).parent / "norm-stats.bin")
     stats = _load_stats(stats_path)

@@ -9,6 +9,7 @@ and byte-deterministic for identical content.
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -53,21 +54,39 @@ def write_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, n
 def read_container(path: str | Path, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
     with open(path, "rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
         magic = fh.read(len(MAGIC))
         if magic != MAGIC:
             raise TrialFormatError(f"{path}: bad magic {magic!r}")
-        (hlen,) = struct.unpack("<Q", fh.read(8))
-        header = json.loads(fh.read(hlen).decode("utf-8"))
-        if header.get("version") != VERSION:
-            raise TrialFormatError(f"{path}: unsupported container version {header.get('version')}")
+        length_field = fh.read(8)
+        if len(length_field) != 8:
+            raise TrialFormatError(f"{path}: truncated header length")
+        (hlen,) = struct.unpack("<Q", length_field)
+        if hlen > size - fh.tell():
+            raise TrialFormatError(f"{path}: header length {hlen} exceeds the file size {size}")
+        try:
+            header = json.loads(fh.read(hlen).decode("utf-8"))
+        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+            raise TrialFormatError(f"{path}: unreadable header: {exc}") from None
+        if not isinstance(header, dict) or not {"arrays", "meta", "version"} <= header.keys():
+            raise TrialFormatError(f"{path}: header lacks arrays, meta or version")
+        if not isinstance(header["arrays"], list):
+            raise TrialFormatError(f"{path}: header arrays must be a list")
+        if header["version"] != VERSION:
+            raise TrialFormatError(f"{path}: unsupported container version {header['version']}")
         if expect_kind is not None and header.get("kind") != expect_kind:
             raise TrialFormatError(f"{path}: expected kind {expect_kind!r}, found {header.get('kind')!r}")
         arrays: dict[str, np.ndarray] = {}
         for entry in header["arrays"]:
-            dt = np.dtype(entry["dtype"])
-            count = int(np.prod(entry["shape"], dtype=np.int64)) if entry["shape"] else 1
-            raw = fh.read(count * dt.itemsize)
-            if len(raw) != count * dt.itemsize:
-                raise TrialFormatError(f"{path}: truncated array {entry['name']!r}")
-            arrays[entry["name"]] = np.frombuffer(raw, dtype=dt).reshape(entry["shape"]).copy()
+            try:
+                name, dt, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
+            except (KeyError, TypeError, ValueError) as exc:
+                raise TrialFormatError(f"{path}: malformed array entry {entry!r}: {exc}") from None
+            valid_shape = all(type(n) is int and n >= 0 for n in shape)
+            if not isinstance(name, str) or dt.kind not in "fiub" or not valid_shape:
+                raise TrialFormatError(f"{path}: malformed array entry {entry!r}")
+            nbytes = math.prod(shape) * dt.itemsize
+            if nbytes > size - fh.tell():
+                raise TrialFormatError(f"{path}: truncated array {name!r}")
+            arrays[name] = np.frombuffer(fh.read(nbytes), dtype=dt).reshape(shape).copy()
     return header["meta"], arrays

@@ -15,7 +15,6 @@ from .tensor import (
     Tensor,
     add,
     broadcast_to,
-    default_dtype,
     div,
     leaky_relu,
     mul,
@@ -38,7 +37,7 @@ ACTIVATIONS = {
 
 def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int, fan_out: int) -> np.ndarray:
     limit = np.sqrt(6.0 / (fan_in + fan_out))
-    return rng.uniform(-limit, limit, size=shape).astype(default_dtype())
+    return rng.uniform(-limit, limit, size=shape).astype(np.float64)
 
 
 class Layer:
@@ -67,7 +66,7 @@ class Dense(Layer):
         self.fin, self.fout = fin, fout
         rng = rng or np.random.default_rng(0)
         self.weight = Tensor(glorot_uniform(rng, (fin, fout), fin, fout), requires_grad=True)
-        self.bias = Tensor(np.zeros(fout, dtype=default_dtype()), requires_grad=True)
+        self.bias = Tensor(np.zeros(fout, dtype=np.float64), requires_grad=True)
 
     def forward(self, x, training=False, rng=None):
         return dense(x, self.weight, self.bias)
@@ -82,8 +81,8 @@ class Dense(Layer):
         return {"weight": self.weight.data, "bias": self.bias.data}
 
     def load_state(self, arrays):
-        self.weight.data = arrays["weight"].astype(default_dtype())
-        self.bias.data = arrays["bias"].astype(default_dtype())
+        self.weight.data = arrays["weight"].astype(np.float64)
+        self.bias.data = arrays["bias"].astype(np.float64)
 
 
 class Conv1D(Layer):
@@ -105,7 +104,7 @@ class Conv1D(Layer):
             glorot_uniform(rng, (kernel, cin, cout), kernel * cin, kernel * cout),
             requires_grad=True,
         )
-        self.bias = Tensor(np.zeros(cout, dtype=default_dtype()), requires_grad=True)
+        self.bias = Tensor(np.zeros(cout, dtype=np.float64), requires_grad=True)
 
     def forward(self, x, training=False, rng=None):
         return conv1d(x, self.weight, self.bias, stride=self.stride, spacing=self.spacing)
@@ -127,8 +126,8 @@ class Conv1D(Layer):
         return {"weight": self.weight.data, "bias": self.bias.data}
 
     def load_state(self, arrays):
-        self.weight.data = arrays["weight"].astype(default_dtype())
-        self.bias.data = arrays["bias"].astype(default_dtype())
+        self.weight.data = arrays["weight"].astype(np.float64)
+        self.bias.data = arrays["bias"].astype(np.float64)
 
 
 class BatchNorm(Layer):
@@ -144,10 +143,10 @@ class BatchNorm(Layer):
         self.features = features
         self.momentum = momentum
         self.eps = eps
-        self.gamma = Tensor(np.ones(features, dtype=default_dtype()), requires_grad=True)
-        self.beta = Tensor(np.zeros(features, dtype=default_dtype()), requires_grad=True)
-        self.running_mean = np.zeros(features, dtype=default_dtype())
-        self.running_var = np.ones(features, dtype=default_dtype())
+        self.gamma = Tensor(np.ones(features, dtype=np.float64), requires_grad=True)
+        self.beta = Tensor(np.zeros(features, dtype=np.float64), requires_grad=True)
+        self.running_mean = np.zeros(features, dtype=np.float64)
+        self.running_var = np.ones(features, dtype=np.float64)
 
     def forward(self, x, training=False, rng=None):
         if x.ndim == 2:
@@ -196,10 +195,10 @@ class BatchNorm(Layer):
         }
 
     def load_state(self, arrays):
-        self.gamma.data = arrays["gamma"].astype(default_dtype())
-        self.beta.data = arrays["beta"].astype(default_dtype())
-        self.running_mean = arrays["running_mean"].astype(default_dtype())
-        self.running_var = arrays["running_var"].astype(default_dtype())
+        self.gamma.data = arrays["gamma"].astype(np.float64)
+        self.beta.data = arrays["beta"].astype(np.float64)
+        self.running_mean = arrays["running_mean"].astype(np.float64)
+        self.running_var = arrays["running_var"].astype(np.float64)
 
 
 class Activation(Layer):

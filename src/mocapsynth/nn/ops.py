@@ -1,22 +1,29 @@
 """Network building blocks composed from differentiable primitives.
 
-Sequences are (batch, time, channels). Convolution is expressed as a
-window gather followed by one matmul, so its backward pass reuses the
-matmul/gather adjoints and stays differentiable to second order.
+Sequences are (batch, time, channels). A convolution is one graph node:
+its forward pass multiplies an im2col matrix of same-padded input
+windows by the flattened kernel. Its input and weight gradients are two
+further primitives, a transposed convolution and a windows-by-gradient
+product. The three are adjoints of one another, so each one's vjp is
+written with the other two and the double backward that a gradient
+penalty needs stays exact.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ContractError, ShapeError
 from .tensor import (
     Tensor,
+    _make,
     add,
     broadcast_to,
-    gather_time,
+    concat,
     matmul,
     mul_const,
+    narrow,
     repeat_time,
     reshape,
     tsum,
@@ -39,24 +46,39 @@ def conv_padding(kernel: int, spacing: int) -> tuple[int, int]:
     return left, reach - left
 
 
-def conv_window_index(length: int, kernel: int, stride: int, spacing: int) -> np.ndarray:
-    """(t_out, tap) -> padded input index."""
-    t_out = conv_output_length(length, stride)
-    starts = np.arange(t_out) * stride
-    taps = np.arange(kernel) * (1 + spacing)
-    return starts[:, None] + taps[None, :]
+def _window_cols(x: np.ndarray, kernel: int, stride: int, spacing: int) -> np.ndarray:
+    """im2col of a (B, T, Cin) array: the (B * Tout, K * Cin) window matrix.
+
+    Row b * Tout + t holds padded steps t * stride + k * (1 + spacing) for
+    k = 0..K-1, channels innermost, so it lines up with a (K, Cin, Cout)
+    weight flattened to (K * Cin, Cout). Original step p sits at padded
+    step p + left.
+    """
+    b, t, c = x.shape
+    left, right = conv_padding(kernel, spacing)
+    t_out = conv_output_length(t, stride)
+    padded = np.zeros((b, left + t + right, c), dtype=x.dtype)
+    padded[:, left : left + t] = x
+    sb, st, sc = padded.strides
+    windows = as_strided(
+        padded,
+        shape=(b, t_out, kernel, c),
+        strides=(sb, stride * st, (1 + spacing) * st, sc),
+        writeable=False,
+    )
+    return windows.reshape(b * t_out, kernel * c)
 
 
 def conv1d(
     x: Tensor,
     weight: Tensor,
-    bias: Tensor,
+    bias: Tensor | None = None,
     stride: int = 1,
     spacing: int = 0,
 ) -> Tensor:
     """Same-padded 1-d convolution over the time axis.
 
-    x: (B, T, Cin); weight: (K, Cin, Cout); bias: (Cout,).
+    x: (B, T, Cin); weight: (K, Cin, Cout); bias: (Cout,) or None.
     Returns (B, ceil(T / stride), Cout).
     """
     if x.ndim != 3:
@@ -70,21 +92,75 @@ def conv1d(
         raise ContractError(f"invalid stride={stride} spacing={spacing}")
 
     b, t, _ = x.shape
+    cols = _window_cols(x.data, k, stride, spacing)
+    out = cols @ weight.data.reshape(k * c_in, c_out)
+    if bias is not None:
+        out += bias.data
+
+    def vjp(g: Tensor):
+        gx = conv1d_input_grad(g, weight, t, stride, spacing) if x.requires_grad else None
+        gw = conv1d_weight_grad(x, g, k, stride, spacing, cols) if weight.requires_grad else None
+        if bias is None:
+            return gx, gw
+        return gx, gw, (tsum(g, axis=(0, 1)) if bias.requires_grad else None)
+
+    inputs = (x, weight) if bias is None else (x, weight, bias)
+    return _make(out.reshape(b, conv_output_length(t, stride), c_out), inputs, vjp, "conv1d")
+
+
+def conv1d_input_grad(g: Tensor, weight: Tensor, length: int, stride: int = 1, spacing: int = 0) -> Tensor:
+    """Transposed convolution: the adjoint of conv1d in its input.
+
+    g: (B, Tout, Cout); weight: (K, Cin, Cout). Returns (B, length, Cin)
+    with <conv1d(x, w), g> == <x, conv1d_input_grad(g, w, T)>.
+    """
+    b, t_out, c_out = g.shape
+    k, c_in, _ = weight.shape
     left, right = conv_padding(k, spacing)
-    # window taps in padded coordinates: original p sits at p + left, and the
-    # window for output t starts at original t*stride - left, i.e. padded t*stride
-    idx = conv_window_index(t, k, stride, spacing)
-    t_out = idx.shape[0]
+    taps = g.data.reshape(b * t_out, c_out) @ weight.data.reshape(k * c_in, c_out).T
+    taps = taps.reshape(b, t_out, k, c_in)
+    padded = np.zeros((b, left + length + right, c_in), dtype=taps.dtype)
+    span = (t_out - 1) * stride + 1
+    # last tap first: every step then sums its terms in output-window order
+    for j in reversed(range(k)):
+        start = j * (1 + spacing)
+        padded[:, start : start + span : stride] += taps[:, :, j]
 
-    from .tensor import pad_axis
+    def vjp(gg: Tensor):
+        dg = conv1d(gg, weight, stride=stride, spacing=spacing) if g.requires_grad else None
+        dw = conv1d_weight_grad(gg, g, k, stride, spacing) if weight.requires_grad else None
+        return dg, dw
 
-    padded = pad_axis(x, 1, left, right)
-    windows = gather_time(padded, idx)  # (B, Tout, K, Cin)
-    flat = reshape(windows, (b * t_out, k * c_in))
-    w2 = reshape(weight, (k * c_in, c_out))
-    out = matmul(flat, w2)
-    out = add(out, broadcast_to(reshape(bias, (1, c_out)), (b * t_out, c_out)))
-    return reshape(out, (b, t_out, c_out))
+    data = np.ascontiguousarray(padded[:, left : left + length])
+    return _make(data, (g, weight), vjp, "conv1d_input_grad")
+
+
+def conv1d_weight_grad(
+    x: Tensor,
+    g: Tensor,
+    kernel: int,
+    stride: int = 1,
+    spacing: int = 0,
+    cols: np.ndarray | None = None,
+) -> Tensor:
+    """Adjoint of conv1d in its weight: windows of x times the output gradient.
+
+    x: (B, T, Cin); g: (B, Tout, Cout). Returns (K, Cin, Cout) with
+    <conv1d(x, w), g> == <w, conv1d_weight_grad(x, g, K)>. `cols` is x's
+    window matrix when the caller already has it.
+    """
+    t, c_in = x.shape[1], x.shape[2]
+    c_out = g.shape[2]
+    if cols is None:
+        cols = _window_cols(x.data, kernel, stride, spacing)
+    data = (cols.T @ g.data.reshape(-1, c_out)).reshape(kernel, c_in, c_out)
+
+    def vjp(gw: Tensor):
+        dx = conv1d_input_grad(g, gw, t, stride, spacing) if x.requires_grad else None
+        dg = conv1d(x, gw, stride=stride, spacing=spacing) if g.requires_grad else None
+        return dx, dg
+
+    return _make(data, (x, g), vjp, "conv1d_weight_grad")
 
 
 def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
@@ -97,9 +173,10 @@ def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
         raise ShapeError(f"maxpool1d expects (B, T, C), got shape {x.shape}")
     b, t, c = x.shape
     t_out = -(-t // width)
-    idx = np.arange(t_out)[:, None] * width + np.arange(width)[None, :]
-    idx = np.minimum(idx, t - 1)  # clamp: tail gradient folds onto the last step
-    windows = gather_time(x, idx)  # (B, Tout, width, C)
+    tail = t_out * width - t
+    if tail:
+        x = concat([x, repeat_time(narrow(x, 1, t - 1, 1), tail)], axis=1)
+    windows = reshape(x, (b, t_out, width, c))
     winners = np.argmax(windows.data, axis=2)
     mask = np.zeros(windows.shape, dtype=x.data.dtype)
     np.put_along_axis(mask, winners[:, :, None, :], 1.0, axis=2)

@@ -43,18 +43,3 @@ class Adam:
             m_hat = self.m[i] / (1 - b1**self.t)
             v_hat = self.v[i] / (1 - b2**self.t)
             p.data = p.data - self.lr * m_hat / (np.sqrt(v_hat) + self.eps)
-
-
-class SGD:
-    def __init__(self, params: list[Tensor], lr: float = 1e-2):
-        self.params = list(params)
-        self.lr = lr
-
-    def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
-
-    def step(self) -> None:
-        for p in self.params:
-            if p.grad is not None:
-                p.data = p.data - self.lr * p.grad

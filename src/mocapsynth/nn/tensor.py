@@ -1,15 +1,14 @@
 """Dense tensors with reverse-mode automatic differentiation.
 
-Values are numpy arrays (float64 by default, float32 optional). Each
-operation records its inputs and a vector-Jacobian product; the vjp is
-itself written with Tensor operations, so running a backward pass with
-``create_graph=True`` yields gradients that can be differentiated again
-(needed for the gradient-penalty term of the WGAN critic loss).
+Values are float64 numpy arrays. Each operation records its inputs and
+a vector-Jacobian product; the vjp is itself written with Tensor
+operations, so running a backward pass with ``create_graph=True`` yields
+gradients that can be differentiated again (needed for the
+gradient-penalty term of the WGAN critic loss).
 """
 
 from __future__ import annotations
 
-import math
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -22,22 +21,6 @@ _GRAD_MODE = [True]
 # when True, every gradient produced during a backward pass is checked
 # for NaN and the offending node is named in the raised error
 NAN_GUARD = True
-
-_DEFAULT_DTYPE = np.float64
-
-
-def set_default_dtype(dtype) -> None:
-    """Switch value precision (float64 for testing, float32 for speed)."""
-    global _DEFAULT_DTYPE
-    dtype = np.dtype(dtype)
-    if dtype not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError(f"unsupported dtype {dtype}")
-    _DEFAULT_DTYPE = dtype.type
-
-
-def default_dtype():
-    return _DEFAULT_DTYPE
-
 
 @contextmanager
 def no_grad():
@@ -67,7 +50,7 @@ class Tensor:
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
         if arr.dtype.kind != "f":
-            arr = arr.astype(_DEFAULT_DTYPE)
+            arr = arr.astype(np.float64)
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -196,12 +179,10 @@ def backward_pass(root: Tensor, seed: Tensor, create_graph: bool) -> dict[Tensor
     """Run reverse-mode accumulation from `root`; returns node -> gradient."""
     mode = enable_grad if create_graph else no_grad
     grads: dict[int, Tensor] = {id(root): seed}
-    by_id: dict[int, Tensor] = {id(root): root}
     result: dict[Tensor, Tensor] = {}
     with mode():
         for node in reversed(_topo_order(root)):
             g = grads.pop(id(node), None)
-            by_id.pop(id(node), None)
             if g is None:
                 continue
             if NAN_GUARD and not np.all(np.isfinite(g.data)):
@@ -215,7 +196,6 @@ def backward_pass(root: Tensor, seed: Tensor, create_graph: bool) -> dict[Tensor
                     continue
                 prev = grads.get(id(inp))
                 grads[id(inp)] = gi if prev is None else add(prev, gi)
-                by_id[id(inp)] = inp
     return result
 
 
@@ -472,31 +452,6 @@ def pad_axis(a, axis: int, before: int, after: int) -> Tensor:
     return _make(np.pad(a.data, widths), (a,), vjp, "pad")
 
 
-def gather_time(a, idx: np.ndarray) -> Tensor:
-    """Index axis 1 of a (B, T, C) tensor with an integer array idx (T', K)."""
-    a = _ensure(a)
-    if a.ndim != 3:
-        raise ShapeError(f"gather_time expects (B, T, C), got shape {a.shape}")
-    T = a.shape[1]
-
-    def vjp(g: Tensor):
-        return (scatter_time(g, idx, T),)
-
-    return _make(a.data[:, idx, :], (a,), vjp, "gather_time")
-
-
-def scatter_time(g, idx: np.ndarray, length: int) -> Tensor:
-    """Adjoint of gather_time: sum-scatter (B, T', K, C) back onto (B, length, C)."""
-    g = _ensure(g)
-    out = np.zeros((g.shape[0], length, g.shape[3]), dtype=g.data.dtype)
-    np.add.at(out, (slice(None), idx), g.data)
-
-    def vjp(gg: Tensor):
-        return (gather_time(gg, idx),)
-
-    return _make(out, (g,), vjp, "scatter_time")
-
-
 def repeat_time(a, factor: int) -> Tensor:
     """Repeat each step along axis 1 of a (B, T, C) tensor `factor` times."""
     a = _ensure(a)
@@ -534,9 +489,3 @@ def cross_entropy(logits: Tensor, onehot: np.ndarray) -> Tensor:
     logp = log_softmax(logits, axis=-1)
     picked = tsum(mul_const(logp, onehot), axis=-1)
     return neg(tmean(picked))
-
-
-def check_finite(t: Tensor, where: str) -> Tensor:
-    if not np.all(np.isfinite(t.data)):
-        raise NumericalError(f"non-finite value in {where}")
-    return t

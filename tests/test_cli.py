@@ -136,6 +136,15 @@ def test_augment_expands_and_keeps_labels(augmented):
     assert "augment" in extra
 
 
+def test_augment_reports_a_truncated_archive(archive, tmp_path, capsys):
+    cut = tmp_path / "cut.bin"
+    cut.write_bytes(archive.read_bytes()[:100])
+    rc = main(["augment", "--input", str(cut), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+
+
 def test_config_file_precedence(archive, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"factor": 5}))
@@ -246,6 +255,23 @@ def test_generate_is_seed_deterministic(gan_dir, tmp_path, capsys):
     assert rc == 0
     assert (other / "generated0000.csv").read_bytes() != outs[0]
     capsys.readouterr()
+
+
+def test_generate_refuses_a_critic_checkpoint(gan_dir, tmp_path, capsys):
+    rc = main(["generate", "--model", str(gan_dir / "critic.model"),
+               "--stats", str(gan_dir / "norm-stats.bin"), "--out", str(tmp_path / "g")])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "not a generator" in err[0]
+
+
+@pytest.mark.parametrize("count", ["0", "-1"])
+def test_generate_rejects_a_count_below_one(gan_dir, tmp_path, capsys, count):
+    rc = main(["generate", "--model", str(gan_dir / "generator.model"),
+               "--out", str(tmp_path / "g"), "--count", count])
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "--count" in err[0]
 
 
 def test_conditional_generate_label_flow(cond_gan_dir, gan_dir, tmp_path, capsys):

@@ -11,6 +11,8 @@ from mocapsynth.nn import (
     clip,
     concat,
     conv1d,
+    conv1d_input_grad,
+    conv1d_weight_grad,
     cross_entropy,
     dense,
     grad,
@@ -260,6 +262,48 @@ def test_conv1d_gradients():
         assert check_gradients(f, [x, w, b]) < 1e-5
 
 
+def test_conv1d_is_one_graph_node():
+    rng = np.random.default_rng(23)
+    x = Tensor(rng.normal(size=(2, 9, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+    b = Tensor(rng.normal(size=4), requires_grad=True)
+    out = conv1d(x, w, b, stride=2, spacing=1)
+    assert out.op == "conv1d"
+    assert out._prev == (x, w, b)
+
+
+@pytest.mark.parametrize("stride", [1, 2, 3])
+@pytest.mark.parametrize("spacing", [0, 1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3, 5])
+def test_conv1d_primitives_are_adjoint(stride, spacing, k):
+    # <conv1d(x, w), g> = <x, input_grad(g, w)> = <w, weight_grad(x, g)>
+    rng = np.random.default_rng(100 * stride + 10 * spacing + k)
+    t = 11
+    x = Tensor(rng.normal(size=(2, t, 3)))
+    w = Tensor(rng.normal(size=(k, 3, 4)))
+    y = conv1d(x, w, stride=stride, spacing=spacing)
+    g = Tensor(rng.normal(size=y.shape))
+    forward = np.vdot(y.data, g.data)
+    via_input = np.vdot(x.data, conv1d_input_grad(g, w, t, stride, spacing).data)
+    via_weight = np.vdot(w.data, conv1d_weight_grad(x, g, k, stride, spacing).data)
+    scale = np.linalg.norm(y.data) * np.linalg.norm(g.data)
+    assert abs(via_input - forward) <= 1e-12 * scale
+    assert abs(via_weight - forward) <= 1e-12 * scale
+
+
+def test_conv1d_adjoint_primitives_gradients():
+    rng = np.random.default_rng(24)
+    for stride, spacing in [(1, 0), (2, 0), (2, 1)]:
+        t = 9
+        x = Tensor(rng.normal(size=(2, t, 3)), requires_grad=True)
+        w = Tensor(rng.normal(size=(3, 3, 2)), requires_grad=True)
+        g = Tensor(rng.normal(size=(2, -(-t // stride), 2)), requires_grad=True)
+        f = lambda: tsum(tanh(conv1d_input_grad(g, w, t, stride, spacing)))
+        assert check_gradients(f, [g, w]) < 1e-5
+        f = lambda: tsum(tanh(conv1d_weight_grad(x, g, 3, stride, spacing)))
+        assert check_gradients(f, [x, g]) < 1e-5
+
+
 def test_maxpool_matches_naive_oracle():
     rng = np.random.default_rng(16)
     for t in (2, 5, 8, 9, 32):
@@ -363,3 +407,25 @@ def test_double_backward_through_conv_and_pool():
     ab = b.grad if b.grad is not None else np.zeros_like(b.data)
     assert relative_error(aw, numeric_gradient(penalty, w)) < 1e-4
     assert relative_error(ab, numeric_gradient(penalty, b)) < 1e-4
+
+
+@pytest.mark.parametrize("stride, spacing", [(2, 0), (1, 1)])
+def test_double_backward_through_strided_and_spaced_conv(stride, spacing):
+    # stride 2 is the critic's convolution, spacing 1 the classifier's first
+    rng = np.random.default_rng(25)
+    xv = separated_values(rng, (2, 9, 2))
+    w = Tensor(rng.normal(size=(3, 2, 2)) * 0.7, requires_grad=True)
+    b = Tensor(rng.normal(size=2), requires_grad=True)
+
+    def penalty():
+        x = Tensor(xv, requires_grad=True)
+        h = maxpool1d(leaky_relu(conv1d(x, w, b, stride=stride, spacing=spacing)), 2)
+        out = tsum(h * h)
+        (g,) = grad(out, [x], create_graph=True)
+        return tsum((tsqrt(tsum(g * g) + 1e-12) - 1.0) ** 2.0)
+
+    w.grad = None
+    b.grad = None
+    penalty().backward()
+    assert relative_error(w.grad, numeric_gradient(penalty, w)) < 1e-4
+    assert relative_error(b.grad, numeric_gradient(penalty, b)) < 1e-4
