@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..container import read_container, write_container
+from ..container import JsonRecord, read_container, write_container
 from ..errors import ContractError, ShapeError
 from ..nn import Sequential, Tensor, concat
 from ..nn.layers import Activation, Conv1D, Dense, Dropout, Flatten, MaxPool
@@ -25,7 +25,7 @@ SEQ_LEN = 32
 
 
 @dataclass(frozen=True)
-class HierarchicalNetSpec:
+class HierarchicalNetSpec(JsonRecord):
     n_classes: int
     branch_filters: tuple[int, int, int] = (4, 8, 8)
     dense_width: int = 32
@@ -38,22 +38,6 @@ class HierarchicalNetSpec:
             raise ShapeError(f"need at least 2 classes, got {self.n_classes}")
         if any(f < 1 for f in self.branch_filters) or self.dense_width < 1 or self.kernel < 1:
             raise ShapeError("filter counts, dense width, and kernel must be positive")
-
-    def to_dict(self) -> dict:
-        return {
-            "n_classes": self.n_classes,
-            "branch_filters": list(self.branch_filters),
-            "dense_width": self.dense_width,
-            "dropout": self.dropout,
-            "kernel": self.kernel,
-            "first_spacing": self.first_spacing,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "HierarchicalNetSpec":
-        d = dict(d)
-        d["branch_filters"] = tuple(d["branch_filters"])
-        return cls(**d)
 
 
 class HierarchicalClassifier:

@@ -16,12 +16,15 @@ import json
 import logging
 import sys
 from collections import Counter
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
 from .augment import AugmentSpec, augment_dataset
 from .classifier import (
+    TASKS,
     HierarchicalClassifier,
     HierarchicalNetSpec,
     TaskSpec,
@@ -35,6 +38,9 @@ from .classifier import (
 )
 from .container import read_container, write_container
 from .dataset import (
+    CENTER_STRIDE,
+    DEFAULT_HOLD_FRAMES,
+    DEFAULT_SPEED_THRESHOLD,
     MotionSequence,
     apply_zscore,
     fit_normalizer,
@@ -80,29 +86,101 @@ class UsageError(Exception):
 # ------------------------------------------------------------ plumbing
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON file of defaults for this subcommand")
-    p.add_argument("--seed", type=int, help="master seed (default 0)")
+_TYPE_NAMES = {int: "a whole number", float: "a number", str: "a string", bool: "true or false"}
 
 
-def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
-    """flag > config file > default, for every known setting."""
-    cfg = {}
-    if getattr(args, "config", None):
-        path = Path(args.config)
-        if not path.exists():
-            raise UsageError(f"config file not found: {path}")
-        try:
-            cfg = json.loads(path.read_text())
-        except json.JSONDecodeError as exc:
-            raise UsageError(f"config file {path}: invalid JSON: {exc}")
-        unknown = sorted(set(cfg) - set(defaults))
-        if unknown:
-            raise UsageError(f"config file {path}: unknown keys {unknown}")
+@dataclass(frozen=True)
+class Setting:
+    """One setting of a subcommand: flag --x-y, config key and resolved key x_y.
+
+    `type` is int, float, str or bool; a bool setting is a switch that
+    the flag can only turn on. A default of None means "unset", which is
+    also the only place a config file may write null.
+    """
+
+    name: str
+    help: str
+    type: type = str
+    default: object = None
+    choices: tuple[str, ...] = ()
+
+    def add_to(self, parser: argparse.ArgumentParser) -> None:
+        # default=None lets _resolve tell a given flag from an absent one
+        if self.type is bool:
+            kwargs = {"action": "store_const", "const": True}
+        else:
+            kwargs = {"type": self.type, "choices": self.choices or None}
+        parser.add_argument("--" + self.name.replace("_", "-"), dest=self.name, default=None,
+                            help=self.help_text, **kwargs)
+
+    @property
+    def help_text(self) -> str:
+        # a help text that states its own default rule keeps it
+        if self.default is None or self.type is bool or "(default" in self.help:
+            return self.help
+        return f"{self.help} (default {self.default})"
+
+    def check(self, value, where: str) -> None:
+        """Hold a config-file value to the flag's type and choices."""
+        if value is None:
+            ok = self.default is None
+        elif self.type is float:
+            ok = type(value) in (int, float)
+        else:
+            ok = type(value) is self.type and (not self.choices or value in self.choices)
+        if not ok:
+            want = f"one of {', '.join(self.choices)}" if self.choices else _TYPE_NAMES[self.type]
+            raise UsageError(f"{where}: {self.name} must be {want}, got {json.dumps(value)}")
+
+
+SEED = Setting("seed", "master seed", int, 0)
+
+
+@dataclass(frozen=True)
+class Command:
+    """A subcommand: its function, its help line and its settings besides --seed."""
+
+    run: Callable[[dict], int]
+    help: str
+    own_settings: tuple[Setting, ...]
+
+    @property
+    def settings(self) -> tuple[Setting, ...]:
+        return self.own_settings + (SEED,)
+
+
+def _read_json_object(path, what: str) -> dict:
+    """Parse a JSON file that must hold one object; every fault is a usage error."""
+    path = Path(path)
+    if not path.exists():
+        raise UsageError(f"{what} not found: {path}")
+    try:
+        doc = json.loads(path.read_text())
+    except ValueError as exc:
+        raise UsageError(f"{what} {path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise UsageError(f"{what} {path}: must hold a JSON object, not {type(doc).__name__}")
+    return doc
+
+
+def _reject_unknown(doc: dict, known, where: str) -> None:
+    unknown = sorted(set(doc) - set(known))
+    if unknown:
+        raise UsageError(f"{where}: unknown keys {unknown}")
+
+
+def _resolve(args: argparse.Namespace, settings: tuple[Setting, ...]) -> dict:
+    """flag > config file > default, for every setting of the subcommand."""
+    cfg = _read_json_object(args.config, "config file") if args.config else {}
+    where = f"config file {args.config}"
+    by_name = {s.name: s for s in settings}
+    _reject_unknown(cfg, by_name, where)
+    for key, value in cfg.items():
+        by_name[key].check(value, where)
     resolved = {}
-    for key, default in defaults.items():
-        flag = getattr(args, key, None)
-        resolved[key] = flag if flag is not None else cfg.get(key, default)
+    for s in settings:
+        flag = getattr(args, s.name)
+        resolved[s.name] = flag if flag is not None else cfg.get(s.name, s.default)
     return resolved
 
 
@@ -132,22 +210,8 @@ def _load_stats(path) -> NormStats:
 # ---------------------------------------------------------- subcommands
 
 
-INGEST_DEFAULTS = {
-    "input": None,
-    "out": None,
-    "resample": "centered",
-    "speed_threshold": 0.05,
-    "hold_frames": 12,
-    "stride": 12,
-    "normalize": False,
-    "seed": 0,
-}
-
-
 def cmd_ingest(resolved: dict) -> int:
     _require(resolved, "input", "out")
-    if resolved["resample"] not in ("centered", "uniform"):
-        raise UsageError("--resample must be centered or uniform")
     out_dir = Path(resolved["out"])
     result = load_trials(resolved["input"])
     if not result.trials:
@@ -195,19 +259,6 @@ def cmd_ingest(resolved: dict) -> int:
     return 0
 
 
-AUGMENT_DEFAULTS = {
-    "input": None,
-    "out": None,
-    "factor": 10,
-    "translate": 0.20,
-    "scale_lo": 0.85,
-    "scale_hi": 1.15,
-    "rotate_lo": 0.0,
-    "rotate_hi": 60.0,
-    "seed": 0,
-}
-
-
 def cmd_augment(resolved: dict) -> int:
     _require(resolved, "input", "out")
     out_dir = Path(resolved["out"])
@@ -233,33 +284,28 @@ def cmd_augment(resolved: dict) -> int:
     return 0
 
 
-TRAIN_CLASSIFIER_DEFAULTS = {
-    "input": None,
-    "out": None,
-    "task": None,
-    "epochs": 400,
-    "batch": 32,
-    "lr": 1e-3,
-    "augment_factor": 10,
-    "val_size": 0,  # 0 picks the task default
-    "spec": None,  # JSON file overriding network hyperparameters
-    "seed": 0,
-}
+def _net_spec(spec_path, n_classes: int) -> HierarchicalNetSpec:
+    """The default network, with the overrides of an optional --spec JSON file."""
+    overrides = _read_json_object(spec_path, "spec file") if spec_path else {}
+    tunable = {f.name for f in fields(HierarchicalNetSpec)} - {"n_classes"}
+    _reject_unknown(overrides, tunable, f"spec file {spec_path}")
+    return HierarchicalNetSpec.from_dict({**overrides, "n_classes": n_classes})
 
 
 def cmd_train_classifier(resolved: dict) -> int:
     _require(resolved, "input", "out", "task")
     out_dir = Path(resolved["out"])
     seed = resolved["seed"]
-    sequences, _, _ = load_sequences(resolved["input"])
-    if sequences[0].normalized:
-        raise StateError("train-classifier wants world-space sequences; it normalizes internally")
-
     task = TaskSpec(
         resolved["task"],
         validation_size=resolved["val_size"],
         augment_factor=resolved["augment_factor"],
     )
+    net_spec = _net_spec(resolved["spec"], task.n_classes)
+    sequences, _, _ = load_sequences(resolved["input"])
+    if sequences[0].normalized:
+        raise StateError("train-classifier wants world-space sequences; it normalizes internally")
+
     pool = filter_for_task(sequences, task)
     if task.task == "weight":
         pool = balance_classes(pool, task, seed)
@@ -275,10 +321,6 @@ def cmd_train_classifier(resolved: dict) -> int:
     val_norm = [apply_zscore(s, stats) for s in val_seqs]
     log.info("training on %d sequences, validating on %d", len(train_norm), len(val_norm))
 
-    overrides = {}
-    if resolved["spec"]:
-        overrides = json.loads(Path(resolved["spec"]).read_text())
-    net_spec = HierarchicalNetSpec(n_classes=task.n_classes, **overrides)
     model = HierarchicalClassifier(net_spec, seed=seed)
 
     report = train_classifier(
@@ -310,15 +352,6 @@ def cmd_train_classifier(resolved: dict) -> int:
     best = max(report.val_acc) if report.val_acc else float("nan")
     print(f"best validation accuracy {best:.3f} at epoch {report.best_epoch}")
     return 0
-
-
-EVAL_CLASSIFIER_DEFAULTS = {
-    "input": None,
-    "model": None,
-    "stats": None,
-    "out": None,
-    "seed": 0,
-}
 
 
 def cmd_eval_classifier(resolved: dict) -> int:
@@ -359,27 +392,9 @@ def cmd_eval_classifier(resolved: dict) -> int:
     return 0
 
 
-TRAIN_GAN_DEFAULTS = {
-    "input": None,
-    "out": None,
-    "kind": "wgan-gp",
-    "epochs": 10,
-    "batch": 64,
-    "critic_steps": 15,
-    "gp_lambda": 10.0,
-    "gen_batchnorm": "off",
-    "lr": None,
-    "seed": 0,
-}
-
-
 def cmd_train_gan(resolved: dict) -> int:
     _require(resolved, "input", "out")
-    kind = str(resolved["kind"]).replace("-", "_")
-    if kind not in ("dcgan", "wgan_gp", "cond_wgan_gp"):
-        raise UsageError(f"unknown --kind {resolved['kind']!r}")
-    if resolved["gen_batchnorm"] not in ("on", "off"):
-        raise UsageError("--gen-batchnorm must be on or off")
+    kind = resolved["kind"].replace("-", "_")
     out_dir = Path(resolved["out"])
     seed = resolved["seed"]
 
@@ -423,18 +438,6 @@ def cmd_train_gan(resolved: dict) -> int:
     return 0
 
 
-GENERATE_DEFAULTS = {
-    "model": None,
-    "stats": None,
-    "out": None,
-    "count": 5,
-    "label": None,
-    "render": False,
-    "render_format": "jsonl",
-    "seed": 0,
-}
-
-
 def _parse_label(text: str) -> ConditionLabel:
     parts = dict(item.split("=", 1) for item in text.split(",") if "=" in item)
     if set(parts) != {"weight", "balance"}:
@@ -444,8 +447,8 @@ def _parse_label(text: str) -> ConditionLabel:
 
 def cmd_generate(resolved: dict) -> int:
     _require(resolved, "model", "out")
-    if not isinstance(resolved["count"], int) or resolved["count"] < 1:
-        raise UsageError("--count must be a whole number of at least 1")
+    if resolved["count"] < 1:
+        raise UsageError("--count must be at least 1")
     out_dir = Path(resolved["out"])
     generator, meta = load_model(resolved["model"])
     if meta.get("role") != "generator":
@@ -473,19 +476,8 @@ def cmd_generate(resolved: dict) -> int:
     return 0
 
 
-RENDER_DEFAULTS = {
-    "input": None,
-    "out": None,
-    "format": "svg_ortho",
-    "topology": None,
-    "seed": 0,
-}
-
-
 def cmd_render(resolved: dict) -> int:
     _require(resolved, "input", "out")
-    if resolved["format"] not in ("jsonl", "svg_ortho"):
-        raise UsageError("--format must be jsonl or svg_ortho")
     out_dir = Path(resolved["out"])
     src = Path(resolved["input"])
     if src.suffix == ".csv":
@@ -507,13 +499,6 @@ def cmd_render(resolved: dict) -> int:
             written += len(export_svg_ortho(frames, out_dir / seq.name))
     print(f"rendered {len(sequences)} sequences ({written} files)")
     return 0
-
-
-STATS_DEFAULTS = {
-    "input": None,
-    "out": None,
-    "seed": 0,
-}
 
 
 def cmd_stats(resolved: dict) -> int:
@@ -560,7 +545,80 @@ def cmd_stats(resolved: dict) -> int:
     return 0
 
 
-# -------------------------------------------------------------- parser
+# ------------------------------------------------------- settings table
+
+
+S = Setting
+_STATS = S("stats", "normalization stats (default: next to model)")
+
+COMMANDS = {
+    "ingest": Command(cmd_ingest, "load trial CSVs, trim, resample, archive", (
+        S("input", "directory of trial CSV/JSON pairs"),
+        S("out", "output directory"),
+        S("resample", "frame selection", str, "centered", ("centered", "uniform")),
+        S("speed_threshold", "motion threshold m/s", float, DEFAULT_SPEED_THRESHOLD),
+        S("hold_frames", "frames speed must persist", int, DEFAULT_HOLD_FRAMES),
+        S("stride", "centered-resample stride", int, CENTER_STRIDE),
+        S("normalize", "fit and apply z-scoring", bool, False),
+    )),
+    "augment": Command(cmd_augment, "expand an archive with geometric copies", (
+        S("input", "sequence archive"),
+        S("out", "output directory"),
+        S("factor", "copies per sequence incl. original", int, AugmentSpec.factor),
+        S("translate", "max |XY shift| in m", float, AugmentSpec.translate_m),
+        S("scale_lo", "min scale factor", float, AugmentSpec.scale_lo),
+        S("scale_hi", "max scale factor", float, AugmentSpec.scale_hi),
+        S("rotate_lo", "min rotation deg", float, AugmentSpec.rotate_lo_deg),
+        S("rotate_hi", "max rotation deg", float, AugmentSpec.rotate_hi_deg),
+    )),
+    "train-classifier": Command(cmd_train_classifier, "train the hierarchical attribute classifier", (
+        S("input", "world-space sequence archive"),
+        S("out", "output directory"),
+        S("task", "attribute to predict", str, None, TASKS),
+        S("epochs", "training epochs", int, 400),
+        S("batch", "batch size", int, 32),
+        S("lr", "Adam learning rate", float, 1e-3),
+        S("augment_factor", "train-set expansion", int, TaskSpec.augment_factor),
+        S("val_size", "validation size (default per task)", int, 0),  # 0 picks the task default
+        S("spec", "JSON file of network hyperparameter overrides"),
+    )),
+    "eval-classifier": Command(cmd_eval_classifier, "evaluate a trained classifier on an archive", (
+        S("input", "sequence archive"),
+        S("model", "classifier checkpoint"),
+        _STATS,
+        S("out", "optional output directory for eval.json"),
+    )),
+    "train-gan": Command(cmd_train_gan, "train a sequence generator", (
+        S("input", "sequence archive (world-space or normalized with stats)"),
+        S("out", "output directory"),
+        S("kind", "objective", str, "wgan-gp", ("dcgan", "wgan-gp", "cond-wgan-gp")),
+        S("epochs", "training epochs", int, GanTrainSpec.epochs),
+        S("batch", "batch size", int, GanTrainSpec.batch),
+        S("critic_steps", "critic updates per generator step", int, GanTrainSpec.critic_steps),
+        S("gp_lambda", "gradient penalty weight", float, GanTrainSpec.gp_lambda),
+        S("gen_batchnorm", "generator batch norm", str, "off", ("on", "off")),
+        S("lr", "Adam learning rate (default per kind)", float),
+    )),
+    "generate": Command(cmd_generate, "sample sequences from a trained generator", (
+        S("model", "generator checkpoint"),
+        _STATS,
+        S("out", "output directory"),
+        S("count", "number of sequences", int, 5),
+        S("label", "condition, e.g. weight=heavy,balance=balanced"),
+        S("render", "also export geometry", bool, False),
+        S("render_format", "geometry format", str, "jsonl", ("jsonl", "svg_ortho")),
+    )),
+    "render": Command(cmd_render, "export skeleton geometry for sequences", (
+        S("input", "sequence archive or bare coordinate CSV"),
+        S("out", "output directory"),
+        S("format", "export format", str, "svg_ortho", ("jsonl", "svg_ortho")),
+        S("topology", "bone table JSON (default built-in)"),
+    )),
+    "stats": Command(cmd_stats, "label frequency tables for a corpus or archive", (
+        S("input", "trial directory or sequence archive"),
+        S("out", "optional output directory for stats.json"),
+    )),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -569,94 +627,12 @@ def build_parser() -> argparse.ArgumentParser:
         description="Motion-capture transport analysis and synthesis pipeline.",
     )
     sub = parser.add_subparsers(dest="subcommand", metavar="subcommand")
-
-    p = sub.add_parser("ingest", help="load trial CSVs, trim, resample, archive")
-    p.add_argument("--input", help="directory of trial CSV/JSON pairs")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--resample", choices=["centered", "uniform"], help="frame selection (default centered)")
-    p.add_argument("--speed-threshold", dest="speed_threshold", type=float, help="motion threshold m/s (default 0.05)")
-    p.add_argument("--hold-frames", dest="hold_frames", type=int, help="frames speed must persist (default 12)")
-    p.add_argument("--stride", type=int, help="centered-resample stride (default 12)")
-    p.add_argument("--normalize", action="store_const", const=True, help="fit and apply z-scoring")
-    _add_common(p)
-
-    p = sub.add_parser("augment", help="expand an archive with geometric copies")
-    p.add_argument("--input", help="sequence archive")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--factor", type=int, help="copies per sequence incl. original (default 10)")
-    p.add_argument("--translate", type=float, help="max |XY shift| in m (default 0.20)")
-    p.add_argument("--scale-lo", dest="scale_lo", type=float, help="min scale factor (default 0.85)")
-    p.add_argument("--scale-hi", dest="scale_hi", type=float, help="max scale factor (default 1.15)")
-    p.add_argument("--rotate-lo", dest="rotate_lo", type=float, help="min rotation deg (default 0)")
-    p.add_argument("--rotate-hi", dest="rotate_hi", type=float, help="max rotation deg (default 60)")
-    _add_common(p)
-
-    p = sub.add_parser("train-classifier", help="train the hierarchical attribute classifier")
-    p.add_argument("--input", help="world-space sequence archive")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--task", choices=["weight", "balance", "strategy"], help="attribute to predict")
-    p.add_argument("--epochs", type=int, help="training epochs (default 400)")
-    p.add_argument("--batch", type=int, help="batch size (default 32)")
-    p.add_argument("--lr", type=float, help="Adam learning rate (default 1e-3)")
-    p.add_argument("--augment-factor", dest="augment_factor", type=int, help="train-set expansion (default 10)")
-    p.add_argument("--val-size", dest="val_size", type=int, help="validation size (default per task)")
-    p.add_argument("--spec", help="JSON file of network hyperparameter overrides")
-    _add_common(p)
-
-    p = sub.add_parser("eval-classifier", help="evaluate a trained classifier on an archive")
-    p.add_argument("--input", help="sequence archive")
-    p.add_argument("--model", help="classifier checkpoint")
-    p.add_argument("--stats", help="normalization stats (default: next to model)")
-    p.add_argument("--out", help="optional output directory for eval.json")
-    _add_common(p)
-
-    p = sub.add_parser("train-gan", help="train a sequence generator")
-    p.add_argument("--input", help="sequence archive (world-space or normalized with stats)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--kind", choices=["dcgan", "wgan-gp", "cond-wgan-gp"], help="objective (default wgan-gp)")
-    p.add_argument("--epochs", type=int, help="training epochs (default 10)")
-    p.add_argument("--batch", type=int, help="batch size (default 64)")
-    p.add_argument("--critic-steps", dest="critic_steps", type=int, help="critic updates per generator step (default 15)")
-    p.add_argument("--gp-lambda", dest="gp_lambda", type=float, help="gradient penalty weight (default 10)")
-    p.add_argument("--gen-batchnorm", dest="gen_batchnorm", choices=["on", "off"], help="generator batch norm (default off)")
-    p.add_argument("--lr", type=float, help="Adam learning rate (default per kind)")
-    _add_common(p)
-
-    p = sub.add_parser("generate", help="sample sequences from a trained generator")
-    p.add_argument("--model", help="generator checkpoint")
-    p.add_argument("--stats", help="normalization stats (default: next to model)")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--count", type=int, help="number of sequences (default 5)")
-    p.add_argument("--label", help="condition, e.g. weight=heavy,balance=balanced")
-    p.add_argument("--render", action="store_const", const=True, help="also export geometry")
-    p.add_argument("--render-format", dest="render_format", choices=["jsonl", "svg_ortho"], help="geometry format (default jsonl)")
-    _add_common(p)
-
-    p = sub.add_parser("render", help="export skeleton geometry for sequences")
-    p.add_argument("--input", help="sequence archive or bare coordinate CSV")
-    p.add_argument("--out", help="output directory")
-    p.add_argument("--format", choices=["jsonl", "svg_ortho"], help="export format (default svg_ortho)")
-    p.add_argument("--topology", help="bone table JSON (default built-in)")
-    _add_common(p)
-
-    p = sub.add_parser("stats", help="label frequency tables for a corpus or archive")
-    p.add_argument("--input", help="trial directory or sequence archive")
-    p.add_argument("--out", help="optional output directory for stats.json")
-    _add_common(p)
-
+    for name, command in COMMANDS.items():
+        p = sub.add_parser(name, help=command.help)
+        for setting in command.settings:
+            setting.add_to(p)
+        p.add_argument("--config", help="JSON file of defaults for this subcommand")
     return parser
-
-
-COMMANDS = {
-    "ingest": (cmd_ingest, INGEST_DEFAULTS),
-    "augment": (cmd_augment, AUGMENT_DEFAULTS),
-    "train-classifier": (cmd_train_classifier, TRAIN_CLASSIFIER_DEFAULTS),
-    "eval-classifier": (cmd_eval_classifier, EVAL_CLASSIFIER_DEFAULTS),
-    "train-gan": (cmd_train_gan, TRAIN_GAN_DEFAULTS),
-    "generate": (cmd_generate, GENERATE_DEFAULTS),
-    "render": (cmd_render, RENDER_DEFAULTS),
-    "stats": (cmd_stats, STATS_DEFAULTS),
-}
 
 
 def main(argv=None) -> int:
@@ -669,10 +645,9 @@ def main(argv=None) -> int:
     if not args.subcommand:
         parser.print_usage(sys.stderr)
         return 2
-    command, defaults = COMMANDS[args.subcommand]
+    command = COMMANDS[args.subcommand]
     try:
-        resolved = _resolve(args, defaults)
-        return command(resolved)
+        return command.run(_resolve(args, command.settings))
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

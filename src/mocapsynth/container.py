@@ -2,12 +2,14 @@
 
 Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON
 header, then the raw bytes of each named array in header order. Arrays
-are always stored little-endian; writes are atomic (temp file + rename)
-and byte-deterministic for identical content.
+are always stored little-endian; writes are atomic (a uniquely named
+temp file beside the target, then a rename) and byte-deterministic for
+identical content.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import os
@@ -22,6 +24,22 @@ MAGIC = b"MCSYNTH1"
 VERSION = 1
 
 
+class JsonRecord:
+    """Dataclass mixin: the JSON dict form kept in headers and run artifacts.
+
+    JSON has no tuples, so from_dict turns the lists back into tuples for
+    the fields annotated as tuples.
+    """
+
+    def to_dict(self) -> dict:
+        return dataclasses.asdict(self)
+
+    @classmethod
+    def from_dict(cls, d: dict):
+        tuples = {f.name for f in dataclasses.fields(cls) if str(f.type).startswith("tuple")}
+        return cls(**{k: tuple(v) if k in tuples else v for k, v in d.items()})
+
+
 def _canonical_dtype(arr: np.ndarray) -> np.dtype:
     dt = arr.dtype.newbyteorder("<")
     if dt.kind not in "fiub":
@@ -34,21 +52,27 @@ def write_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, n
     entries = []
     blobs = []
     for name in sorted(arrays):
-        arr = np.ascontiguousarray(arrays[name])
+        arr = np.asarray(arrays[name])  # tobytes() writes C order; asarray keeps 0-d shapes
         dt = _canonical_dtype(arr)
         blobs.append(arr.astype(dt, copy=False).tobytes())
         entries.append({"dtype": dt.str, "name": name, "shape": list(arr.shape)})
     header = {"arrays": entries, "kind": kind, "meta": meta, "version": VERSION}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
-    tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "wb") as fh:
-        fh.write(MAGIC)
-        fh.write(struct.pack("<Q", len(header_bytes)))
-        fh.write(header_bytes)
-        for blob in blobs:
-            fh.write(blob)
-    os.replace(tmp, path)
+    # a unique name keeps concurrent writers apart; "x" mode creates it
+    # with the same umask-derived permissions as a plain open
+    tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(tmp, "xb") as fh:
+            fh.write(MAGIC)
+            fh.write(struct.pack("<Q", len(header_bytes)))
+            fh.write(header_bytes)
+            for blob in blobs:
+                fh.write(blob)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def read_container(path: str | Path, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:

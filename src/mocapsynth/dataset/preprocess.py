@@ -150,27 +150,11 @@ def invert_zscore(seq: MotionSequence, stats: NormStats) -> MotionSequence:
     return MotionSequence(seq.data * stats.std + stats.mean, normalized=False, meta=seq.meta, name=seq.name)
 
 
-@dataclass
-class ClusterView:
-    cluster1: np.ndarray  # (32, 21) head + shoulders + C7
-    cluster2: np.ndarray  # (32, 15) shoulders + C7 + hands
-    cluster3: np.ndarray  # (32, 21) waist + C7 + feet
-
-
 _CLUSTER_COLS = {
     "cluster1": cluster_feature_columns(CLUSTER_UPPER),
     "cluster2": cluster_feature_columns(CLUSTER_CENTER),
     "cluster3": cluster_feature_columns(CLUSTER_LOWER),
 }
-
-
-def cluster_split(seq: MotionSequence) -> ClusterView:
-    d = seq.data
-    return ClusterView(
-        cluster1=d[:, _CLUSTER_COLS["cluster1"]],
-        cluster2=d[:, _CLUSTER_COLS["cluster2"]],
-        cluster3=d[:, _CLUSTER_COLS["cluster3"]],
-    )
 
 
 def cluster_columns() -> dict[str, list[int]]:

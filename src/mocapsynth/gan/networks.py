@@ -12,6 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ..container import JsonRecord
 from ..errors import ContractError, ShapeError
 from ..nn import Sequential
 from ..nn.layers import Activation, BatchNorm, Conv1D, Dense, Flatten, Reshape, Upsample
@@ -19,7 +20,7 @@ from ..seeding import derive_rng
 
 
 @dataclass(frozen=True)
-class GeneratorSpec:
+class GeneratorSpec(JsonRecord):
     noise_dim: int = 100
     cond_dim: int = 0
     base_steps: int = 4
@@ -42,26 +43,9 @@ class GeneratorSpec:
     def out_channels(self) -> int:
         return self.conv_filters[-1]
 
-    def to_dict(self) -> dict:
-        return {
-            "noise_dim": self.noise_dim,
-            "cond_dim": self.cond_dim,
-            "base_steps": self.base_steps,
-            "base_channels": self.base_channels,
-            "conv_filters": list(self.conv_filters),
-            "kernel": self.kernel,
-            "batchnorm": self.batchnorm,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GeneratorSpec":
-        d = dict(d)
-        d["conv_filters"] = tuple(d["conv_filters"])
-        return cls(**d)
-
 
 @dataclass(frozen=True)
-class CriticSpec:
+class CriticSpec(JsonRecord):
     in_steps: int = 32
     in_channels: int = 48
     cond_channels: int = 0
@@ -81,23 +65,6 @@ class CriticSpec:
     @property
     def flat_width(self) -> int:
         return (self.in_steps // 2 ** len(self.conv_filters)) * self.conv_filters[-1]
-
-    def to_dict(self) -> dict:
-        return {
-            "in_steps": self.in_steps,
-            "in_channels": self.in_channels,
-            "cond_channels": self.cond_channels,
-            "conv_filters": list(self.conv_filters),
-            "kernel": self.kernel,
-            "batchnorm": self.batchnorm,
-            "head": self.head,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "CriticSpec":
-        d = dict(d)
-        d["conv_filters"] = tuple(d["conv_filters"])
-        return cls(**d)
 
 
 def build_generator(spec: GeneratorSpec, seed: int = 0) -> Sequential:

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..container import JsonRecord
 from ..errors import ContractError, DataError, LabelError, NumericalError, ShapeError, StateError
 from ..nn import Adam, Tensor, concat, no_grad, tmean
 from ..nn.checkpoint import save_model
@@ -48,7 +49,7 @@ ADAM_DEFAULTS = {
 
 
 @dataclass(frozen=True)
-class GanTrainSpec:
+class GanTrainSpec(JsonRecord):
     kind: str = "wgan_gp"
     epochs: int = 10
     batch: int = 64
@@ -86,27 +87,9 @@ class GanTrainSpec:
             self.beta2 if self.beta2 is not None else b20,
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "epochs": self.epochs,
-            "batch": self.batch,
-            "critic_steps": self.critic_steps,
-            "gp_lambda": self.gp_lambda,
-            "real_label": self.real_label,
-            "lr": self.lr,
-            "beta1": self.beta1,
-            "beta2": self.beta2,
-            "seed": self.seed,
-        }
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "GanTrainSpec":
-        return cls(**d)
-
 
 @dataclass
-class GanHistory:
+class GanHistory(JsonRecord):
     """Per-generator-step loss traces plus update counters."""
 
     kind: str
@@ -132,20 +115,6 @@ class GanHistory:
                 means.append(float(np.mean(values[start:end])))
             start = end
         return means
-
-    def to_dict(self) -> dict:
-        return {
-            "kind": self.kind,
-            "w_estimate": self.w_estimate,
-            "critic_loss": self.critic_loss,
-            "penalty": self.penalty,
-            "gen_loss": self.gen_loss,
-            "d_loss": self.d_loss,
-            "critic_counts": self.critic_counts,
-            "epoch_ends": self.epoch_ends,
-            "critic_updates": self.critic_updates,
-            "gen_updates": self.gen_updates,
-        }
 
 
 def _as_array(data, labels):

@@ -73,6 +73,4 @@ def cluster_feature_columns(cluster: tuple[int, ...]) -> list[int]:
     return cols
 
 
-AXIS_X = tuple(range(0, N_FEATURES, 3))
-AXIS_Y = tuple(range(1, N_FEATURES, 3))
 AXIS_Z = tuple(range(2, N_FEATURES, 3))

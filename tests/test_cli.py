@@ -10,8 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from mocapsynth.cli import main
+from mocapsynth.cli import COMMANDS, UsageError, _resolve, build_parser, main
 from mocapsynth.dataset import load_sequences, read_sequence_csv, write_sequence_csv
 from mocapsynth.dataset.synthetic import make_trial
 from mocapsynth.dataset.trials import TrialMeta, save_trial
@@ -183,6 +185,91 @@ def test_config_file_errors(archive, tmp_path, capsys):
                "--config", str(unknown)])
     assert rc == 2
     assert "fctor" in capsys.readouterr().err
+
+
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+@pytest.mark.parametrize(
+    "argv, doc, key",
+    [
+        (["augment", "--input", "in.bin"], {"factor": "2"}, "factor"),
+        (["augment", "--input", "in.bin"], 5, "JSON object"),
+        (["ingest", "--input", "trials"], {"normalize": "no"}, "normalize"),
+        (["generate", "--model", "g.model", "--render"], {"render_format": "obj"}, "render_format"),
+        (["train-gan", "--input", "in.bin"], {"kind": "wgan_gp"}, "kind"),
+        (["augment", "--input", "in.bin"], {"factor": True}, "factor"),
+        (["augment", "--input", "in.bin"], {"scale_lo": None}, "scale_lo"),
+    ],
+)
+def test_config_values_obey_the_flag_types_and_choices(tmp_path, capsys, argv, doc, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    # the config file is checked before any input is opened
+    rc = main(argv + ["--out", str(tmp_path / "o"), "--config", str(cfg)])
+    assert rc == 2
+    assert key in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def typed_value(setting):
+    """A value of the setting's own type, so that many drawn configs resolve."""
+    if setting.choices:
+        return st.sampled_from(setting.choices)
+    return {int: st.integers(), float: st.floats() | st.integers(), str: st.text(max_size=4),
+            bool: st.booleans()}[setting.type]
+
+
+@settings(derandomize=True, database=None)
+@given(data=st.data())
+def test_resolve_yields_declared_types_or_a_usage_error(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    declared = COMMANDS[name].settings
+    picked = data.draw(st.lists(st.sampled_from(declared), unique=True, max_size=4))
+    doc = data.draw(st.just({s.name: data.draw(typed_value(s) | json_values) for s in picked}) | json_values)
+    cfg = tmp_path_factory.getbasetemp() / "property-cfg.json"
+    cfg.write_text(json.dumps(doc))
+    args = build_parser().parse_args([name, "--config", str(cfg)])
+    try:
+        resolved = _resolve(args, declared)
+    except UsageError:
+        return
+    assert set(resolved) == {s.name for s in declared}
+    for s in declared:
+        value = resolved[s.name]
+        if value is None:
+            assert s.default is None
+        else:
+            assert type(value) in ((int, float) if s.type is float else (s.type,))
+            assert not s.choices or value in s.choices
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [
+        ("{not json", "invalid JSON"),
+        ("[4, 8, 8]", "JSON object"),
+        (json.dumps({"bogus": 1}), "bogus"),
+        (json.dumps({"n_classes": 3}), "n_classes"),
+    ],
+)
+def test_classifier_spec_file_errors(archive, tmp_path, capsys, text, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text(text)
+    rc = main(["train-classifier", "--input", str(archive), "--out", str(tmp_path / "o"),
+               "--task", "weight", "--epochs", "1", "--spec", str(spec)])
+    assert rc == 2
+    assert key in one_error_line(capsys)
 
 
 def test_train_and_eval_classifier(archive, tmp_path, capsys):

@@ -1,12 +1,19 @@
 """Container reader: round trips, and named errors for damaged files."""
 
 import json
+import os
 import struct
+import sys
+import threading
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import mocapsynth.container as container
 from mocapsynth.container import MAGIC, read_container, write_container
 from mocapsynth.errors import MocapError, TrialFormatError
 
@@ -29,6 +36,77 @@ def test_round_trip(tmp_path):
     for name, arr in arrays.items():
         npt.assert_array_equal(got[name], arr)
         assert got[name].dtype == arr.dtype
+
+
+json_meta = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=6,
+)
+any_array = hnp.arrays(
+    dtype=hnp.floating_dtypes() | hnp.integer_dtypes() | hnp.unsigned_integer_dtypes() | hnp.boolean_dtypes(),
+    shape=hnp.array_shapes(min_dims=0, max_dims=4, min_side=0, max_side=4),
+)
+
+
+@settings(derandomize=True, database=None)
+@given(meta=st.dictionaries(st.text(max_size=4), json_meta, max_size=3),
+       arrays=st.dictionaries(st.text(max_size=4), any_array, max_size=3))
+def test_round_trip_property(tmp_path_factory, meta, arrays):
+    path = tmp_path_factory.getbasetemp() / "property.bin"
+    write_container(path, "prop", meta, arrays)
+    got_meta, got = read_container(path, expect_kind="prop")
+    assert got_meta == meta
+    assert sorted(got) == sorted(arrays)
+    for name, arr in arrays.items():
+        assert got[name].dtype == arr.dtype.newbyteorder("<")
+        assert got[name].shape == arr.shape
+        assert got[name].tobytes() == arr.astype(got[name].dtype).tobytes()
+
+
+def test_concurrent_writers_never_mix_or_leave_temp_files(tmp_path):
+    path = tmp_path / "c.bin"
+    payloads = [{"x": np.full(50_000, v, dtype=np.float64)} for v in (1.0, 2.0)]
+    errors = []
+
+    def writer(arrays):
+        try:
+            for _ in range(40):
+                write_container(path, "test", {"v": float(arrays["x"][0])}, arrays)
+        except Exception as exc:  # surfaced by the assertion below
+            errors.append(exc)
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        threads = [threading.Thread(target=writer, args=(p,)) for p in payloads]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    meta, got = read_container(path)
+    npt.assert_array_equal(got["x"], np.full(50_000, meta["v"]))
+    assert os.listdir(tmp_path) == ["c.bin"]
+
+
+def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
+    def fail(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(container.os, "replace", fail)
+    with pytest.raises(OSError, match="disk full"):
+        small_container(tmp_path / "c.bin")
+    assert os.listdir(tmp_path) == []
+
+
+def test_written_file_keeps_the_umask_permissions(tmp_path):
+    small_container(tmp_path / "c.bin")
+    (tmp_path / "plain").write_bytes(b"")
+    assert (tmp_path / "c.bin").stat().st_mode == (tmp_path / "plain").stat().st_mode
 
 
 def test_every_truncation_raises_a_package_error(tmp_path):

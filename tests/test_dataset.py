@@ -7,6 +7,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mocapsynth.classifier import cluster_views
 from mocapsynth.dataset import (
     MotionSequence,
     NormStats,
@@ -15,7 +16,6 @@ from mocapsynth.dataset import (
     apply_zscore,
     centered_indices,
     cluster_columns,
-    cluster_split,
     fit_normalizer,
     invert_zscore,
     load_trial,
@@ -374,30 +374,34 @@ def test_fit_normalizer_rejects_empty_and_normalized():
 # -- cluster split ----------------------------------------------------------------
 
 
+def one_view(seq):
+    """The three branch views of one sequence, each (32, width)."""
+    return tuple(v[0] for v in cluster_views(seq.data[None]))
+
+
 def test_cluster_widths():
     rng = np.random.default_rng(12)
-    view = cluster_split(random_sequence(rng, normalized=True))
-    assert view.cluster1.shape == (32, 21)
-    assert view.cluster2.shape == (32, 15)
-    assert view.cluster3.shape == (32, 21)
+    cluster1, cluster2, cluster3 = one_view(random_sequence(rng, normalized=True))
+    assert cluster1.shape == (32, 21)
+    assert cluster2.shape == (32, 15)
+    assert cluster3.shape == (32, 21)
 
 
 def test_c7_identical_across_clusters():
     rng = np.random.default_rng(13)
     seq = random_sequence(rng, normalized=True)
-    view = cluster_split(seq)
+    cluster1, cluster2, cluster3 = one_view(seq)
     c7 = seq.data[:, 3 * C7 : 3 * C7 + 3]
-    npt.assert_array_equal(view.cluster1[:, -3:], c7)  # C7 is last in cluster 1
-    npt.assert_array_equal(view.cluster2[:, 6:9], c7)  # after two shoulders
-    npt.assert_array_equal(view.cluster3[:, 12:15], c7)  # after four waist markers
+    npt.assert_array_equal(cluster1[:, -3:], c7)  # C7 is last in cluster 1
+    npt.assert_array_equal(cluster2[:, 6:9], c7)  # after two shoulders
+    npt.assert_array_equal(cluster3[:, 12:15], c7)  # after four waist markers
 
 
 def test_sentinel_marker_appears_in_exactly_its_clusters():
     for marker in range(N_MARKERS):
         seq = MotionSequence(np.zeros((32, 48)), normalized=True)
         seq.data[:, 3 * marker : 3 * marker + 3] = 77.0
-        view = cluster_split(seq)
-        hits = [np.any(c == 77.0) for c in (view.cluster1, view.cluster2, view.cluster3)]
+        hits = [np.any(c == 77.0) for c in one_view(seq)]
         want = [marker in cl for cl in CLUSTERS]
         assert hits == want, f"marker {marker}"
 
