@@ -9,12 +9,12 @@ is applied first, then scale, then translation.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .container import JsonRecord
 from .dataset.preprocess import MotionSequence
 from .errors import InvalidFactorError, StateError
 from .markers import BOWL, SHOULDERS, WAIST
@@ -22,7 +22,7 @@ from .seeding import derive_rng
 
 
 @dataclass(frozen=True)
-class AugmentSpec:
+class AugmentSpec(JsonRecord):
     translate_m: float = 0.20  # +- range along X and Y
     scale_lo: float = 0.85
     scale_hi: float = 1.15
@@ -37,34 +37,74 @@ class AugmentSpec:
         if self.factor < 1:
             raise InvalidFactorError(f"factor must be >= 1, got {self.factor}")
 
-    def to_json(self) -> str:
-        return json.dumps(self.__dict__, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "AugmentSpec":
-        return cls(**json.loads(text))
-
 
 def _require_world_space(seq: MotionSequence, op: str) -> None:
     if seq.normalized:
         raise StateError(f"{op} needs world-space coordinates, got a normalized sequence")
 
 
+def _like(seq: MotionSequence, pts: np.ndarray) -> MotionSequence:
+    return MotionSequence(pts.reshape(seq.data.shape), normalized=False, meta=seq.meta, name=seq.name)
+
+
+# The kernels take points shaped (..., 32, 16, 3) and per-copy parameters
+# that broadcast against one coordinate plane (..., 32, 16): one source's
+# points with (n, 1, 1) parameters give an (n, 32, 16, 3) block. The
+# arithmetic is elementwise, so a block equals its copies made one at a
+# time, bit for bit. (The in-place updates only swap the operands of +
+# and *, which IEEE arithmetic does not see.)
+
+
+def _rotated(pts: np.ndarray, c, s) -> np.ndarray:
+    """pts turned by the angle of cosine c and sine s about the vertical through the frame-0 bowl."""
+    pivot_x = pts[..., :1, BOWL : BOWL + 1, 0]
+    pivot_y = pts[..., :1, BOWL : BOWL + 1, 1]
+    rel_x = pts[..., 0] - pivot_x
+    rel_y = pts[..., 1] - pivot_y
+    out = np.empty(np.broadcast_shapes(np.shape(c), pts.shape[:-1]) + (3,))
+    out[..., 0] = pivot_x + c * rel_x - s * rel_y
+    out[..., 1] = pivot_y + s * rel_x + c * rel_y
+    out[..., 2] = pts[..., 2]
+    return out
+
+
+def _torso_centers(pts: np.ndarray) -> np.ndarray:
+    shoulders = pts[..., SHOULDERS, :].mean(axis=-2)
+    waist = pts[..., WAIST, :].mean(axis=-2)
+    return 0.5 * (shoulders + waist)
+
+
+def _scale(pts: np.ndarray, factor) -> None:
+    """In place: pts scaled about its own per-frame torso centers."""
+    centers = _torso_centers(pts)[..., None, :]
+    pts -= centers
+    pts *= np.expand_dims(factor, -1)
+    pts += centers
+
+
+def _translate(pts: np.ndarray, dx, dy) -> None:
+    """In place: pts shifted by (dx, dy) on the floor plane."""
+    pts[..., 0] += dx
+    pts[..., 1] += dy
+
+
+def _cos_sin(angle_deg: float) -> tuple[float, float]:
+    # scalar math, not np.cos: the two may differ in the last bit
+    theta = math.radians(angle_deg % 360.0)
+    return math.cos(theta), math.sin(theta)
+
+
 def translate_xy(seq: MotionSequence, dx: float, dy: float) -> MotionSequence:
     """Shift every marker in every frame by (dx, dy) on the floor plane."""
     _require_world_space(seq, "translate_xy")
     pts = seq.points().copy()
-    pts[:, :, 0] += dx
-    pts[:, :, 1] += dy
-    return MotionSequence(pts.reshape(seq.data.shape), normalized=False, meta=seq.meta, name=seq.name)
+    _translate(pts, dx, dy)
+    return _like(seq, pts)
 
 
 def torso_centers(seq: MotionSequence) -> np.ndarray:
     """(32, 3) per-frame scaling pivot: midpoint of shoulder mean and waist mean."""
-    pts = seq.points()
-    shoulders = pts[:, list(SHOULDERS), :].mean(axis=1)
-    waist = pts[:, list(WAIST), :].mean(axis=1)
-    return 0.5 * (shoulders + waist)
+    return _torso_centers(seq.points())
 
 
 def scale_about_torso(seq: MotionSequence, factor: float) -> MotionSequence:
@@ -72,10 +112,9 @@ def scale_about_torso(seq: MotionSequence, factor: float) -> MotionSequence:
     _require_world_space(seq, "scale_about_torso")
     if factor <= 0:
         raise InvalidFactorError(f"scale factor must be positive, got {factor}")
-    pts = seq.points()
-    centers = torso_centers(seq)[:, None, :]
-    scaled = centers + factor * (pts - centers)
-    return MotionSequence(scaled.reshape(seq.data.shape), normalized=False, meta=seq.meta, name=seq.name)
+    pts = seq.points().copy()
+    _scale(pts, factor)
+    return _like(seq, pts)
 
 
 def rotate_about_bowl_start(seq: MotionSequence, angle_deg: float) -> MotionSequence:
@@ -84,40 +123,37 @@ def rotate_about_bowl_start(seq: MotionSequence, angle_deg: float) -> MotionSequ
     Positive angles turn counter-clockwise seen from above (+Z).
     """
     _require_world_space(seq, "rotate_about_bowl_start")
-    theta = math.radians(angle_deg % 360.0)
-    c, s = math.cos(theta), math.sin(theta)
-    pts = seq.points().copy()
-    pivot = pts[0, BOWL, :2].copy()
-    rel_x = pts[:, :, 0] - pivot[0]
-    rel_y = pts[:, :, 1] - pivot[1]
-    pts[:, :, 0] = pivot[0] + c * rel_x - s * rel_y
-    pts[:, :, 1] = pivot[1] + s * rel_x + c * rel_y
-    return MotionSequence(pts.reshape(seq.data.shape), normalized=False, meta=seq.meta, name=seq.name)
-
-
-def augment_one(seq: MotionSequence, spec: AugmentSpec, rng: np.random.Generator) -> MotionSequence:
-    """One independently drawn rotate -> scale -> translate composition."""
-    angle = rng.uniform(spec.rotate_lo_deg, spec.rotate_hi_deg)
-    factor = rng.uniform(spec.scale_lo, spec.scale_hi)
-    dx = rng.uniform(-spec.translate_m, spec.translate_m)
-    dy = rng.uniform(-spec.translate_m, spec.translate_m)
-    out = rotate_about_bowl_start(seq, angle)
-    out = scale_about_torso(out, factor)
-    return translate_xy(out, dx, dy)
+    return _like(seq, _rotated(seq.points(), *_cos_sin(angle_deg)))
 
 
 def augment_dataset(sequences: list[MotionSequence], spec: AugmentSpec) -> list[MotionSequence]:
     """factor copies per input, the first being the original; labels verbatim.
 
-    The RNG is split per output sample from the master seed, so the result
-    is deterministic and independent of evaluation order.
+    Copy j of input i draws its rotation, scale and shift from its own
+    stream, derive_rng(spec.seed, "augment", i, j), so the result is
+    deterministic and independent of evaluation order. The factor - 1
+    copies of one input are then rotated, scaled about their rotated
+    torso centers and translated as one (factor - 1, 32, 16, 3) block.
     """
     out: list[MotionSequence] = []
+    copies = range(1, spec.factor)
     for i, seq in enumerate(sequences):
         out.append(seq)
-        for j in range(1, spec.factor):
+        if not copies:
+            continue
+        _require_world_space(seq, "augment_dataset")
+        draws = []
+        for j in copies:
             rng = derive_rng(spec.seed, "augment", i, j)
-            aug = augment_one(seq, spec, rng)
-            aug.name = f"{seq.name}+a{j}"
-            out.append(aug)
+            c, s = _cos_sin(rng.uniform(spec.rotate_lo_deg, spec.rotate_hi_deg))
+            factor = rng.uniform(spec.scale_lo, spec.scale_hi)
+            dx = rng.uniform(-spec.translate_m, spec.translate_m)
+            dy = rng.uniform(-spec.translate_m, spec.translate_m)
+            draws.append((c, s, factor, dx, dy))
+        c, s, factor, dx, dy = np.array(draws).T[..., None, None]
+        block = _rotated(seq.points(), c, s)
+        _scale(block, factor)
+        _translate(block, dx, dy)
+        for j, pts in zip(copies, block):
+            out.append(MotionSequence(pts.reshape(seq.data.shape), meta=seq.meta, name=f"{seq.name}+a{j}"))
     return out

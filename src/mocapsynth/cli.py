@@ -16,9 +16,9 @@ import json
 import logging
 import sys
 from collections import Counter
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable
+from typing import Callable, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -89,6 +89,11 @@ class UsageError(Exception):
 _TYPE_NAMES = {int: "a whole number", float: "a number", str: "a string", bool: "true or false"}
 
 
+def _fits(value, kind: type) -> bool:
+    """A JSON value of the Python type `kind`; a float also takes an int, an int never takes a bool."""
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
 @dataclass(frozen=True)
 class Setting:
     """One setting of a subcommand: flag --x-y, config key and resolved key x_y.
@@ -124,10 +129,8 @@ class Setting:
         """Hold a config-file value to the flag's type and choices."""
         if value is None:
             ok = self.default is None
-        elif self.type is float:
-            ok = type(value) in (int, float)
         else:
-            ok = type(value) is self.type and (not self.choices or value in self.choices)
+            ok = _fits(value, self.type) and (not self.choices or value in self.choices)
         if not ok:
             want = f"one of {', '.join(self.choices)}" if self.choices else _TYPE_NAMES[self.type]
             raise UsageError(f"{where}: {self.name} must be {want}, got {json.dumps(value)}")
@@ -278,17 +281,33 @@ def cmd_augment(resolved: dict) -> int:
     save_sequences(
         out_dir / "sequences.bin",
         augmented,
-        extra={**extra, "augment": spec.to_json()},
+        extra={**extra, "augment": json.dumps(spec.to_dict(), sort_keys=True)},
     )
     print(f"augmented {len(sequences)} -> {len(augmented)} sequences")
     return 0
 
 
+def _check_spec_value(key: str, value, hint, where: str) -> None:
+    """Hold a --spec value to its field's type: a scalar, or a tuple written as a list."""
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        if type(value) is not list or len(value) != len(items):
+            raise UsageError(f"{where}: {key} must be a list of {len(items)} values, got {json.dumps(value)}")
+        for n, (item, item_hint) in enumerate(zip(value, items)):
+            _check_spec_value(f"{key}[{n}]", item, item_hint, where)
+    elif not _fits(value, hint):
+        raise UsageError(f"{where}: {key} must be {_TYPE_NAMES[hint]}, got {json.dumps(value)}")
+
+
 def _net_spec(spec_path, n_classes: int) -> HierarchicalNetSpec:
     """The default network, with the overrides of an optional --spec JSON file."""
     overrides = _read_json_object(spec_path, "spec file") if spec_path else {}
-    tunable = {f.name for f in fields(HierarchicalNetSpec)} - {"n_classes"}
-    _reject_unknown(overrides, tunable, f"spec file {spec_path}")
+    where = f"spec file {spec_path}"
+    hints = get_type_hints(HierarchicalNetSpec)
+    del hints["n_classes"]
+    _reject_unknown(overrides, hints, where)
+    for key, value in overrides.items():
+        _check_spec_value(key, value, hints[key], where)
     return HierarchicalNetSpec.from_dict({**overrides, "n_classes": n_classes})
 
 

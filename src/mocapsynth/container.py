@@ -52,9 +52,11 @@ def write_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, n
     entries = []
     blobs = []
     for name in sorted(arrays):
-        arr = np.asarray(arrays[name])  # tobytes() writes C order; asarray keeps 0-d shapes
+        arr = np.asarray(arrays[name])
         dt = _canonical_dtype(arr)
-        blobs.append(arr.astype(dt, copy=False).tobytes())
+        # the file takes the array's own buffer when it is already
+        # little-endian and C-ordered; asarray keeps 0-d shapes
+        blobs.append(np.asarray(arr, dtype=dt, order="C"))
         entries.append({"dtype": dt.str, "name": name, "shape": list(arr.shape)})
     header = {"arrays": entries, "kind": kind, "meta": meta, "version": VERSION}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")

@@ -72,5 +72,3 @@ def cluster_feature_columns(cluster: tuple[int, ...]) -> list[int]:
         cols.extend(marker_columns(m))
     return cols
 
-
-AXIS_Z = tuple(range(2, N_FEATURES, 3))

@@ -261,6 +261,10 @@ def test_resolve_yields_declared_types_or_a_usage_error(tmp_path_factory, data):
         ("[4, 8, 8]", "JSON object"),
         (json.dumps({"bogus": 1}), "bogus"),
         (json.dumps({"n_classes": 3}), "n_classes"),
+        (json.dumps({"kernel": "3"}), "kernel"),
+        (json.dumps({"branch_filters": [4, 8]}), "branch_filters"),
+        (json.dumps({"branch_filters": [4, 8, 8.5]}), "branch_filters[2]"),
+        (json.dumps({"dropout": True}), "dropout"),
     ],
 )
 def test_classifier_spec_file_errors(archive, tmp_path, capsys, text, key):

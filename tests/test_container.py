@@ -64,6 +64,27 @@ def test_round_trip_property(tmp_path_factory, meta, arrays):
         assert got[name].tobytes() == arr.astype(got[name].dtype).tobytes()
 
 
+def test_written_bytes_are_magic_header_and_little_endian_c_order_data(tmp_path):
+    # arrays whose buffer is not the stored one: each must still be written as its
+    # little-endian, C-order bytes
+    arrays = {
+        "big_endian": np.arange(6, dtype=">f8").reshape(2, 3),
+        "fortran": np.asfortranarray(np.arange(12, dtype=np.int32).reshape(3, 4)),
+        "strided": np.arange(20, dtype=np.uint16)[1::3],
+        "zero_d": np.array(2.5),
+    }
+    write_container(tmp_path / "c.bin", "bytes", {"m": 1}, arrays)
+    entries, body = [], b""
+    for name in sorted(arrays):
+        arr = arrays[name]
+        stored = arr.dtype.newbyteorder("<")
+        entries.append({"dtype": stored.str, "name": name, "shape": list(arr.shape)})
+        body += arr.astype(stored).tobytes()
+    header = {"arrays": entries, "kind": "bytes", "meta": {"m": 1}, "version": container.VERSION}
+    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
+    assert (tmp_path / "c.bin").read_bytes() == MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + body
+
+
 def test_concurrent_writers_never_mix_or_leave_temp_files(tmp_path):
     path = tmp_path / "c.bin"
     payloads = [{"x": np.full(50_000, v, dtype=np.float64)} for v in (1.0, 2.0)]
