@@ -14,9 +14,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..container import JsonRecord, read_container, write_container
+# perfbench's tracer patches read_container and write_container by name on this module
+from ..container import JsonRecord, read_container, write_container  # noqa: F401
 from ..errors import ContractError, ShapeError
 from ..nn import Sequential, Tensor, concat
+from ..nn.checkpoint import load_model, save_model
 from ..nn.layers import Activation, Conv1D, Dense, Dropout, Flatten, MaxPool
 from ..seeding import derive_rng
 
@@ -38,6 +40,16 @@ class HierarchicalNetSpec(JsonRecord):
             raise ShapeError(f"need at least 2 classes, got {self.n_classes}")
         if any(f < 1 for f in self.branch_filters) or self.dense_width < 1 or self.kernel < 1:
             raise ShapeError("filter counts, dense width, and kernel must be positive")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
+        if self.first_spacing < 0:
+            raise ContractError(f"first_spacing must be at least 0, got {self.first_spacing}")
+        span = (self.kernel - 1) * (self.first_spacing + 1) + 1
+        if span > SEQ_LEN:
+            raise ContractError(
+                f"kernel {self.kernel} at first_spacing {self.first_spacing} spans {span} frames,"
+                f" more than the {SEQ_LEN}-frame sequence"
+            )
 
 
 class HierarchicalClassifier:
@@ -92,44 +104,39 @@ class HierarchicalClassifier:
 
     __call__ = forward
 
+    def _parts(self) -> dict[str, Sequential]:
+        """The branches and the head, keyed by the prefix of their saved arrays."""
+        return {**{f"branch{b}": branch for b, branch in enumerate(self.branches)}, "head": self.head}
+
     def parameters(self) -> list[Tensor]:
-        params: list[Tensor] = []
-        for branch in self.branches:
-            params.extend(branch.parameters())
-        params.extend(self.head.parameters())
-        return params
+        return [p for part in self._parts().values() for p in part.parameters()]
 
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for b, branch in enumerate(self.branches):
-            for key, arr in branch.state_arrays().items():
-                out[f"branch{b}.{key}"] = arr
-        for key, arr in self.head.state_arrays().items():
-            out[f"head.{key}"] = arr
-        return out
+        return {f"{name}.{key}": arr for name, part in self._parts().items()
+                for key, arr in part.state_arrays().items()}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for b, branch in enumerate(self.branches):
-            prefix = f"branch{b}."
-            branch.load_state({k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)})
-        self.head.load_state({k[5:]: v for k, v in arrays.items() if k.startswith("head.")})
+        for name, part in self._parts().items():
+            part.load_state({k[len(name) + 1:]: v for k, v in arrays.items() if k.startswith(name + ".")})
+
+    def architecture(self) -> dict:
+        return {"hierarchical": self.spec.to_dict()}
+
+    @classmethod
+    def from_architecture(cls, arch: dict) -> "HierarchicalClassifier":
+        if not isinstance(arch, dict) or set(arch) != {"hierarchical"}:
+            raise ContractError("checkpoint does not hold a hierarchical classifier")
+        return cls(HierarchicalNetSpec.from_dict(arch["hierarchical"]))
 
     def save(self, path: str | Path, extra: dict | None = None) -> None:
-        meta = {"architecture": {"hierarchical": self.spec.to_dict()}, "extra": extra or {}}
-        write_container(path, "model", meta, self.state_arrays())
+        save_model(path, self, extra)
 
     @classmethod
     def load(cls, path: str | Path) -> tuple["HierarchicalClassifier", dict]:
-        meta, arrays = read_container(path, expect_kind="model")
-        arch = meta.get("architecture", {})
-        if "hierarchical" not in arch:
-            raise ContractError("checkpoint does not hold a hierarchical classifier")
-        model = cls(HierarchicalNetSpec.from_dict(arch["hierarchical"]))
-        model.load_state(arrays)
-        return model, meta.get("extra", {})
+        return load_model(path, cls)
 
 
 def parameter_count(spec: HierarchicalNetSpec) -> int:

@@ -13,6 +13,9 @@ from .network import HierarchicalClassifier
 
 Views = tuple[np.ndarray, np.ndarray, np.ndarray]
 
+# defaults of train_classifier, which the CLI settings also take
+EPOCHS, BATCH, LR = 400, 32, 1e-3
+
 
 @dataclass
 class TrainReport:
@@ -73,9 +76,9 @@ def train_classifier(
     train_labels: np.ndarray,
     val_views: Views,
     val_labels: np.ndarray,
-    epochs: int = 400,
-    batch: int = 32,
-    lr: float = 1e-3,
+    epochs: int = EPOCHS,
+    batch: int = BATCH,
+    lr: float = LR,
     seed: int = 0,
 ) -> TrainReport:
     """Cross-entropy training with Adam; weights end at the best-validation epoch."""

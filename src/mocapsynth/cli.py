@@ -18,7 +18,7 @@ import sys
 from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, get_args, get_origin, get_type_hints
+from typing import Callable
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .classifier import (
     train_classifier,
     validation_split,
 )
-from .container import read_container, write_container
+from .classifier import training as classifier_training
+from .container import TYPE_NAMES, fits, read_container, write_container
 from .dataset import (
     CENTER_STRIDE,
     DEFAULT_HOLD_FRAMES,
@@ -54,7 +55,7 @@ from .dataset import (
     write_sequence_csv,
 )
 from .dataset.preprocess import NormStats
-from .errors import ContractError, DataError, MocapError, NoMotionError, StateError, TooShortError
+from .errors import ContractError, DataError, MocapError, NoMotionError, ShapeError, StateError, TooShortError
 from .gan import (
     ConditionLabel,
     CriticSpec,
@@ -76,6 +77,8 @@ from .render import (
 
 log = logging.getLogger("mocapsynth")
 
+EXPORT_FORMATS = ("jsonl", "svg_ortho")
+
 STATS_KIND = "normstats"
 
 
@@ -84,14 +87,6 @@ class UsageError(Exception):
 
 
 # ------------------------------------------------------------ plumbing
-
-
-_TYPE_NAMES = {int: "a whole number", float: "a number", str: "a string", bool: "true or false"}
-
-
-def _fits(value, kind: type) -> bool:
-    """A JSON value of the Python type `kind`; a float also takes an int, an int never takes a bool."""
-    return type(value) in ((int, float) if kind is float else (kind,))
 
 
 @dataclass(frozen=True)
@@ -130,9 +125,9 @@ class Setting:
         if value is None:
             ok = self.default is None
         else:
-            ok = _fits(value, self.type) and (not self.choices or value in self.choices)
+            ok = fits(value, self.type) and (not self.choices or value in self.choices)
         if not ok:
-            want = f"one of {', '.join(self.choices)}" if self.choices else _TYPE_NAMES[self.type]
+            want = f"one of {', '.join(self.choices)}" if self.choices else TYPE_NAMES[self.type]
             raise UsageError(f"{where}: {self.name} must be {want}, got {json.dumps(value)}")
 
 
@@ -287,28 +282,16 @@ def cmd_augment(resolved: dict) -> int:
     return 0
 
 
-def _check_spec_value(key: str, value, hint, where: str) -> None:
-    """Hold a --spec value to its field's type: a scalar, or a tuple written as a list."""
-    if get_origin(hint) is tuple:
-        items = get_args(hint)
-        if type(value) is not list or len(value) != len(items):
-            raise UsageError(f"{where}: {key} must be a list of {len(items)} values, got {json.dumps(value)}")
-        for n, (item, item_hint) in enumerate(zip(value, items)):
-            _check_spec_value(f"{key}[{n}]", item, item_hint, where)
-    elif not _fits(value, hint):
-        raise UsageError(f"{where}: {key} must be {_TYPE_NAMES[hint]}, got {json.dumps(value)}")
-
-
 def _net_spec(spec_path, n_classes: int) -> HierarchicalNetSpec:
     """The default network, with the overrides of an optional --spec JSON file."""
     overrides = _read_json_object(spec_path, "spec file") if spec_path else {}
     where = f"spec file {spec_path}"
-    hints = get_type_hints(HierarchicalNetSpec)
-    del hints["n_classes"]
-    _reject_unknown(overrides, hints, where)
-    for key, value in overrides.items():
-        _check_spec_value(key, value, hints[key], where)
-    return HierarchicalNetSpec.from_dict({**overrides, "n_classes": n_classes})
+    if "n_classes" in overrides:
+        raise UsageError(f"{where}: n_classes comes from the task")
+    try:
+        return HierarchicalNetSpec.from_dict({**overrides, "n_classes": n_classes})
+    except (ContractError, ShapeError) as exc:
+        raise UsageError(f"{where}: {exc}") from None
 
 
 def cmd_train_classifier(resolved: dict) -> int:
@@ -378,7 +361,7 @@ def cmd_eval_classifier(resolved: dict) -> int:
     model, extra = HierarchicalClassifier.load(resolved["model"])
     stats_path = resolved["stats"] or str(Path(resolved["model"]).parent / "norm-stats.bin")
     stats = _load_stats(stats_path)
-    task = TaskSpec(extra["task"])
+    task = TaskSpec(extra.get("task"))
 
     sequences, _, _ = load_sequences(resolved["input"])
     if not sequences[0].normalized:
@@ -472,7 +455,7 @@ def cmd_generate(resolved: dict) -> int:
     generator, meta = load_model(resolved["model"])
     if meta.get("role") != "generator":
         raise ContractError(f"{resolved['model']}: not a generator checkpoint (role {meta.get('role')!r})")
-    gen_spec = GeneratorSpec.from_dict(meta["spec"])
+    gen_spec = GeneratorSpec.from_dict(meta.get("spec"))
     stats_path = resolved["stats"] or str(Path(resolved["model"]).parent / "norm-stats.bin")
     stats = _load_stats(stats_path)
 
@@ -486,13 +469,23 @@ def cmd_generate(resolved: dict) -> int:
     for seq in sequences:
         write_sequence_csv(seq.data, out_dir / f"{seq.name}.csv")
         if resolved["render"]:
-            frames = build_geometry(seq)
-            if resolved["render_format"] == "jsonl":
-                export_jsonl(frames, out_dir / f"{seq.name}.jsonl")
-            else:
-                export_svg_ortho(frames, out_dir / seq.name)
+            render_sequence(seq, resolved["render_format"], out_dir)
     print(f"wrote {len(sequences)} sequences to {out_dir}")
     return 0
+
+
+def render_sequence(seq: MotionSequence, fmt: str, out_dir: Path, topo=None) -> int:
+    """Export one sequence's geometry into out_dir; returns the number of files written.
+
+    jsonl writes <name>.jsonl, svg_ortho a directory <name>/ of one SVG per frame.
+    """
+    frames = build_geometry(seq, topo)
+    if fmt == "jsonl":
+        export_jsonl(frames, out_dir / f"{seq.name}.jsonl")
+        return 1
+    if fmt == "svg_ortho":
+        return len(export_svg_ortho(frames, out_dir / seq.name))
+    raise ContractError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
 
 
 def cmd_render(resolved: dict) -> int:
@@ -508,14 +501,7 @@ def cmd_render(resolved: dict) -> int:
     topo = load_topology(resolved["topology"]) if resolved["topology"] else default_topology()
 
     _snapshot(out_dir, "render", resolved)
-    written = 0
-    for seq in sequences:
-        frames = build_geometry(seq, topo)
-        if resolved["format"] == "jsonl":
-            export_jsonl(frames, out_dir / f"{seq.name}.jsonl")
-            written += 1
-        else:
-            written += len(export_svg_ortho(frames, out_dir / seq.name))
+    written = sum(render_sequence(seq, resolved["format"], out_dir, topo) for seq in sequences)
     print(f"rendered {len(sequences)} sequences ({written} files)")
     return 0
 
@@ -534,32 +520,23 @@ def cmd_stats(resolved: dict) -> int:
     if not metas:
         raise DataError(f"no labeled records in {src}")
 
-    def table(title, counts: Counter):
-        print(title)
-        for key in sorted(counts):
-            print(f"  {key}: {counts[key]}")
-
+    # stats.json key -> the label it counts; the printed title is the key with spaces
+    labels = {"strategy": "strategy", "weight": "weight_name", "balance": "balance",
+              "bowl_size": "bowl_size", "orientation": "orientation"}
+    tables = {key: Counter(getattr(m, attr) for m in metas) for key, attr in labels.items()}
+    participants = len({m.participant for m in metas})
     print(f"records: {len(metas)}   skipped for missing C7: {skipped}")
-    print(f"participants: {len({m.participant for m in metas})}")
-    table("strategy:", Counter(m.strategy for m in metas))
-    table("weight:", Counter(m.weight_name for m in metas))
-    table("balance:", Counter(m.balance for m in metas))
-    table("bowl size:", Counter(m.bowl_size for m in metas))
-    table("orientation:", Counter(m.orientation for m in metas))
+    print(f"participants: {participants}")
+    for key, counts in tables.items():
+        print(key.replace("_", " ") + ":")
+        for label in sorted(counts):
+            print(f"  {label}: {counts[label]}")
 
     if resolved["out"]:
         out_dir = Path(resolved["out"])
         _snapshot(out_dir, "stats", resolved)
-        doc = {
-            "records": len(metas),
-            "skipped_missing_c7": skipped,
-            "participants": len({m.participant for m in metas}),
-            "strategy": dict(Counter(m.strategy for m in metas)),
-            "weight": dict(Counter(m.weight_name for m in metas)),
-            "balance": dict(Counter(m.balance for m in metas)),
-            "bowl_size": dict(Counter(m.bowl_size for m in metas)),
-            "orientation": dict(Counter(m.orientation for m in metas)),
-        }
+        doc = {"records": len(metas), "skipped_missing_c7": skipped, "participants": participants,
+               **{key: dict(counts) for key, counts in tables.items()}}
         (out_dir / "stats.json").write_text(json.dumps(doc, sort_keys=True, indent=2) + "\n")
     return 0
 
@@ -594,9 +571,9 @@ COMMANDS = {
         S("input", "world-space sequence archive"),
         S("out", "output directory"),
         S("task", "attribute to predict", str, None, TASKS),
-        S("epochs", "training epochs", int, 400),
-        S("batch", "batch size", int, 32),
-        S("lr", "Adam learning rate", float, 1e-3),
+        S("epochs", "training epochs", int, classifier_training.EPOCHS),
+        S("batch", "batch size", int, classifier_training.BATCH),
+        S("lr", "Adam learning rate", float, classifier_training.LR),
         S("augment_factor", "train-set expansion", int, TaskSpec.augment_factor),
         S("val_size", "validation size (default per task)", int, 0),  # 0 picks the task default
         S("spec", "JSON file of network hyperparameter overrides"),
@@ -625,12 +602,12 @@ COMMANDS = {
         S("count", "number of sequences", int, 5),
         S("label", "condition, e.g. weight=heavy,balance=balanced"),
         S("render", "also export geometry", bool, False),
-        S("render_format", "geometry format", str, "jsonl", ("jsonl", "svg_ortho")),
+        S("render_format", "geometry format", str, "jsonl", EXPORT_FORMATS),
     )),
     "render": Command(cmd_render, "export skeleton geometry for sequences", (
         S("input", "sequence archive or bare coordinate CSV"),
         S("out", "output directory"),
-        S("format", "export format", str, "svg_ortho", ("jsonl", "svg_ortho")),
+        S("format", "export format", str, "svg_ortho", EXPORT_FORMATS),
         S("topology", "bone table JSON (default built-in)"),
     )),
     "stats": Command(cmd_stats, "label frequency tables for a corpus or archive", (

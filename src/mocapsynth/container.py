@@ -15,20 +15,51 @@ import math
 import os
 import struct
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import TrialFormatError
+from .errors import ContractError, TrialFormatError
 
 MAGIC = b"MCSYNTH1"
 VERSION = 1
 
 
+TYPE_NAMES = {int: "a whole number", float: "a number", str: "a string", bool: "true or false"}
+
+
+def fits(value, kind: type) -> bool:
+    """A JSON value of the Python type `kind`; a float also takes an int, an int never takes a bool."""
+    return type(value) in ((int, float) if kind is float else (kind,))
+
+
+def _field_value(key: str, value, hint):
+    """`value` read as a field of type `hint`; lists become tuples, and a mismatch names `key`."""
+    if get_origin(hint) is UnionType:  # X | None
+        if value is None and type(None) in get_args(hint):
+            return None
+        (hint,) = [h for h in get_args(hint) if h is not type(None)]
+    if get_origin(hint) is tuple:
+        items = get_args(hint)
+        variadic = items[-1:] == (Ellipsis,)
+        if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(items)):
+            want = "a list" if variadic else f"a list of {len(items)} values"
+            raise ContractError(f"{key} must be {want}, got {json.dumps(value)}")
+        if variadic:
+            items = items[:1] * len(value)
+        return tuple(_field_value(f"{key}[{n}]", v, h) for n, (v, h) in enumerate(zip(value, items)))
+    if hint in TYPE_NAMES and not fits(value, hint):
+        raise ContractError(f"{key} must be {TYPE_NAMES[hint]}, got {json.dumps(value)}")
+    return value
+
+
 class JsonRecord:
     """Dataclass mixin: the JSON dict form kept in headers and run artifacts.
 
-    JSON has no tuples, so from_dict turns the lists back into tuples for
-    the fields annotated as tuples.
+    from_dict holds every value to its field's type, scalar or tuple, and
+    turns JSON lists back into tuples; any fault is a ContractError
+    naming the key.
     """
 
     def to_dict(self) -> dict:
@@ -36,8 +67,17 @@ class JsonRecord:
 
     @classmethod
     def from_dict(cls, d: dict):
-        tuples = {f.name for f in dataclasses.fields(cls) if str(f.type).startswith("tuple")}
-        return cls(**{k: tuple(v) if k in tuples else v for k, v in d.items()})
+        if not isinstance(d, dict):
+            raise ContractError(f"{cls.__name__} must be a JSON object, got {json.dumps(d)}")
+        fields = {f.name: f for f in dataclasses.fields(cls)}
+        unknown = sorted(set(d) - set(fields))
+        missing = [n for n, f in fields.items() if n not in d
+                   and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
+        for what, keys in (("unknown", unknown), ("missing", missing)):
+            if keys:
+                raise ContractError(f"{cls.__name__}: {what} keys {keys}")
+        hints = get_type_hints(cls)
+        return cls(**{k: _field_value(k, v, hints[k]) for k, v in d.items()})
 
 
 def _canonical_dtype(arr: np.ndarray) -> np.dtype:

@@ -14,6 +14,7 @@ import numpy as np
 
 from ..dataset.trials import BALANCES, WEIGHT_NAMES
 from ..errors import LabelError, ShapeError
+from ..nn import Tensor, concat
 
 WEIGHT_ORDER = ("heavy", "heavier", "heaviest")
 BALANCE_ORDER = tuple(BALANCES)
@@ -91,12 +92,11 @@ def condition_concat(z: np.ndarray, labels: np.ndarray) -> np.ndarray:
     return np.concatenate([z, labels], axis=1)
 
 
-def condition_channels(seq: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Broadcast labels along time: (B, T, C) -> (B, T, C + 6)."""
-    seq = np.asarray(seq)
+def condition_channels(seq: Tensor, labels: np.ndarray) -> Tensor:
+    """Broadcast labels along time: (B, T, C) -> (B, T, C + 6), keeping seq's graph."""
     if seq.ndim != 3:
         raise ShapeError(f"sequences must be (batch, steps, channels), got {seq.shape}")
     b, t, _ = seq.shape
     labels = _check_onehot(labels, b)
     block = np.broadcast_to(labels[:, None, :], (b, t, N_CONDITIONS))
-    return np.concatenate([seq, block], axis=2)
+    return concat([seq, Tensor(np.ascontiguousarray(block))], axis=2)

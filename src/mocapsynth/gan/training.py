@@ -1,13 +1,14 @@
-"""Adversarial training loops.
+"""Adversarial training.
 
-Two regimes share one entry point. The Wasserstein regime runs a fixed
+One batch walk serves every kind. The Wasserstein kinds run a fixed
 number of critic updates (default 15, each on a fresh real batch and a
 fresh fake batch) per generator update, with the gradient penalty added
-to the critic loss. The classic regime alternates single
-discriminator/generator steps with one-sided label smoothing. Both are
-bit-deterministic under a seed: every random draw comes from a stream
-derived with an explicit label, and batch order is a plain shuffled
-walk over the data.
+to the critic loss. The classic kind alternates single
+discriminator/generator steps with one-sided label smoothing. Only the
+loss expressions and the history series they fill depend on the kind.
+Training is bit-deterministic under a seed: every random draw comes
+from a stream derived with an explicit label, and batch order is a
+plain shuffled walk over the data.
 """
 
 from __future__ import annotations
@@ -19,10 +20,10 @@ import numpy as np
 
 from ..container import JsonRecord
 from ..errors import ContractError, DataError, LabelError, NumericalError, ShapeError, StateError
-from ..nn import Adam, Tensor, concat, no_grad, tmean
+from ..nn import Adam, Tensor, no_grad, tmean
 from ..nn.checkpoint import save_model
 from ..seeding import derive_rng
-from .conditioning import N_CONDITIONS, onehot_batch
+from .conditioning import N_CONDITIONS, condition_channels, condition_concat, onehot_batch
 from .losses import (
     gan_objective,
     generator_logloss,
@@ -103,10 +104,6 @@ class GanHistory(JsonRecord):
     critic_updates: int = 0
     gen_updates: int = 0
 
-    @property
-    def n_steps(self) -> int:
-        return self.gen_updates
-
     def epoch_means(self, series: str) -> list[float]:
         values = getattr(self, series)
         means, start = [], 0
@@ -117,20 +114,19 @@ class GanHistory(JsonRecord):
         return means
 
 
-def _as_array(data, labels):
+def _as_array(data) -> np.ndarray:
     """Accept a raw (n, T, C) array or a list of normalized sequences."""
     if isinstance(data, np.ndarray):
         if data.ndim != 3:
             raise ShapeError(f"training data must be (n, steps, channels), got {data.shape}")
-        return data.astype(float), labels
+        return data.astype(float)
     seqs = list(data)
     if not seqs:
         raise DataError("no training sequences")
     for s in seqs:
         if not s.normalized:
             raise StateError("train on z-scored sequences; fit and apply a normalizer first")
-    stacked = np.stack([s.data for s in seqs])
-    return stacked, labels
+    return np.stack([s.data for s in seqs])
 
 
 def _check_shapes(spec: GanTrainSpec, data, gen_spec, critic_spec):
@@ -164,7 +160,6 @@ class _Run:
     def __init__(self, spec, data, labels, gen_spec, critic_spec):
         self.spec = spec
         self.data = data
-        self.labels = labels
         self.onehots = None
         if spec.conditional:
             if labels is None:
@@ -172,7 +167,6 @@ class _Run:
             labels = np.asarray(labels)
             if labels.shape != (data.shape[0],):
                 raise LabelError(f"expected {data.shape[0]} labels, got shape {labels.shape}")
-            self.labels = labels
             self.onehots = onehot_batch(labels)
 
         self.generator = build_generator(gen_spec, seed=spec.seed)
@@ -188,22 +182,14 @@ class _Run:
         self.label_rng = derive_rng(spec.seed, "gan", "labels")
         self.history = GanHistory(kind=spec.kind)
 
-    def sample_noise(self, n: int) -> np.ndarray:
-        return self.noise_rng.standard_normal((n, self.noise_dim))
-
-    def gen_input(self, z: np.ndarray, hot: np.ndarray | None) -> np.ndarray:
-        if hot is None:
-            return z
-        return np.concatenate([z, hot], axis=1)
-
     def critic_score(self, x: Tensor, hot: np.ndarray | None) -> Tensor:
         if hot is not None:
-            block = np.broadcast_to(hot[:, None, :], (x.shape[0], x.shape[1], hot.shape[1]))
-            x = concat([x, Tensor(np.ascontiguousarray(block))], axis=2)
+            x = condition_channels(x, hot)
         return self.critic(x, training=True)
 
     def generate(self, n: int, hot: np.ndarray | None, with_grad: bool) -> Tensor:
-        z = Tensor(self.gen_input(self.sample_noise(n), hot))
+        z = self.noise_rng.standard_normal((n, self.noise_dim))
+        z = Tensor(z if hot is None else condition_concat(z, hot))
         if with_grad:
             return self.generator(z, training=True)
         with no_grad():
@@ -217,7 +203,8 @@ class _Run:
             yield perm[start : start + b]
 
 
-def _critic_update(run: _Run, idx: np.ndarray, step: int) -> tuple[float, float, float]:
+def _critic_update(run: _Run, idx: np.ndarray, step: int) -> dict[str, float]:
+    """One critic step; returns the history series it fills, by name."""
     spec = run.spec
     real = run.data[idx]
     hot = run.onehots[idx] if run.onehots is not None else None
@@ -226,24 +213,26 @@ def _critic_update(run: _Run, idx: np.ndarray, step: int) -> tuple[float, float,
     run.critic_opt.zero_grad()
     c_real = run.critic_score(Tensor(real), hot)
     c_fake = run.critic_score(Tensor(fake), hot)
-    core, _ = wasserstein_losses(c_real, c_fake)
-    if spec.gp_lambda > 0.0:
-        penalty = gradient_penalty(
-            lambda x: run.critic_score(x, hot), real, fake, run.gp_rng
-        )
-        loss = core + penalty * spec.gp_lambda
-        pen_value = float(penalty.data)
+    # each loss is checked before backward so a diverged run names its step
+    if not spec.wasserstein:
+        loss, _ = gan_objective(c_real, c_fake, real_label=spec.real_label)
+        record = {"d_loss": _finite(float(loss.data), "discriminator loss", step)}
     else:
-        loss = core
-        pen_value = 0.0
-    # check before backward so a diverged run names its step
-    loss_value = _finite(float(loss.data), "critic loss", step)
-    pen_value = _finite(pen_value, "gradient penalty", step)
-    estimate = _finite(wasserstein_estimate(c_real.data, c_fake.data), "distance estimate", step)
+        loss, _ = wasserstein_losses(c_real, c_fake)
+        penalty = 0.0
+        if spec.gp_lambda > 0.0:
+            gp = gradient_penalty(lambda x: run.critic_score(x, hot), real, fake, run.gp_rng)
+            loss = loss + gp * spec.gp_lambda
+            penalty = float(gp.data)
+        record = {
+            "critic_loss": _finite(float(loss.data), "critic loss", step),
+            "penalty": _finite(penalty, "gradient penalty", step),
+            "w_estimate": _finite(wasserstein_estimate(c_real.data, c_fake.data), "distance estimate", step),
+        }
     loss.backward()
     run.critic_opt.step()
     run.history.critic_updates += 1
-    return loss_value, pen_value, estimate
+    return record
 
 
 def _generator_update(run: _Run, step: int) -> float:
@@ -254,7 +243,10 @@ def _generator_update(run: _Run, step: int) -> float:
         hot = run.onehots[picks]
     fake = run.generate(spec.batch, hot, with_grad=True)
     c_fake = run.critic_score(fake, hot)
-    gen_loss = -tmean(c_fake.reshape((c_fake.shape[0],)))
+    if spec.wasserstein:
+        gen_loss = -tmean(c_fake.reshape((c_fake.shape[0],)))
+    else:
+        gen_loss = generator_logloss(c_fake)
     value = _finite(float(gen_loss.data), "generator loss", step)
     run.gen_opt.zero_grad()
     run.critic_opt.zero_grad()
@@ -264,60 +256,27 @@ def _generator_update(run: _Run, step: int) -> float:
     return value
 
 
-def _train_wasserstein(run: _Run):
+def _train(run: _Run):
+    """Walk shuffled batches: a group of critic steps, then one generator step."""
     spec = run.spec
+    h = run.history
+    group_size = spec.critic_steps if spec.wasserstein else 1
     for _epoch in range(spec.epochs):
         group: list[np.ndarray] = []
         for idx in run.batches():
             group.append(idx)
-            if len(group) < spec.critic_steps:
+            if len(group) < group_size:
                 continue
-            step = run.history.gen_updates
-            last = (0.0, 0.0, 0.0)
+            step = h.gen_updates
             for bidx in group:
-                last = _critic_update(run, bidx, step)
-            gen_loss = _generator_update(run, step)
-            h = run.history
-            h.critic_loss.append(last[0])
-            h.penalty.append(last[1])
-            h.w_estimate.append(last[2])
-            h.gen_loss.append(gen_loss)
+                record = _critic_update(run, bidx, step)
+            h.gen_loss.append(_generator_update(run, step))
+            # the Wasserstein series keep the group's last critic step
+            for series, value in record.items():
+                getattr(h, series).append(value)
             h.critic_counts.append(len(group))
             group = []
-        run.history.epoch_ends.append(run.history.gen_updates)
-
-
-def _train_dcgan(run: _Run):
-    spec = run.spec
-    for _epoch in range(spec.epochs):
-        for idx in run.batches():
-            step = run.history.gen_updates
-            real = run.data[idx]
-            fake = run.generate(len(idx), None, with_grad=False).data
-
-            run.critic_opt.zero_grad()
-            d_real = run.critic(Tensor(real), training=True)
-            d_fake = run.critic(Tensor(fake), training=True)
-            d_loss, _ = gan_objective(d_real, d_fake, real_label=spec.real_label)
-            d_value = _finite(float(d_loss.data), "discriminator loss", step)
-            d_loss.backward()
-            run.critic_opt.step()
-
-            fake2 = run.generate(len(idx), None, with_grad=True)
-            g_loss = generator_logloss(run.critic(fake2, training=True))
-            g_value = _finite(float(g_loss.data), "generator loss", step)
-            run.gen_opt.zero_grad()
-            run.critic_opt.zero_grad()
-            g_loss.backward()
-            run.gen_opt.step()
-
-            h = run.history
-            h.d_loss.append(d_value)
-            h.gen_loss.append(g_value)
-            h.critic_counts.append(1)
-            h.critic_updates += 1
-            h.gen_updates += 1
-        run.history.epoch_ends.append(run.history.gen_updates)
+        h.epoch_ends.append(h.gen_updates)
 
 
 def train_gan(
@@ -326,7 +285,6 @@ def train_gan(
     labels=None,
     gen_spec: GeneratorSpec | None = None,
     critic_spec: CriticSpec | None = None,
-    checkpoint_dir=None,
 ):
     """Train a generator/critic pair; returns (generator, critic, history).
 
@@ -334,7 +292,7 @@ def train_gan(
     MotionSequence. labels (condition indices, 0..5) are required for
     the conditional kind and ignored otherwise.
     """
-    data, labels = _as_array(data, labels)
+    data = _as_array(data)
     cond = N_CONDITIONS if spec.conditional else 0
     if gen_spec is None:
         gen_spec = GeneratorSpec(cond_dim=cond)
@@ -348,22 +306,14 @@ def train_gan(
         raise ContractError("dcgan needs a sigmoid discriminator head")
 
     run = _Run(spec, data, labels, gen_spec, critic_spec)
-    if spec.wasserstein:
-        _train_wasserstein(run)
-    else:
-        _train_dcgan(run)
-
-    if checkpoint_dir is not None:
-        save_gan(checkpoint_dir, run.generator, run.critic, gen_spec, critic_spec, spec)
+    _train(run)
     return run.generator, run.critic, run.history
 
 
-def save_gan(directory, generator, critic, gen_spec, critic_spec, train_spec, extra=None):
+def save_gan(directory, generator, critic, gen_spec, critic_spec, train_spec):
     """Write generator.model and critic.model checkpoints (atomic)."""
     os.makedirs(directory, exist_ok=True)
     meta = {"train": train_spec.to_dict()}
-    if extra:
-        meta.update(extra)
     gpath = os.path.join(directory, "generator.model")
     cpath = os.path.join(directory, "critic.model")
     save_model(gpath, generator, {**meta, "role": "generator", "spec": gen_spec.to_dict()})
@@ -384,8 +334,7 @@ def sample_generator(
     if gen_spec.cond_dim:
         if condition is None:
             raise LabelError("conditional generator needs a condition index")
-        hot = onehot_batch(np.full(n, condition, dtype=int))
-        z = np.concatenate([z, hot], axis=1)
+        z = condition_concat(z, onehot_batch(np.full(n, condition, dtype=int)))
     elif condition is not None:
         raise ContractError("unconditional generator cannot honor a condition")
     with no_grad():

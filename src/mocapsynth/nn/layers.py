@@ -1,14 +1,17 @@
 """Composable layers over the autodiff tensors.
 
 Each layer knows its trainable parameters, a JSON-friendly ``spec()``
-used as an architecture fingerprint in checkpoints, and how to rebuild
-itself from that spec. Stateful layers (batch norm) also carry buffers.
+that checkpoints record, and how to rebuild itself from that spec.
+Stateful layers (batch norm) also carry buffers.
 """
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
+from ..container import fits
 from ..errors import ContractError, DegenerateBatchError, ShapeError
 from .ops import conv1d, dense, dropout, flatten, maxpool1d, upsample1d
 from .tensor import (
@@ -42,25 +45,28 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
 
 class Layer:
     name = "layer"
+    param_names: tuple[str, ...] = ()  # the trainable Tensor attributes, saved under these names
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         raise NotImplementedError
 
     def parameters(self) -> list[Tensor]:
-        return []
+        return [getattr(self, n) for n in self.param_names]
 
     def spec(self) -> dict:
         return {"layer": self.name}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
-        return {}
+        return {n: getattr(self, n).data for n in self.param_names}
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        return None
+        for n in self.param_names:
+            getattr(self, n).data = arrays[n].astype(np.float64)
 
 
 class Dense(Layer):
     name = "dense"
+    param_names = ("weight", "bias")
 
     def __init__(self, fin: int, fout: int, rng: np.random.Generator | None = None):
         self.fin, self.fout = fin, fout
@@ -71,22 +77,13 @@ class Dense(Layer):
     def forward(self, x, training=False, rng=None):
         return dense(x, self.weight, self.bias)
 
-    def parameters(self):
-        return [self.weight, self.bias]
-
     def spec(self):
         return {"layer": self.name, "fin": self.fin, "fout": self.fout}
-
-    def state_arrays(self):
-        return {"weight": self.weight.data, "bias": self.bias.data}
-
-    def load_state(self, arrays):
-        self.weight.data = arrays["weight"].astype(np.float64)
-        self.bias.data = arrays["bias"].astype(np.float64)
 
 
 class Conv1D(Layer):
     name = "conv1d"
+    param_names = ("weight", "bias")
 
     def __init__(
         self,
@@ -109,9 +106,6 @@ class Conv1D(Layer):
     def forward(self, x, training=False, rng=None):
         return conv1d(x, self.weight, self.bias, stride=self.stride, spacing=self.spacing)
 
-    def parameters(self):
-        return [self.weight, self.bias]
-
     def spec(self):
         return {
             "layer": self.name,
@@ -122,13 +116,6 @@ class Conv1D(Layer):
             "spacing": self.spacing,
         }
 
-    def state_arrays(self):
-        return {"weight": self.weight.data, "bias": self.bias.data}
-
-    def load_state(self, arrays):
-        self.weight.data = arrays["weight"].astype(np.float64)
-        self.bias.data = arrays["bias"].astype(np.float64)
-
 
 class BatchNorm(Layer):
     """Per-feature normalisation with running statistics for evaluation.
@@ -138,6 +125,7 @@ class BatchNorm(Layer):
     """
 
     name = "batchnorm"
+    param_names = ("gamma", "beta")
 
     def __init__(self, features: int, momentum: float = 0.9, eps: float = 1e-5):
         self.features = features
@@ -180,23 +168,14 @@ class BatchNorm(Layer):
         scaled = mul(normed, broadcast_to(reshape(self.gamma, pshape), x.shape))
         return add(scaled, broadcast_to(reshape(self.beta, pshape), x.shape))
 
-    def parameters(self):
-        return [self.gamma, self.beta]
-
     def spec(self):
         return {"layer": self.name, "features": self.features, "momentum": self.momentum, "eps": self.eps}
 
     def state_arrays(self):
-        return {
-            "gamma": self.gamma.data,
-            "beta": self.beta.data,
-            "running_mean": self.running_mean,
-            "running_var": self.running_var,
-        }
+        return {**super().state_arrays(), "running_mean": self.running_mean, "running_var": self.running_var}
 
     def load_state(self, arrays):
-        self.gamma.data = arrays["gamma"].astype(np.float64)
-        self.beta.data = arrays["beta"].astype(np.float64)
+        super().load_state(arrays)
         self.running_mean = arrays["running_mean"].astype(np.float64)
         self.running_var = arrays["running_var"].astype(np.float64)
 
@@ -285,11 +264,36 @@ _LAYER_TYPES = {
 }
 
 
+def _whole(lo: int):
+    return lambda v: fits(v, int) and v >= lo
+
+
+# what a saved spec may give each constructor argument
+_ARG_RULES = {
+    **dict.fromkeys(("fin", "fout", "kernel", "cin", "cout", "stride", "features", "width", "factor"),
+                    _whole(1)),
+    "spacing": _whole(0),
+    "momentum": lambda v: fits(v, float),
+    "eps": lambda v: fits(v, float),
+    "rate": lambda v: fits(v, float) and 0.0 <= v < 1.0,
+    "kind": lambda v: isinstance(v, str) and v in ACTIVATIONS,
+    "shape": lambda v: isinstance(v, list) and all(_whole(1)(n) for n in v),
+}
+
+
 def layer_from_spec(spec: dict) -> Layer:
-    kind = spec.get("layer")
-    if kind not in _LAYER_TYPES:
-        raise ContractError(f"unknown layer kind {kind!r}")
+    """Rebuild a layer from its spec; a malformed spec is a ContractError."""
+    kind = spec.get("layer") if isinstance(spec, dict) else None
+    if not isinstance(kind, str) or kind not in _LAYER_TYPES:
+        raise ContractError(f"unknown layer spec {spec!r}")
     args = {k: v for k, v in spec.items() if k != "layer"}
+    try:
+        inspect.signature(_LAYER_TYPES[kind]).bind(**args)
+    except TypeError as exc:
+        raise ContractError(f"{kind} layer spec {spec}: {exc}") from None
+    bad = [k for k, v in args.items() if k not in _ARG_RULES or not _ARG_RULES[k](v)]
+    if bad:
+        raise ContractError(f"{kind} layer spec {spec}: invalid {', '.join(bad)}")
     if kind == "reshape":
         args["shape"] = tuple(args["shape"])
     return _LAYER_TYPES[kind](**args)
@@ -317,8 +321,15 @@ class Sequential:
     def num_parameters(self) -> int:
         return sum(p.size for p in self.parameters())
 
-    def spec(self) -> list[dict]:
+    def architecture(self) -> list[dict]:
+        """The layer specs, as a checkpoint records them."""
         return [layer.spec() for layer in self.layers]
+
+    @classmethod
+    def from_architecture(cls, specs: list[dict]) -> "Sequential":
+        if not isinstance(specs, list):
+            raise ContractError(f"a Sequential architecture is a list of layers, not {type(specs).__name__}")
+        return cls([layer_from_spec(s) for s in specs])
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         out = {}
@@ -328,14 +339,15 @@ class Sequential:
         return out
 
     def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Install saved arrays: exactly the ones the layers hold, each with its shape."""
+        expected = self.state_arrays()
+        for what, keys in (("missing", expected.keys() - arrays.keys()),
+                           ("unknown", arrays.keys() - expected.keys())):
+            if keys:
+                raise ContractError(f"{what} saved arrays {sorted(keys)}")
+        for key, arr in expected.items():
+            if arrays[key].shape != arr.shape:
+                raise ContractError(f"saved array {key} has shape {arrays[key].shape}, not {arr.shape}")
         for i, layer in enumerate(self.layers):
             prefix = f"layer{i:03d}."
-            local = {
-                key[len(prefix):]: arr for key, arr in arrays.items() if key.startswith(prefix)
-            }
-            if local:
-                layer.load_state(local)
-
-    @classmethod
-    def from_spec(cls, specs: list[dict]) -> "Sequential":
-        return cls([layer_from_spec(s) for s in specs])
+            layer.load_state({k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)})

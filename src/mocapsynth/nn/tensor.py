@@ -18,9 +18,6 @@ from ..errors import ContractError, NumericalError, ShapeError
 
 _GRAD_MODE = [True]
 
-# when True, every gradient produced during a backward pass is checked
-# for NaN and the offending node is named in the raised error
-NAN_GUARD = True
 
 @contextmanager
 def no_grad():
@@ -77,9 +74,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def detach(self) -> "Tensor":
-        return Tensor(self.data)
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -185,7 +179,7 @@ def backward_pass(root: Tensor, seed: Tensor, create_graph: bool) -> dict[Tensor
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if NAN_GUARD and not np.all(np.isfinite(g.data)):
+            if not np.all(np.isfinite(g.data)):
                 raise NumericalError(f"non-finite gradient at node {node.op!r}")
             result[node] = g
             if node._vjp is None:

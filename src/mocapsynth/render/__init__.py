@@ -19,7 +19,6 @@ from .geometry import (
     cylinder_between,
 )
 from .export import (
-    export_geometry,
     export_jsonl,
     export_svg_ortho,
     frame_to_dict,

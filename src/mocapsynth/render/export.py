@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..errors import ContractError, DataError
+from ..errors import DataError
 from .geometry import GeometryFrame
 
 SVG_SCALE = 200.0  # pixels per meter
@@ -21,8 +21,6 @@ SPHERE_FILL = "#3a6ea5"
 INFERRED_FILL = "#e08a2e"
 BOWL_FILL = "#b03030"
 BONE_STROKE = "#555555"
-
-FORMATS = ("jsonl", "svg_ortho")
 
 
 def frame_to_dict(frame: GeometryFrame) -> dict:
@@ -134,12 +132,3 @@ def export_svg_ortho(frames: list[GeometryFrame], directory, scale: float = SVG_
         out.write_text("\n".join(lines) + "\n")
         paths.append(out)
     return paths
-
-
-def export_geometry(frames: list[GeometryFrame], fmt: str, dest) -> list[Path]:
-    """Dispatch on format: jsonl wants a file path, svg_ortho a directory."""
-    if fmt == "jsonl":
-        return [export_jsonl(frames, dest)]
-    if fmt == "svg_ortho":
-        return export_svg_ortho(frames, dest)
-    raise ContractError(f"unknown export format {fmt!r}; expected one of {FORMATS}")

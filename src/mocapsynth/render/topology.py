@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass
 from pathlib import Path
 
+from ..container import JsonRecord
 from ..errors import ContractError
 from ..markers import MARKER_NAMES
 
@@ -46,7 +47,7 @@ DEFAULT_BONES = (
 
 
 @dataclass(frozen=True)
-class SkeletonTopology:
+class SkeletonTopology(JsonRecord):
     bones: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
@@ -60,15 +61,15 @@ class SkeletonTopology:
                 raise ContractError(f"bone {a!r}-{b!r} joins a node to itself")
 
     def to_json(self) -> str:
-        return json.dumps({"bones": [list(b) for b in self.bones]}, indent=2) + "\n"
+        return json.dumps(self.to_dict(), indent=2) + "\n"
 
     @classmethod
-    def from_json(cls, text: str) -> "SkeletonTopology":
-        doc = json.loads(text)
-        if "bones" not in doc:
-            raise ContractError("topology JSON needs a 'bones' list")
-        bones = tuple((str(a), str(b)) for a, b in doc["bones"])
-        return cls(bones)
+    def from_json(cls, text: str | bytes) -> "SkeletonTopology":
+        try:
+            doc = json.loads(text)
+        except ValueError as exc:
+            raise ContractError(f"topology is not JSON: {exc}") from None
+        return cls.from_dict(doc)
 
 
 def default_topology() -> SkeletonTopology:
@@ -76,7 +77,7 @@ def default_topology() -> SkeletonTopology:
 
 
 def load_topology(path) -> SkeletonTopology:
-    return SkeletonTopology.from_json(Path(path).read_text())
+    return SkeletonTopology.from_json(Path(path).read_bytes())
 
 
 def save_topology(topo: SkeletonTopology, path) -> None:

@@ -6,7 +6,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .tensor import Tensor
+from mocapsynth.nn import Tensor
 
 
 def numeric_gradient(

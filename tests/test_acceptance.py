@@ -54,10 +54,10 @@ from mocapsynth.gan import (
     train_gan,
 )
 from mocapsynth.nn import BatchNorm, Conv1D, Dense, MaxPool, Tensor, Upsample, conv1d, cross_entropy, js_divergence, tsum
-from mocapsynth.nn.gradcheck import check_gradients
 from mocapsynth.render import build_geometry, cylinder_between, export_jsonl, export_svg_ortho
 from mocapsynth.seeding import derive_rng
 
+from gradcheck import check_gradients
 from oracles import naive_conv1d
 
 GOLDEN = __file__.rsplit("/", 1)[0] + "/golden"

@@ -13,7 +13,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mocapsynth.classifier import HierarchicalClassifier, HierarchicalNetSpec
 from mocapsynth.cli import COMMANDS, UsageError, _resolve, build_parser, main
+from mocapsynth.container import read_container, write_container
 from mocapsynth.dataset import load_sequences, read_sequence_csv, write_sequence_csv
 from mocapsynth.dataset.synthetic import make_trial
 from mocapsynth.dataset.trials import TrialMeta, save_trial
@@ -276,6 +278,19 @@ def test_classifier_spec_file_errors(archive, tmp_path, capsys, text, key):
     assert key in one_error_line(capsys)
 
 
+@pytest.mark.parametrize(
+    "doc, key",
+    [({"dropout": 1.5}, "dropout"), ({"first_spacing": -1}, "first_spacing"), ({"kernel": 40}, "kernel")],
+)
+def test_classifier_spec_ranges_are_checked_before_the_archive_is_read(tmp_path, capsys, doc, key):
+    spec = tmp_path / "spec.json"
+    spec.write_text(json.dumps(doc))
+    rc = main(["train-classifier", "--input", str(tmp_path / "absent.bin"), "--out", str(tmp_path / "o"),
+               "--task", "weight", "--spec", str(spec)])
+    assert rc == 2
+    assert key in one_error_line(capsys)
+
+
 def test_train_and_eval_classifier(archive, tmp_path, capsys):
     clf = tmp_path / "clf"
     rc = main([
@@ -387,6 +402,65 @@ def test_conditional_generate_label_flow(cond_gan_dir, gan_dir, tmp_path, capsys
                "--count", "1", "--label", "heaviest"])
     assert rc == 2
     capsys.readouterr()
+
+
+def _rewritten_generator(gan_dir, path, case):
+    """A copy of the trained generator checkpoint with one fault."""
+    meta, arrays = read_container(gan_dir / "generator.model")
+    if case == "no-architecture":
+        del meta["architecture"]
+    elif case == "dense-without-fout":
+        meta["architecture"] = [{"layer": "dense", "fin": 4}]
+    elif case == "missing-array":
+        del arrays["layer000.weight"]
+    elif case == "wrong-shape":
+        arrays["layer000.weight"] = arrays["layer000.weight"][:-1]
+    write_container(path, "model", meta, arrays)
+
+
+@pytest.mark.parametrize(
+    "command, case",
+    [
+        ("generate", "classifier"),
+        ("generate", "no-architecture"),
+        ("generate", "dense-without-fout"),
+        ("generate", "missing-array"),
+        ("generate", "wrong-shape"),
+        ("eval-classifier", "generator"),
+        ("eval-classifier", "string-kernel"),
+    ],
+)
+def test_hostile_checkpoints_exit_1(archive, gan_dir, tmp_path, capsys, command, case):
+    model = tmp_path / "m.model"
+    if case == "classifier":
+        HierarchicalClassifier(HierarchicalNetSpec(n_classes=2)).save(model, {"task": "weight"})
+    elif case == "generator":
+        model = gan_dir / "generator.model"
+    elif case == "string-kernel":
+        write_container(model, "model", {"architecture": {"hierarchical": {"n_classes": 2, "kernel": "3"}}}, {})
+    else:
+        _rewritten_generator(gan_dir, model, case)
+    argv = [command, "--model", str(model), "--stats", str(gan_dir / "norm-stats.bin"), "--out", str(tmp_path / "o")]
+    if command == "eval-classifier":
+        argv += ["--input", str(archive)]
+    assert main(argv) == 1
+    one_error_line(capsys)
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [('{"bones": 5}', "bones"), ("nope", "not JSON"), ('{"bones": [["c7"]]}', "bones[0]"), (b"\xff{", "not JSON")],
+)
+def test_hostile_topology_files_exit_1(archive, tmp_path, capsys, text, key):
+    sequences, _, _ = load_sequences(archive)
+    csv = tmp_path / "one.csv"
+    write_sequence_csv(sequences[0].data, csv)
+    topology = tmp_path / "t.json"
+    topology.write_bytes(text if isinstance(text, bytes) else text.encode())
+    rc = main(["render", "--input", str(csv), "--out", str(tmp_path / "o"), "--format", "jsonl",
+               "--topology", str(topology)])
+    assert rc == 1
+    assert key in one_error_line(capsys)
 
 
 def test_render_archive_jsonl(archive, tmp_path, capsys):

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 
 import numpy as np
@@ -308,7 +310,7 @@ def test_condition_concat_and_channels():
     assert np.array_equal(zc[:, 4:], hot)
 
     seq = np.ones((2, 5, 3))
-    sc = condition_channels(seq, hot)
+    sc = condition_channels(Tensor(seq), hot).data
     assert sc.shape == (2, 5, 9)
     # label block is constant along time
     for t in range(5):
@@ -468,7 +470,8 @@ def test_checkpoints_round_trip(tmp_path):
     data, _ = _toy(n=160)
     spec = GanTrainSpec(kind="wgan_gp", epochs=1, batch=32, critic_steps=5, seed=4)
     gs, cs = toy_generator_spec(), toy_critic_spec()
-    gen, crit, _ = train_gan(spec, data, gen_spec=gs, critic_spec=cs, checkpoint_dir=str(tmp_path))
+    gen, crit, _ = train_gan(spec, data, gen_spec=gs, critic_spec=cs)
+    save_gan(str(tmp_path), gen, crit, gs, cs, spec)
     gen2, meta = load_model(str(tmp_path / "generator.model"))
     assert meta["role"] == "generator"
     assert meta["train"]["kind"] == "wgan_gp"
@@ -478,6 +481,39 @@ def test_checkpoints_round_trip(tmp_path):
     crit2, _ = load_model(str(tmp_path / "critic.model"))
     x = Tensor(data[:3])
     assert np.array_equal(crit(x).data, crit2(x).data)
+
+
+# sha256 of a 3-step toy run per kind, taken when dcgan and the
+# Wasserstein kinds still had separate batch walks
+PINNED_RUNS = {
+    "dcgan": "21e6e64320fd39defd0f297e1cb6e48cac64d6fe78df36b0449f0e5ead91299c",
+    "wgan_gp": "3424a2610f03e566f560ef4fbd3e9e453e3d6c77e2a1fe6bc4624c600415bb77",
+    "cond_wgan_gp": "5780517b616254b0f9d3dee2eee49ea40297b0b348fcb166808674e306e8f913",
+}
+
+
+def _toy_run_digest(kind: str) -> str:
+    data, _ = _toy(n=96, seed=3)
+    cond = 6 if kind == "cond_wgan_gp" else 0
+    labels = np.arange(96) % 6 if cond else None
+    gs = GeneratorSpec(noise_dim=8, cond_dim=cond, base_steps=4, base_channels=16, conv_filters=(8, 8, 4))
+    cs = CriticSpec(in_steps=32, in_channels=4, cond_channels=cond, conv_filters=(8, 16, 32),
+                    head="sigmoid" if kind == "dcgan" else "linear")
+    # dcgan: 3 batches of 32; Wasserstein kinds: 3 groups of 2 batches of 16
+    spec = GanTrainSpec(kind=kind, epochs=1, batch=32 if kind == "dcgan" else 16, critic_steps=2, seed=11)
+    gen, crit, hist = train_gan(spec, data, labels=labels, gen_spec=gs, critic_spec=cs)
+    assert hist.gen_updates == 3
+    digest = hashlib.sha256(json.dumps(hist.to_dict(), sort_keys=True).encode())
+    for model in (gen, crit):
+        for key, arr in sorted(model.state_arrays().items()):
+            digest.update(key.encode())
+            digest.update(arr.tobytes())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
+def test_training_bytes_are_pinned(kind):
+    assert _toy_run_digest(kind) == PINNED_RUNS[kind]
 
 
 def test_generate_sequences_denormalizes():

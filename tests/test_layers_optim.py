@@ -4,6 +4,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from mocapsynth.container import write_container
 from mocapsynth.errors import ContractError, DegenerateBatchError, SupportError
 from mocapsynth.nn import (
     Activation,
@@ -24,9 +25,9 @@ from mocapsynth.nn import (
     save_model,
     tsum,
 )
-from mocapsynth.nn.gradcheck import check_gradients
 from mocapsynth.seeding import derive_rng
 
+from gradcheck import check_gradients
 from oracles import adam_single_step, naive_js, naive_kl
 
 
@@ -137,10 +138,17 @@ def test_checkpoint_round_trip(tmp_path):
 def test_checkpoint_architecture_mismatch(tmp_path):
     net = small_net(8)
     path = tmp_path / "model.bin"
-    save_model(path, net)
+    arrays = net.state_arrays()
     other = Sequential([Dense(4, 2)])
-    with pytest.raises(ContractError):
-        load_model(path, expect_architecture=other.spec())
+    # another architecture over these weights, one weight with the wrong shape, one weight gone
+    for arch, saved in [
+        (other.architecture(), arrays),
+        (net.architecture(), {**arrays, "layer004.weight": np.zeros((3, 16))}),
+        (net.architecture(), {k: v for k, v in arrays.items() if k != "layer000.bias"}),
+    ]:
+        write_container(path, "model", {"architecture": arch, "extra": {}}, saved)
+        with pytest.raises(ContractError):
+            load_model(path)
 
 
 # -- Adam ----------------------------------------------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from mocapsynth.cli import render_sequence
 from mocapsynth.dataset.preprocess import MotionSequence
 from mocapsynth.dataset.synthetic import demo_sequence
 from mocapsynth.errors import ContractError, DataError, DegenerateBoneError, StateError
@@ -18,7 +19,6 @@ from mocapsynth.render import (
     build_geometry,
     cylinder_between,
     default_topology,
-    export_geometry,
     export_jsonl,
     export_svg_ortho,
     load_topology,
@@ -226,15 +226,15 @@ def test_exports_are_deterministic(tmp_path):
 
 
 def test_export_dispatch_and_errors(tmp_path):
-    frames = build_geometry(demo_sequence())
+    seq = demo_sequence()
     with pytest.raises(DataError):
         export_jsonl([], tmp_path / "x.jsonl")
     with pytest.raises(DataError):
         export_svg_ortho([], tmp_path)
     with pytest.raises(ContractError):
-        export_geometry(frames, "obj", tmp_path)
-    out = export_geometry(frames, "jsonl", tmp_path / "d.jsonl")
-    assert out[0].exists()
+        render_sequence(seq, "obj", tmp_path)
+    assert render_sequence(seq, "jsonl", tmp_path) == 1
+    assert (tmp_path / f"{seq.name}.jsonl").exists()
 
 
 def test_golden_fixtures_are_reproduced(tmp_path):

@@ -37,8 +37,8 @@ from mocapsynth.nn import (
     tsum,
     upsample1d,
 )
-from mocapsynth.nn.gradcheck import check_gradients, numeric_gradient, relative_error
 
+from gradcheck import check_gradients, numeric_gradient, relative_error
 from oracles import naive_conv1d, naive_maxpool1d, naive_upsample1d
 
 TOL = 1e-6
