@@ -15,9 +15,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import JsonRecord
-from .dataset.preprocess import MotionSequence
+from .dataset.preprocess import SEQUENCE_LENGTH, MotionSequence, SequenceSet
 from .errors import InvalidFactorError, StateError
-from .markers import BOWL, SHOULDERS, WAIST
+from .markers import BOWL, N_MARKERS, SHOULDERS, WAIST
 from .seeding import derive_rng
 
 
@@ -38,7 +38,7 @@ class AugmentSpec(JsonRecord):
             raise InvalidFactorError(f"factor must be >= 1, got {self.factor}")
 
 
-def _require_world_space(seq: MotionSequence, op: str) -> None:
+def _require_world_space(seq: MotionSequence | SequenceSet, op: str) -> None:
     if seq.normalized:
         raise StateError(f"{op} needs world-space coordinates, got a normalized sequence")
 
@@ -55,13 +55,14 @@ def _like(seq: MotionSequence, pts: np.ndarray) -> MotionSequence:
 # and *, which IEEE arithmetic does not see.)
 
 
-def _rotated(pts: np.ndarray, c, s) -> np.ndarray:
-    """pts turned by the angle of cosine c and sine s about the vertical through the frame-0 bowl."""
+def _rotated(pts: np.ndarray, c, s, out: np.ndarray | None = None) -> np.ndarray:
+    """pts turned by the angle of cosine c and sine s about the vertical through the frame-0 bowl, into `out` if given."""
     pivot_x = pts[..., :1, BOWL : BOWL + 1, 0]
     pivot_y = pts[..., :1, BOWL : BOWL + 1, 1]
     rel_x = pts[..., 0] - pivot_x
     rel_y = pts[..., 1] - pivot_y
-    out = np.empty(np.broadcast_shapes(np.shape(c), pts.shape[:-1]) + (3,))
+    if out is None:
+        out = np.empty(np.broadcast_shapes(np.shape(c), pts.shape[:-1]) + (3,))
     out[..., 0] = pivot_x + c * rel_x - s * rel_y
     out[..., 1] = pivot_y + s * rel_x + c * rel_y
     out[..., 2] = pts[..., 2]
@@ -126,24 +127,29 @@ def rotate_about_bowl_start(seq: MotionSequence, angle_deg: float) -> MotionSequ
     return _like(seq, _rotated(seq.points(), *_cos_sin(angle_deg)))
 
 
-def augment_dataset(sequences: list[MotionSequence], spec: AugmentSpec) -> list[MotionSequence]:
+def augment_dataset(sequences, spec: AugmentSpec) -> SequenceSet:
     """factor copies per input, the first being the original; labels verbatim.
 
-    Copy j of input i draws its rotation, scale and shift from its own
-    stream, derive_rng(spec.seed, "augment", i, j), so the result is
+    `sequences` is a SequenceSet or a list of MotionSequence. Copy j of
+    input i is row i * factor + j of the result, named "<name>+a<j>" for
+    j > 0, and draws its rotation, scale and shift from its own stream,
+    derive_rng(spec.seed, "augment", i, j), so the result is
     deterministic and independent of evaluation order. The factor - 1
-    copies of one input are then rotated, scaled about their rotated
-    torso centers and translated as one (factor - 1, 32, 16, 3) block.
+    copies of one input are rotated straight into their rows of the one
+    preallocated output, then scaled about their rotated torso centers
+    and translated there in place. A factor of 1 returns the input set.
     """
-    out: list[MotionSequence] = []
-    copies = range(1, spec.factor)
-    for i, seq in enumerate(sequences):
-        out.append(seq)
-        if not copies:
-            continue
-        _require_world_space(seq, "augment_dataset")
+    src = SequenceSet.of(sequences)
+    f = spec.factor
+    if f == 1:
+        return src
+    _require_world_space(src, "augment_dataset")
+    n = len(src)
+    out = np.empty((n * f,) + src.data.shape[1:])
+    rows = out.reshape(n, f, SEQUENCE_LENGTH, N_MARKERS, 3)
+    for i, pts in enumerate(src.data.reshape(n, SEQUENCE_LENGTH, N_MARKERS, 3)):
         draws = []
-        for j in copies:
+        for j in range(1, f):
             rng = derive_rng(spec.seed, "augment", i, j)
             c, s = _cos_sin(rng.uniform(spec.rotate_lo_deg, spec.rotate_hi_deg))
             factor = rng.uniform(spec.scale_lo, spec.scale_hi)
@@ -151,9 +157,10 @@ def augment_dataset(sequences: list[MotionSequence], spec: AugmentSpec) -> list[
             dy = rng.uniform(-spec.translate_m, spec.translate_m)
             draws.append((c, s, factor, dx, dy))
         c, s, factor, dx, dy = np.array(draws).T[..., None, None]
-        block = _rotated(seq.points(), c, s)
+        rows[i, 0] = pts
+        block = _rotated(pts, c, s, out=rows[i, 1:])
         _scale(block, factor)
         _translate(block, dx, dy)
-        for j, pts in zip(copies, block):
-            out.append(MotionSequence(pts.reshape(seq.data.shape), meta=seq.meta, name=f"{seq.name}+a{j}"))
-    return out
+    names = [name if j == 0 else f"{name}+a{j}" for name in src.names for j in range(f)]
+    labels = [meta for meta in src.labels for _ in range(f)]
+    return SequenceSet(out, names, labels)

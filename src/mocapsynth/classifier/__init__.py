@@ -14,7 +14,6 @@ from .tasks import (
     cluster_views,
     filter_for_task,
     labels_of,
-    stack_views,
     validation_split,
 )
 from .training import TrainReport, evaluate, predict_logits, train_classifier

@@ -110,9 +110,5 @@ def cluster_views(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
     )
 
 
-def stack_views(sequences: list[MotionSequence]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    return cluster_views(np.stack([s.data for s in sequences]))
-
-
 def labels_of(sequences: list[MotionSequence], spec: TaskSpec) -> np.ndarray:
     return np.array([spec.label_of(s) for s in sequences], dtype=int)

@@ -29,10 +29,10 @@ from .classifier import (
     HierarchicalNetSpec,
     TaskSpec,
     balance_classes,
+    cluster_views,
     evaluate,
     filter_for_task,
     labels_of,
-    stack_views,
     train_classifier,
     validation_split,
 )
@@ -43,6 +43,7 @@ from .dataset import (
     DEFAULT_HOLD_FRAMES,
     DEFAULT_SPEED_THRESHOLD,
     MotionSequence,
+    SequenceSet,
     apply_zscore,
     fit_normalizer,
     load_sequences,
@@ -62,6 +63,7 @@ from .gan import (
     GanTrainSpec,
     GeneratorSpec,
     N_CONDITIONS,
+    build_generator,
     generate_sequences,
     save_gan,
     train_gan,
@@ -236,10 +238,11 @@ def cmd_ingest(resolved: dict) -> int:
         raise DataError("every trial was rejected during trimming")
     log.info("kept %d sequences (%d no-motion, %d too-short)", len(sequences), no_motion, too_short)
 
+    sequences = SequenceSet.of(sequences)
     stats = None
     if resolved["normalize"]:
         stats = fit_normalizer(sequences)
-        sequences = [apply_zscore(s, stats) for s in sequences]
+        sequences = apply_zscore(sequences, stats)
     _snapshot(out_dir, "ingest", resolved)
     save_sequences(
         out_dir / "sequences.bin",
@@ -305,31 +308,31 @@ def cmd_train_classifier(resolved: dict) -> int:
     )
     net_spec = _net_spec(resolved["spec"], task.n_classes)
     sequences, _, _ = load_sequences(resolved["input"])
-    if sequences[0].normalized:
+    if sequences.normalized:
         raise StateError("train-classifier wants world-space sequences; it normalizes internally")
 
     pool = filter_for_task(sequences, task)
     if task.task == "weight":
         pool = balance_classes(pool, task, seed)
     log.info("task %s: %d usable sequences", task.task, len(pool))
-    train_seqs, val_seqs = validation_split(pool, task.n_validation, seed)
+    train_seqs, val_seqs = (SequenceSet.of(part) for part in validation_split(pool, task.n_validation, seed))
 
     if task.augment_factor > 1:
         train_seqs = augment_dataset(
             train_seqs, AugmentSpec(factor=task.augment_factor, seed=seed)
         )
     stats = fit_normalizer(train_seqs)
-    train_norm = [apply_zscore(s, stats) for s in train_seqs]
-    val_norm = [apply_zscore(s, stats) for s in val_seqs]
+    train_norm = apply_zscore(train_seqs, stats)
+    val_norm = apply_zscore(val_seqs, stats)
     log.info("training on %d sequences, validating on %d", len(train_norm), len(val_norm))
 
     model = HierarchicalClassifier(net_spec, seed=seed)
 
     report = train_classifier(
         model,
-        stack_views(train_norm),
+        cluster_views(train_norm.data),
         labels_of(train_norm, task),
-        stack_views(val_norm),
+        cluster_views(val_norm.data),
         labels_of(val_norm, task),
         epochs=resolved["epochs"],
         batch=resolved["batch"],
@@ -364,12 +367,12 @@ def cmd_eval_classifier(resolved: dict) -> int:
     task = TaskSpec(extra.get("task"))
 
     sequences, _, _ = load_sequences(resolved["input"])
-    if not sequences[0].normalized:
-        sequences = [apply_zscore(s, stats) for s in sequences]
-    pool = filter_for_task(sequences, task)
-    if not pool:
+    if not sequences.normalized:
+        sequences = apply_zscore(sequences, stats)
+    pool = SequenceSet.of(filter_for_task(sequences, task))
+    if not len(pool):
         raise DataError(f"no sequences usable for task {task.task!r}")
-    accuracy, confusion = evaluate(model, stack_views(pool), labels_of(pool, task))
+    accuracy, confusion = evaluate(model, cluster_views(pool.data), labels_of(pool, task))
 
     print(f"task {task.task}: accuracy {accuracy:.3f} on {len(pool)} sequences")
     print("confusion (rows actual, columns predicted):")
@@ -401,16 +404,16 @@ def cmd_train_gan(resolved: dict) -> int:
     seed = resolved["seed"]
 
     sequences, stats, _ = load_sequences(resolved["input"])
-    if sequences[0].normalized:
+    if sequences.normalized:
         if stats is None:
             raise StateError("normalized archive lacks its normalization stats")
     else:
         stats = fit_normalizer(sequences)
-        sequences = [apply_zscore(s, stats) for s in sequences]
+        sequences = apply_zscore(sequences, stats)
 
     labels = None
     if kind == "cond_wgan_gp":
-        labels = np.array([ConditionLabel.from_meta(s.meta).index for s in sequences])
+        labels = np.array([ConditionLabel.from_meta(m).index for m in sequences.labels])
     cond = N_CONDITIONS if kind == "cond_wgan_gp" else 0
 
     spec = GanTrainSpec(
@@ -435,8 +438,10 @@ def cmd_train_gan(resolved: dict) -> int:
     save_gan(out_dir, generator, critic, gen_spec, critic_spec, spec)
     _save_stats(out_dir / "norm-stats.bin", stats)
     (out_dir / "history.json").write_text(json.dumps(history.to_dict(), indent=2) + "\n")
-    tail = history.w_estimate[-1] if history.w_estimate else float("nan")
-    print(f"trained {kind}: {history.gen_updates} generator steps, last distance estimate {tail:.4f}")
+    # dcgan records no distance estimate, so its summary gives the last discriminator loss
+    what, values = ("discriminator loss", history.d_loss) if kind == "dcgan" else ("distance estimate", history.w_estimate)
+    tail = values[-1] if values else float("nan")
+    print(f"trained {kind}: {history.gen_updates} generator steps, last {what} {tail:.4f}")
     return 0
 
 
@@ -456,6 +461,8 @@ def cmd_generate(resolved: dict) -> int:
     if meta.get("role") != "generator":
         raise ContractError(f"{resolved['model']}: not a generator checkpoint (role {meta.get('role')!r})")
     gen_spec = GeneratorSpec.from_dict(meta.get("spec"))
+    if build_generator(gen_spec).architecture() != generator.architecture():
+        raise ContractError(f"{resolved['model']}: the generator spec does not match the saved architecture")
     stats_path = resolved["stats"] or str(Path(resolved["model"]).parent / "norm-stats.bin")
     stats = _load_stats(stats_path)
 
@@ -515,7 +522,7 @@ def cmd_stats(resolved: dict) -> int:
         skipped = result.skipped_missing_c7
     else:
         sequences, _, _ = load_sequences(src)
-        metas = [s.meta for s in sequences if s.meta is not None]
+        metas = [m for m in sequences.labels if m is not None]
         skipped = 0
     if not metas:
         raise DataError(f"no labeled records in {src}")

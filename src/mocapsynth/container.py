@@ -151,8 +151,11 @@ def read_container(path: str | Path, expect_kind: str | None = None) -> tuple[di
             valid_shape = all(type(n) is int and n >= 0 for n in shape)
             if not isinstance(name, str) or dt.kind not in "fiub" or not valid_shape:
                 raise TrialFormatError(f"{path}: malformed array entry {entry!r}")
-            nbytes = math.prod(shape) * dt.itemsize
-            if nbytes > size - fh.tell():
+            if math.prod(shape) * dt.itemsize > size - fh.tell():
                 raise TrialFormatError(f"{path}: truncated array {name!r}")
-            arrays[name] = np.frombuffer(fh.read(nbytes), dtype=dt).reshape(shape).copy()
+            # the file's bytes land in the array itself: one copy, no bytes object
+            arr = np.empty(shape, dtype=dt)
+            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
+                raise TrialFormatError(f"{path}: truncated array {name!r}")
+            arrays[name] = arr
     return header["meta"], arrays

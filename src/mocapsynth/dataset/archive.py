@@ -4,11 +4,9 @@ from __future__ import annotations
 
 from pathlib import Path
 
-import numpy as np
-
 from ..container import read_container, write_container
-from ..errors import ContractError
-from .preprocess import MotionSequence, NormStats
+from ..errors import ContractError, ShapeError, TrialFormatError
+from .preprocess import NormStats, SequenceSet
 from .trials import TrialMeta
 
 KIND = "sequences"
@@ -16,41 +14,40 @@ KIND = "sequences"
 
 def save_sequences(
     path: str | Path,
-    sequences: list[MotionSequence],
+    sequences,
     stats: NormStats | None = None,
     extra: dict | None = None,
 ) -> None:
-    if not sequences:
+    """Write a SequenceSet (or a list of MotionSequence) with optional norm stats."""
+    sequences = SequenceSet.of(sequences)
+    if not len(sequences):
         raise ContractError("refusing to write an empty sequence archive")
-    flags = {seq.normalized for seq in sequences}
-    if len(flags) != 1:
-        raise ContractError("archive mixes normalized and unnormalized sequences")
-    data = np.stack([seq.data for seq in sequences])
+    # augmented copies share their source's label: one dict per distinct label
+    dicts = {m: m.to_dict() for m in set(sequences.labels) if m}
     meta = {
-        "normalized": sequences[0].normalized,
-        "names": [seq.name for seq in sequences],
-        "labels": [seq.meta.to_dict() if seq.meta else None for seq in sequences],
+        "normalized": sequences.normalized,
+        "names": sequences.names,
+        "labels": [dicts[m] if m else None for m in sequences.labels],
         "extra": extra or {},
     }
-    arrays = {"data": data}
+    arrays = {"data": sequences.data}
     if stats is not None:
         arrays.update(stats.to_arrays())
     write_container(path, KIND, meta, arrays)
 
 
-def load_sequences(path: str | Path) -> tuple[list[MotionSequence], NormStats | None, dict]:
+def load_sequences(path: str | Path) -> tuple[SequenceSet, NormStats | None, dict]:
     meta, arrays = read_container(path, expect_kind=KIND)
-    normalized = bool(meta["normalized"])
-    sequences = []
-    for i, data in enumerate(arrays["data"]):
-        label = meta["labels"][i]
-        sequences.append(
-            MotionSequence(
-                data,
-                normalized=normalized,
-                meta=TrialMeta.from_dict(label) if label else None,
-                name=meta["names"][i],
-            )
-        )
-    stats = NormStats.from_arrays(arrays) if "norm_mean" in arrays else None
-    return sequences, stats, meta.get("extra", {})
+    if "data" not in arrays or not isinstance(meta, dict) or not {"normalized", "names", "labels"} <= meta.keys():
+        raise TrialFormatError(f"{path}: a sequence archive needs data, normalized, names and labels")
+    names, labels, normalized, extra = meta["names"], meta["labels"], meta["normalized"], meta.get("extra", {})
+    if not (isinstance(names, list) and all(isinstance(n, str) for n in names) and type(normalized) is bool
+            and isinstance(labels, list) and all(m is None or isinstance(m, dict) for m in labels)
+            and isinstance(extra, dict)):
+        raise TrialFormatError(f"{path}: names must be strings, labels objects or nulls, normalized a boolean, extra an object")
+    try:
+        sequences = SequenceSet(arrays["data"], names, [TrialMeta.from_dict(m) if m else None for m in labels], normalized)
+        stats = NormStats.from_arrays(arrays) if "norm_mean" in arrays else None
+    except (ContractError, ShapeError) as exc:
+        raise TrialFormatError(f"{path}: {exc}") from None
+    return sequences, stats, extra

@@ -6,8 +6,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DegenerateFeatureError, NoMotionError, StateError, TooShortError
-from ..markers import CLUSTER_CENTER, CLUSTER_LOWER, CLUSTER_UPPER, cluster_feature_columns
+from ..errors import ContractError, DegenerateFeatureError, NoMotionError, ShapeError, StateError, TooShortError
+from ..markers import CLUSTER_CENTER, CLUSTER_LOWER, CLUSTER_UPPER, N_FEATURES, cluster_feature_columns
 from .trials import Trial, TrialMeta
 
 SEQUENCE_LENGTH = 32
@@ -33,16 +33,62 @@ class MotionSequence:
         return self.data.reshape(SEQUENCE_LENGTH, 16, 3)
 
 
+@dataclass(eq=False)
+class SequenceSet:
+    """N sequences as one C-ordered float64 (N, 32, 48) block, with a name and label per row.
+
+    len() counts the rows; indexing or iterating gives MotionSequence
+    views of them, so nothing is copied.
+    """
+
+    data: np.ndarray  # (N, 32, 48)
+    names: list[str]
+    labels: list[TrialMeta | None]
+    normalized: bool = False
+
+    def __post_init__(self):
+        self.data = np.ascontiguousarray(self.data, dtype=np.float64)
+        if self.data.ndim != 3 or self.data.shape[1:] != (SEQUENCE_LENGTH, N_FEATURES):
+            raise ShapeError(f"a sequence set is (N, {SEQUENCE_LENGTH}, {N_FEATURES}), got {self.data.shape}")
+        if not len(self.names) == len(self.labels) == len(self.data):
+            raise ContractError(f"{len(self.data)} sequences, {len(self.names)} names and {len(self.labels)} labels")
+
+    @classmethod
+    def of(cls, sequences) -> "SequenceSet":
+        """A set as it is; any other iterable of MotionSequence stacked into a new one."""
+        if isinstance(sequences, cls):
+            return sequences
+        seqs = list(sequences)
+        flags = {seq.normalized for seq in seqs}
+        if len(flags) > 1:
+            raise ContractError("a sequence set mixes normalized and unnormalized sequences")
+        data = np.stack([seq.data for seq in seqs]) if seqs else np.empty((0, SEQUENCE_LENGTH, N_FEATURES))
+        return cls(data, [seq.name for seq in seqs], [seq.meta for seq in seqs], flags == {True})
+
+    def __len__(self) -> int:
+        return len(self.data)
+
+    def __getitem__(self, i: int) -> MotionSequence:
+        # iteration goes through here too, and stops at the IndexError past the last row
+        return MotionSequence(self.data[i], self.normalized, self.labels[i], self.names[i])
+
+
 @dataclass
 class NormStats:
     mean: np.ndarray  # (48,)
     std: np.ndarray  # (48,)
+
+    def __post_init__(self):
+        if np.shape(self.mean) != (N_FEATURES,) or np.shape(self.std) != (N_FEATURES,):
+            raise ContractError(f"norm stats are two ({N_FEATURES},) arrays, got {np.shape(self.mean)}, {np.shape(self.std)}")
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"norm_mean": self.mean, "norm_std": self.std}
 
     @classmethod
     def from_arrays(cls, arrays: dict[str, np.ndarray]) -> "NormStats":
+        if not {"norm_mean", "norm_std"} <= arrays.keys():
+            raise ContractError(f"norm stats need norm_mean and norm_std arrays, got {sorted(arrays)}")
         return cls(arrays["norm_mean"], arrays["norm_std"])
 
 
@@ -123,31 +169,37 @@ def resample_uniform(trial: Trial) -> MotionSequence:
     return MotionSequence(trial.coords[idx], normalized=False, meta=trial.meta, name=trial.name)
 
 
-def fit_normalizer(train: list[MotionSequence]) -> NormStats:
-    """Per-feature mean/std over every frame of every training sequence."""
-    if not train:
+def fit_normalizer(train) -> NormStats:
+    """Per-feature mean/std over every frame of every training sequence (a SequenceSet or a list)."""
+    train = SequenceSet.of(train)
+    if not len(train):
         raise StateError("cannot fit a normalizer on an empty training set")
-    if any(seq.normalized for seq in train):
+    if train.normalized:
         raise StateError("normalizer must be fit on unnormalized sequences")
-    stacked = np.concatenate([seq.data for seq in train], axis=0)
-    mean = stacked.mean(axis=0)
-    std = stacked.std(axis=0)  # population std: every frame is data, not a sample
+    frames = train.data.reshape(-1, N_FEATURES)  # a view: the (N*32, 48) rows, in order
+    mean = frames.mean(axis=0)
+    std = frames.std(axis=0)  # population std: every frame is data, not a sample
     bad = np.where(std <= 1e-12 * np.maximum(1.0, np.abs(mean)))[0]
     if bad.size:
         raise DegenerateFeatureError(int(bad[0]))
     return NormStats(mean, std)
 
 
-def apply_zscore(seq: MotionSequence, stats: NormStats) -> MotionSequence:
-    if seq.normalized:
-        raise StateError(f"sequence {seq.name!r} is already normalized")
-    return MotionSequence((seq.data - stats.mean) / stats.std, normalized=True, meta=seq.meta, name=seq.name)
+def apply_zscore(sequences: SequenceSet, stats: NormStats) -> SequenceSet:
+    """A new z-scored set; (x - mean) / std fills one new block."""
+    if sequences.normalized:
+        raise StateError("the sequence set is already normalized")
+    out = np.subtract(sequences.data, stats.mean)
+    out /= stats.std
+    return SequenceSet(out, sequences.names, sequences.labels, normalized=True)
 
 
-def invert_zscore(seq: MotionSequence, stats: NormStats) -> MotionSequence:
-    if not seq.normalized:
-        raise StateError(f"sequence {seq.name!r} is not normalized")
-    return MotionSequence(seq.data * stats.std + stats.mean, normalized=False, meta=seq.meta, name=seq.name)
+def invert_zscore(sequences: SequenceSet, stats: NormStats) -> SequenceSet:
+    if not sequences.normalized:
+        raise StateError("the sequence set is not normalized")
+    out = np.multiply(sequences.data, stats.std)
+    out += stats.mean
+    return SequenceSet(out, sequences.names, sequences.labels, normalized=False)
 
 
 _CLUSTER_COLS = {

@@ -1,5 +1,7 @@
 """Exception taxonomy shared by all subpackages."""
 
+from .markers import MARKER_NAMES
+
 
 class MocapError(Exception):
     """Base class for all package errors."""
@@ -22,7 +24,8 @@ class DegenerateFeatureError(MocapError):
 
     def __init__(self, feature_index: int):
         self.feature_index = feature_index
-        super().__init__(f"feature {feature_index} has zero variance")
+        name = f"{MARKER_NAMES[feature_index // 3]}_{'xyz'[feature_index % 3]}"
+        super().__init__(f"feature {feature_index} ({name}) has zero variance")
 
 
 class StateError(MocapError):

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..container import JsonRecord
+from ..dataset.preprocess import SequenceSet, invert_zscore
 from ..errors import ContractError, DataError, LabelError, NumericalError, ShapeError, StateError
 from ..nn import Adam, Tensor, no_grad, tmean
 from ..nn.checkpoint import save_model
@@ -115,18 +116,15 @@ class GanHistory(JsonRecord):
 
 
 def _as_array(data) -> np.ndarray:
-    """Accept a raw (n, T, C) array or a list of normalized sequences."""
-    if isinstance(data, np.ndarray):
-        if data.ndim != 3:
-            raise ShapeError(f"training data must be (n, steps, channels), got {data.shape}")
-        return data.astype(float)
-    seqs = list(data)
-    if not seqs:
-        raise DataError("no training sequences")
-    for s in seqs:
-        if not s.normalized:
+    """The (n, T, C) block of a raw array or of a z-scored SequenceSet; float64 data is not copied."""
+    if isinstance(data, SequenceSet):
+        if not data.normalized:
             raise StateError("train on z-scored sequences; fit and apply a normalizer first")
-    return np.stack([s.data for s in seqs])
+        return data.data
+    data = np.asarray(data, dtype=np.float64)
+    if data.ndim != 3:
+        raise ShapeError(f"training data must be (n, steps, channels), got {data.shape}")
+    return data
 
 
 def _check_shapes(spec: GanTrainSpec, data, gen_spec, critic_spec):
@@ -288,8 +286,8 @@ def train_gan(
 ):
     """Train a generator/critic pair; returns (generator, critic, history).
 
-    data is either a (n, steps, channels) array or a list of normalized
-    MotionSequence. labels (condition indices, 0..5) are required for
+    data is either a (n, steps, channels) array or a z-scored
+    SequenceSet; it is read, never written. labels (condition indices, 0..5) are required for
     the conditional kind and ignored otherwise.
     """
     data = _as_array(data)
@@ -349,13 +347,8 @@ def generate_sequences(
     n: int,
     seed: int = 0,
     condition: int | None = None,
-) -> list:
-    """Sample and denormalize: n world-space 32x48 motion sequences."""
-    from ..dataset.preprocess import MotionSequence, invert_zscore
-
+) -> SequenceSet:
+    """Sample and denormalize: n world-space 32x48 motion sequences, named generated0000 on."""
     raw = sample_generator(generator, gen_spec, n, seed=seed, condition=condition)
-    out = []
-    for i in range(n):
-        seq = MotionSequence(raw[i], normalized=True, name=f"generated{i:04d}")
-        out.append(invert_zscore(seq, stats))
-    return out
+    names = [f"generated{i:04d}" for i in range(n)]
+    return invert_zscore(SequenceSet(raw, names, [None] * n, normalized=True), stats)

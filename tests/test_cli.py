@@ -447,6 +447,32 @@ def test_hostile_checkpoints_exit_1(archive, gan_dir, tmp_path, capsys, command,
     one_error_line(capsys)
 
 
+@pytest.mark.parametrize("key, value", [("conv_filters", [192, 96, 47]), ("noise_dim", 50)])
+def test_generate_refuses_a_spec_that_disagrees_with_the_architecture(gan_dir, tmp_path, capsys, key, value):
+    # the architecture rebuilds the model and the spec sets the noise width:
+    # a checkpoint whose two records disagree is refused before sampling
+    meta, arrays = read_container(gan_dir / "generator.model")
+    meta["extra"]["spec"][key] = value
+    model = tmp_path / "edited.model"
+    write_container(model, "model", meta, arrays)
+    out = tmp_path / "o"
+    rc = main(["generate", "--model", str(model), "--stats", str(gan_dir / "norm-stats.bin"),
+               "--out", str(out), "--count", "1"])
+    assert rc == 1
+    assert "does not match the saved architecture" in one_error_line(capsys)
+    assert not out.exists()
+
+
+def test_dcgan_summary_reports_its_discriminator_loss(augmented, tmp_path, capsys):
+    rc = main(["train-gan", "--input", str(augmented), "--out", str(tmp_path / "dc"), "--kind", "dcgan",
+               "--epochs", "1", "--batch", "4", "--seed", "5"])
+    assert rc == 0
+    (line,) = [l for l in capsys.readouterr().out.splitlines() if l.startswith("trained dcgan")]
+    history = json.loads((tmp_path / "dc" / "history.json").read_text())
+    assert "nan" not in line
+    assert line.endswith(f"last discriminator loss {history['d_loss'][-1]:.4f}")
+
+
 @pytest.mark.parametrize(
     "text, key",
     [('{"bones": 5}', "bones"), ("nope", "not JSON"), ('{"bones": [["c7"]]}', "bones[0]"), (b"\xff{", "not JSON")],

@@ -15,7 +15,11 @@ from hypothesis import strategies as st
 
 import mocapsynth.container as container
 from mocapsynth.container import MAGIC, read_container, write_container
+from mocapsynth.dataset import MotionSequence, NormStats, TrialMeta, load_sequences, save_sequences
 from mocapsynth.errors import MocapError, TrialFormatError
+from mocapsynth.gan import build_generator, toy_generator_spec
+from mocapsynth.nn import load_model
+from mocapsynth.nn.checkpoint import save_model
 
 
 def small_container(path):
@@ -168,3 +172,54 @@ def test_malformed_header_is_a_format_error(tmp_path, header):
     with_header(path, header, body=b"\0" * 64)
     with pytest.raises(TrialFormatError):
         read_container(path)
+
+
+def _header_end(data: bytes) -> int:
+    return 16 + struct.unpack("<Q", data[8:16])[0]
+
+
+def test_a_short_read_is_a_format_error(tmp_path, monkeypatch):
+    # with the size check blinded, each truncation must still be caught by the read itself
+    full = tmp_path / "c.bin"
+    small_container(full)
+    data = full.read_bytes()
+    real_fstat = os.fstat
+
+    def huge_fstat(fd):
+        st = list(real_fstat(fd))
+        st[6] = 2**40  # st_size
+        return os.stat_result(st)
+
+    monkeypatch.setattr(container.os, "fstat", huge_fstat)
+    cut = tmp_path / "cut.bin"
+    for n in range(_header_end(data), len(data)):
+        cut.write_bytes(data[:n])
+        with pytest.raises(TrialFormatError, match="truncated array"):
+            read_container(cut)
+
+
+def _flip_files(base):
+    """A small sequence archive with labels and stats, and a small model checkpoint."""
+    rng = np.random.default_rng(5)
+    meta = TrialMeta("p01", "small", 640, "balanced", "facing", "A")
+    seqs = [MotionSequence(rng.normal(size=(32, 48)), meta=meta if i else None, name=f"s{i}") for i in range(2)]
+    save_sequences(base / "seqs.bin", seqs, stats=NormStats(np.zeros(48), np.ones(48)), extra={"k": 1})
+    save_model(base / "gen.model", build_generator(toy_generator_spec()), {"role": "generator"})
+    return {"seqs.bin": load_sequences, "gen.model": load_model}
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@given(target=st.sampled_from(["seqs.bin", "gen.model"]), in_header=st.booleans(), pick=st.floats(0, 1, exclude_max=True))
+def test_any_single_bit_flip_loads_or_raises_a_package_error(tmp_path_factory, target, in_header, pick):
+    base = tmp_path_factory.getbasetemp()
+    loaders = _flip_files(base)
+    data = bytearray((base / target).read_bytes())
+    # half the flips land in the magic, the length or the JSON header, where the structure is
+    bit = int(pick * 8 * (_header_end(data) if in_header else len(data)))
+    data[bit // 8] ^= 1 << (bit % 8)
+    flipped = base / f"flipped-{target}"
+    flipped.write_bytes(bytes(data))
+    try:
+        loaders[target](flipped)
+    except MocapError:
+        pass

@@ -10,6 +10,7 @@ import pytest
 from mocapsynth.classifier import cluster_views
 from mocapsynth.dataset import (
     MotionSequence,
+    SequenceSet,
     NormStats,
     Trial,
     TrialMeta,
@@ -310,6 +311,14 @@ def test_fit_normalizer_flags_constant_feature():
     with pytest.raises(DegenerateFeatureError) as exc:
         fit_normalizer(seqs)
     assert exc.value.feature_index == 0
+    assert str(exc.value) == "feature 0 (head_fl_x) has zero variance"
+    for s in seqs:
+        s.data[:, 0] = np.arange(32)
+        s.data[:, 47] = 1.5
+    with pytest.raises(DegenerateFeatureError) as exc:
+        fit_normalizer(SequenceSet.of(seqs))
+    assert exc.value.feature_index == 47
+    assert str(exc.value) == "feature 47 (bowl_z) has zero variance"
 
 
 def test_fit_normalizer_standard_normal_statistics():
@@ -335,7 +344,7 @@ def test_fit_normalizer_two_sequence_hand_computed():
 
 def test_zscore_arithmetic_and_round_trip():
     stats = NormStats(np.full(48, 1.0), np.full(48, 2.0))
-    seq = MotionSequence(np.full((32, 48), 5.0))
+    seq = SequenceSet.of([MotionSequence(np.full((32, 48), 5.0))])
     z = apply_zscore(seq, stats)
     npt.assert_allclose(z.data, 2.0)
     assert z.normalized
@@ -346,7 +355,7 @@ def test_zscore_arithmetic_and_round_trip():
 
 def test_zscore_state_errors():
     stats = NormStats(np.zeros(48), np.ones(48))
-    seq = MotionSequence(np.zeros((32, 48)))
+    seq = SequenceSet.of([MotionSequence(np.zeros((32, 48)))])
     z = apply_zscore(seq, stats)
     with pytest.raises(StateError):
         apply_zscore(z, stats)
@@ -358,7 +367,7 @@ def test_normalized_training_set_is_standard():
     rng = np.random.default_rng(10)
     seqs = [MotionSequence(rng.normal(loc=3, scale=7, size=(32, 48))) for _ in range(20)]
     stats = fit_normalizer(seqs)
-    z = np.concatenate([apply_zscore(s, stats).data for s in seqs])
+    z = apply_zscore(SequenceSet.of(seqs), stats).data.reshape(-1, 48)
     assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-9)
 
