@@ -16,7 +16,7 @@ import numpy as np
 
 from ..markers import BOWL, CSV_COLUMNS_NO_C7, N_MARKERS
 from ..seeding import derive_rng
-from .trials import Trial, TrialMeta, save_trial
+from .trials import Trial, TrialMeta, _write_csv_rows, save_trial
 
 # Strategy frequencies of the full usable corpus (805 trials).
 CORPUS_STRATEGY_COUNTS = {
@@ -145,10 +145,7 @@ def write_corpus(directory: str | Path, seed: int = 0, carry: int = 36) -> Path:
         )
         trial = make_trial(f"zrej{j:04d}", meta, rng, lead_in=2, carry=30, lead_out=2)
         rows = trial.points()[:, keep, :].reshape(trial.n_frames, -1)
-        lines = [",".join(CSV_COLUMNS_NO_C7)]
-        for row in rows:
-            lines.append(",".join(f"{v:.6f}" for v in row))
-        (directory / f"zrej{j:04d}.csv").write_bytes(("\n".join(lines) + "\n").encode())
+        _write_csv_rows(CSV_COLUMNS_NO_C7, rows, directory / f"zrej{j:04d}.csv")
         (directory / f"zrej{j:04d}.json").write_text("{}")
     return directory
 

@@ -8,11 +8,14 @@ metadata. Writing is canonical, so load followed by save is byte-stable.
 from __future__ import annotations
 
 import json
+import math
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
+from ..container import TYPE_NAMES, fits
 from ..errors import TrialFormatError
 from ..markers import CSV_COLUMNS, CSV_COLUMNS_NO_C7, N_MARKERS
 
@@ -65,11 +68,21 @@ class TrialMeta:
         }
 
     @classmethod
-    def from_dict(cls, d: dict) -> "TrialMeta":
+    def from_dict(cls, d) -> "TrialMeta":
+        """Read a sidecar's JSON object: string labels, whole-number weight, finite positive frame rate."""
+        if not isinstance(d, dict):
+            raise TrialFormatError(f"metadata must be a JSON object, got {json.dumps(d)}")
         required = {"participant", "bowl_size", "weight_g", "balance", "orientation", "strategy", "frame_rate"}
         missing = required - set(d)
         if missing:
             raise TrialFormatError(f"metadata missing fields: {sorted(missing)}")
+        kinds = {"weight_g": int, "frame_rate": float}  # the rest are string labels
+        for key in sorted(required):
+            kind = kinds.get(key, str)
+            if not fits(d[key], kind):
+                raise TrialFormatError(f"metadata field {key!r} must be {TYPE_NAMES[kind]}, got {json.dumps(d[key])}")
+        if not (math.isfinite(d["frame_rate"]) and d["frame_rate"] > 0):
+            raise TrialFormatError(f"metadata field 'frame_rate' must be finite and positive, got {d['frame_rate']!r}")
         return cls(**{k: d[k] for k in required})
 
 
@@ -130,11 +143,19 @@ def write_sequence_csv(coords: np.ndarray, path: str | Path) -> Path:
     coords = np.asarray(coords, dtype=np.float64)
     if coords.ndim != 2 or coords.shape[1] != len(CSV_COLUMNS):
         raise TrialFormatError(f"expected (frames, {len(CSV_COLUMNS)}) coordinates, got {coords.shape}")
+    return _write_csv_rows(CSV_COLUMNS, coords, path)
+
+
+def _write_csv_rows(header: tuple[str, ...], rows: np.ndarray, path: str | Path) -> Path:
+    """Write a header line, then each row at 6 decimals, with LF line endings.
+
+    One %-format call renders the file; "%.6f" rounds exactly as f"{v:.6f}" does.
+    """
+    n, width = rows.shape
+    line = ",".join(["%.6f"] * width) + "\n"
+    body = (line * n) % tuple(rows.ravel().tolist())
     path = Path(path)
-    lines = [",".join(CSV_COLUMNS)]
-    for row in coords:
-        lines.append(",".join(f"{v:.6f}" for v in row))
-    path.write_bytes(("\n".join(lines) + "\n").encode("utf-8"))
+    path.write_bytes((",".join(header) + "\n" + body).encode("utf-8"))
     return path
 
 
@@ -145,6 +166,10 @@ def read_sequence_csv(path: str | Path) -> np.ndarray:
 
 class MissingC7(Exception):
     """Internal signal: trial lacks the C7 marker columns."""
+
+
+# ASCII separators np.loadtxt strips as whitespace where float() refuses them
+_LOADTXT_ONLY_SPACE = ("\x1c", "\x1d", "\x1e", "\x1f")
 
 
 def _parse_csv(path: Path) -> np.ndarray:
@@ -159,8 +184,23 @@ def _parse_csv(path: Path) -> np.ndarray:
         raise MissingC7()
     if header != list(CSV_COLUMNS):
         raise TrialFormatError(f"{path}: unexpected header ({len(header)} columns)")
-    rows = np.empty((len(lines) - 1, len(CSV_COLUMNS)), dtype=np.float64)
-    for i, line in enumerate(lines[1:], start=2):
+    body = lines[1:]
+    if body and not any(c in text for c in _LOADTXT_ONLY_SPACE):
+        # one parse for the whole file, with the same correctly rounded
+        # conversion as float(); it skips blank lines (warning when no line
+        # is left), hence the row count
+        try:
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore", UserWarning)
+                rows = np.loadtxt(body, delimiter=",", dtype=np.float64, ndmin=2, comments=None)
+        except ValueError:
+            rows = None
+        if rows is not None and rows.shape == (len(body), len(CSV_COLUMNS)):
+            return rows
+    # line by line with float(): names the first bad line, and reads the few
+    # forms only float() accepts (digit underscores, non-ASCII digits)
+    rows = np.empty((len(body), len(CSV_COLUMNS)), dtype=np.float64)
+    for i, line in enumerate(body, start=2):
         parts = line.split(",")
         if len(parts) != len(CSV_COLUMNS):
             raise TrialFormatError(f"{path}: line {i}: expected {len(CSV_COLUMNS)} columns, got {len(parts)}")

@@ -247,8 +247,10 @@ def _generator_update(run: _Run, step: int) -> float:
         gen_loss = generator_logloss(c_fake)
     value = _finite(float(gen_loss.data), "generator loss", step)
     run.gen_opt.zero_grad()
+    # the critic stays frozen: its last gradients are released before this
+    # step's graph peaks, and no new ones are formed
     run.critic_opt.zero_grad()
-    gen_loss.backward()
+    gen_loss.backward(wrt=run.gen_opt.params)
     run.gen_opt.step()
     run.history.gen_updates += 1
     return value

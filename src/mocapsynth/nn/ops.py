@@ -24,6 +24,7 @@ from .tensor import (
     matmul,
     mul_const,
     narrow,
+    needs_grad,
     repeat_time,
     reshape,
     tsum,
@@ -98,11 +99,11 @@ def conv1d(
         out += bias.data
 
     def vjp(g: Tensor):
-        gx = conv1d_input_grad(g, weight, t, stride, spacing) if x.requires_grad else None
-        gw = conv1d_weight_grad(x, g, k, stride, spacing, cols) if weight.requires_grad else None
+        gx = conv1d_input_grad(g, weight, t, stride, spacing) if needs_grad(x) else None
+        gw = conv1d_weight_grad(x, g, k, stride, spacing, cols) if needs_grad(weight) else None
         if bias is None:
             return gx, gw
-        return gx, gw, (tsum(g, axis=(0, 1)) if bias.requires_grad else None)
+        return gx, gw, (tsum(g, axis=(0, 1)) if needs_grad(bias) else None)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
     return _make(out.reshape(b, conv_output_length(t, stride), c_out), inputs, vjp, "conv1d")
@@ -127,8 +128,8 @@ def conv1d_input_grad(g: Tensor, weight: Tensor, length: int, stride: int = 1, s
         padded[:, start : start + span : stride] += taps[:, :, j]
 
     def vjp(gg: Tensor):
-        dg = conv1d(gg, weight, stride=stride, spacing=spacing) if g.requires_grad else None
-        dw = conv1d_weight_grad(gg, g, k, stride, spacing) if weight.requires_grad else None
+        dg = conv1d(gg, weight, stride=stride, spacing=spacing) if needs_grad(g) else None
+        dw = conv1d_weight_grad(gg, g, k, stride, spacing) if needs_grad(weight) else None
         return dg, dw
 
     data = np.ascontiguousarray(padded[:, left : left + length])
@@ -156,8 +157,8 @@ def conv1d_weight_grad(
     data = (cols.T @ g.data.reshape(-1, c_out)).reshape(kernel, c_in, c_out)
 
     def vjp(gw: Tensor):
-        dx = conv1d_input_grad(g, gw, t, stride, spacing) if x.requires_grad else None
-        dg = conv1d(x, gw, stride=stride, spacing=spacing) if g.requires_grad else None
+        dx = conv1d_input_grad(g, gw, t, stride, spacing) if needs_grad(x) else None
+        dg = conv1d(x, gw, stride=stride, spacing=spacing) if needs_grad(g) else None
         return dx, dg
 
     return _make(data, (x, g), vjp, "conv1d_weight_grad")

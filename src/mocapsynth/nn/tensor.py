@@ -17,6 +17,8 @@ import numpy as np
 from ..errors import ContractError, NumericalError, ShapeError
 
 _GRAD_MODE = [True]
+# ids of the nodes the running backward pass carries gradients to; None means all
+_KEEP: list[set[int] | None] = [None]
 
 
 @contextmanager
@@ -39,6 +41,21 @@ def enable_grad():
 
 def grad_enabled() -> bool:
     return _GRAD_MODE[-1]
+
+
+@contextmanager
+def _keeping(keep: set[int] | None):
+    _KEEP.append(keep)
+    try:
+        yield
+    finally:
+        _KEEP.pop()
+
+
+def needs_grad(t: "Tensor") -> bool:
+    """Whether the running backward pass wants a gradient for `t`; costly vjps skip the rest."""
+    keep = _KEEP[-1]
+    return t.requires_grad and (keep is None or id(t) in keep)
 
 
 class Tensor:
@@ -122,11 +139,11 @@ class Tensor:
             shape = tuple(shape[0])
         return reshape(self, shape)
 
-    def backward(self) -> None:
-        """Accumulate d(self)/d(leaf) into the .grad of every leaf tensor."""
+    def backward(self, wrt: Iterable[Tensor] | None = None) -> None:
+        """Accumulate d(self)/d(leaf) into the .grad of every leaf tensor, or of those in `wrt` only."""
         if self.size != 1:
             raise ContractError(f"backward requires a scalar, got shape {self.shape}")
-        grads = backward_pass(self, Tensor(np.ones_like(self.data)), create_graph=False)
+        grads = backward_pass(self, Tensor(np.ones_like(self.data)), create_graph=False, wrt=wrt)
         for node, g in grads.items():
             if node.requires_grad and node._vjp is None:
                 node.grad = g.data.copy() if node.grad is None else node.grad + g.data
@@ -169,13 +186,27 @@ def _topo_order(root: Tensor) -> list[Tensor]:
     return order
 
 
-def backward_pass(root: Tensor, seed: Tensor, create_graph: bool) -> dict[Tensor, Tensor]:
-    """Run reverse-mode accumulation from `root`; returns node -> gradient."""
+def backward_pass(
+    root: Tensor, seed: Tensor, create_graph: bool, wrt: Iterable[Tensor] | None = None
+) -> dict[Tensor, Tensor]:
+    """Run reverse-mode accumulation from `root`; returns node -> gradient.
+
+    With `wrt`, only the nodes on a path from a `wrt` tensor to `root` are
+    visited, and no gradient is formed for an input off those paths.
+    """
+    order = _topo_order(root)
+    keep = None
+    if wrt is not None:
+        keep = {id(t) for t in wrt}
+        for node in order:  # post-order: every input precedes its consumers
+            if any(id(p) in keep for p in node._prev):
+                keep.add(id(node))
+        order = [node for node in order if id(node) in keep]
     mode = enable_grad if create_graph else no_grad
     grads: dict[int, Tensor] = {id(root): seed}
     result: dict[Tensor, Tensor] = {}
-    with mode():
-        for node in reversed(_topo_order(root)):
+    with mode(), _keeping(keep):
+        for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:
                 continue
@@ -186,7 +217,7 @@ def backward_pass(root: Tensor, seed: Tensor, create_graph: bool) -> dict[Tensor
                 continue
             input_grads = node._vjp(g)
             for inp, gi in zip(node._prev, input_grads):
-                if gi is None or not inp.requires_grad:
+                if gi is None or not inp.requires_grad or (keep is not None and id(inp) not in keep):
                     continue
                 prev = grads.get(id(inp))
                 grads[id(inp)] = gi if prev is None else add(prev, gi)
@@ -205,7 +236,8 @@ def grad(
     """
     if output.size != 1:
         raise ContractError(f"grad requires a scalar output, got shape {output.shape}")
-    grads = backward_pass(output, Tensor(np.ones_like(output.data)), create_graph)
+    wrt = list(wrt)
+    grads = backward_pass(output, Tensor(np.ones_like(output.data)), create_graph, wrt)
     out = []
     for w in wrt:
         g = grads.get(w)
@@ -404,7 +436,9 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
     def vjp(g: Tensor):
-        return matmul(g, transpose2d(b)), matmul(transpose2d(a), g)
+        ga = matmul(g, transpose2d(b)) if needs_grad(a) else None
+        gb = matmul(transpose2d(a), g) if needs_grad(b) else None
+        return ga, gb
 
     return _make(a.data @ b.data, (a, b), vjp, "matmul")
 

@@ -101,3 +101,36 @@ def pairwise_distances(points):
         for j in range(n):
             out[i, j] = math.sqrt(((points[i] - points[j]) ** 2).sum())
     return out
+
+
+def csv_bytes_per_value(header, rows):
+    """Trial CSV bytes formatted one value at a time with f"{v:.6f}"."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(f"{v:.6f}" for v in row))
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+def csv_rows_per_value(path, columns, error):
+    """A trial CSV's coordinates read one float() at a time; faults raise `error`.
+
+    The header must equal `columns`; a bad row names its line number.
+    """
+    lines = path.read_text(encoding="utf-8").split("\n")
+    if lines and lines[-1] == "":
+        lines.pop()
+    if not lines:
+        raise error(f"{path}: empty file")
+    header = lines[0].split(",")
+    if header != list(columns):
+        raise error(f"{path}: unexpected header ({len(header)} columns)")
+    rows = np.empty((len(lines) - 1, len(columns)), dtype=np.float64)
+    for i, line in enumerate(lines[1:], start=2):
+        parts = line.split(",")
+        if len(parts) != len(columns):
+            raise error(f"{path}: line {i}: expected {len(columns)} columns, got {len(parts)}")
+        try:
+            rows[i - 2] = [float(p) for p in parts]
+        except ValueError as exc:
+            raise error(f"{path}: line {i}: {exc}") from None
+    return rows

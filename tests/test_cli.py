@@ -101,6 +101,20 @@ def test_nonexistent_input_is_runtime_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("sidecar, key", [("5", "JSON object"), ('{"frame_rate": "fast"}', "frame_rate")])
+def test_ingest_refuses_a_sidecar_of_the_wrong_type(corpus_dir, tmp_path, capsys, sidecar, key):
+    trials = tmp_path / "trials"
+    trials.mkdir()
+    (trials / "t000.csv").write_bytes((corpus_dir / "t000.csv").read_bytes())
+    doc = json.loads(sidecar)
+    if isinstance(doc, dict):
+        doc = {**json.loads((corpus_dir / "t000.json").read_text()), **doc}
+    (trials / "t000.json").write_text(json.dumps(doc))
+    rc = main(["ingest", "--input", str(trials), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert key in one_error_line(capsys)
+
+
 def test_ingest_writes_archive_and_snapshot(archive):
     sequences, stats, extra = load_sequences(archive)
     assert len(sequences) == 12

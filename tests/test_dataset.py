@@ -3,9 +3,14 @@
 import json
 from collections import Counter
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from oracles import csv_bytes_per_value, csv_rows_per_value
 
 from mocapsynth.classifier import cluster_views
 from mocapsynth.dataset import (
@@ -21,11 +26,13 @@ from mocapsynth.dataset import (
     invert_zscore,
     load_trial,
     load_trials,
+    read_sequence_csv,
     resample_centered,
     resample_uniform,
     save_trial,
     trim_to_motion,
     uniform_indices,
+    write_sequence_csv,
 )
 from mocapsynth.dataset.synthetic import (
     CORPUS_STRATEGY_COUNTS,
@@ -34,6 +41,7 @@ from mocapsynth.dataset.synthetic import (
     make_trial,
     write_corpus,
 )
+from mocapsynth.dataset.trials import _write_csv_rows
 from mocapsynth.errors import (
     DegenerateFeatureError,
     NoMotionError,
@@ -41,7 +49,7 @@ from mocapsynth.errors import (
     TooShortError,
     TrialFormatError,
 )
-from mocapsynth.markers import BOWL, C7, CLUSTERS, CSV_COLUMNS, N_BODY_MARKERS, N_MARKERS
+from mocapsynth.markers import BOWL, C7, CLUSTERS, CSV_COLUMNS, CSV_COLUMNS_NO_C7, N_BODY_MARKERS, N_MARKERS
 
 
 def meta(**overrides) -> TrialMeta:
@@ -140,6 +148,70 @@ def test_malformed_row_names_file_and_line(tmp_path):
         load_trial(csv_path)
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(derandomize=True, database=None)
+@given(rows=hnp.arrays(np.float64, st.tuples(st.integers(0, 4), st.just(48)), elements=finite))
+@example(rows=np.array([[-0.0, 5e-7, -5e-7, 1e300, 4.9999995e-7, -1e-300] * 8]))
+def test_writer_bytes_match_per_value_formatting(tmp_path_factory, rows):
+    path = tmp_path_factory.getbasetemp() / "written.csv"
+    write_sequence_csv(rows, path)
+    assert path.read_bytes() == csv_bytes_per_value(CSV_COLUMNS, rows)
+    no_c7 = rows[:, 3:]
+    _write_csv_rows(CSV_COLUMNS_NO_C7, no_c7, path)
+    assert path.read_bytes() == csv_bytes_per_value(CSV_COLUMNS_NO_C7, no_c7)
+
+
+# fields float() and np.loadtxt may read differently, or only one of them reads
+ODD_FIELDS = ["", " ", "#", "#1", "1_0", "1__0", "_1", " 1.5 ", "1\r", "\r", "nan", "-nan", "NaN", "inf",
+              "-Infinity", "1e400", "-1e-400", "0x1p3", "1d3", "+.5", "5.", "\x1c1", "1\x1f", "\x0b1",
+              "\u30001", "\u0661", "1\u2028", "1,2", "1\n", "1\r2", '"1"', "1j", "\x00"]
+canonical_row = st.lists(finite.map(lambda v: f"{v:.6f}"), min_size=48, max_size=48)
+odd_row = st.tuples(canonical_row, st.integers(0, 47), st.sampled_from(ODD_FIELDS) | st.text(max_size=3),
+                    st.integers(-1, 1))
+
+
+def _odd_line(parts):
+    fields, at, odd, extra = parts
+    fields = fields[:at] + [odd] + fields[at + 1 :]
+    if extra < 0:
+        fields = fields[:-1]
+    elif extra > 0:
+        fields = fields + ["0.0"]
+    return ",".join(fields)
+
+
+csv_line = canonical_row.map(",".join) | odd_row.map(_odd_line) | st.sampled_from(["", " ", "#", "\r"])
+
+
+ZERO_ROW = ",".join(["0.000000"] * 48)
+
+
+@settings(derandomize=True, database=None, max_examples=300)
+@example(lines=[ZERO_ROW, "", ZERO_ROW], head_end="\n", newline="\n", tail="\n")
+@example(lines=[ZERO_ROW + "\r" + ZERO_ROW, ""], head_end="\n", newline="\n", tail="\n")
+@example(lines=[ZERO_ROW.replace("0.000000", "1_0", 1)], head_end="\n", newline="\n", tail="\n")
+@example(lines=[ZERO_ROW.replace("0.000000", "\x1c1", 1)], head_end="\n", newline="\n", tail="\n")
+@example(lines=[ZERO_ROW.replace("0.000000", "1\x1f", 1)], head_end="\n", newline="\n", tail="")
+@given(lines=st.lists(csv_line, max_size=4), head_end=st.sampled_from(["\n", "\r\n"]),
+       newline=st.sampled_from(["\n", "\r\n"]), tail=st.sampled_from(["", "\n", "\n\n"]))
+def test_reader_matches_per_value_float(tmp_path_factory, lines, head_end, newline, tail):
+    path = tmp_path_factory.getbasetemp() / "read.csv"
+    text = ",".join(CSV_COLUMNS) + head_end + newline.join(lines) + tail
+    path.write_bytes(text.encode("utf-8", "surrogatepass"))
+    try:
+        want = csv_rows_per_value(path, CSV_COLUMNS, TrialFormatError)
+    except (TrialFormatError, UnicodeDecodeError) as exc:
+        with pytest.raises(type(exc)) as got:
+            read_sequence_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    got = read_sequence_csv(path)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
 def test_missing_sidecar_and_bad_json(tmp_path):
     t = Trial("solo", np.zeros((4, 48)), meta())
     csv_path, json_path = save_trial(tmp_path, t)
@@ -149,6 +221,39 @@ def test_missing_sidecar_and_bad_json(tmp_path):
     json_path.unlink()
     with pytest.raises(TrialFormatError, match="sidecar"):
         load_trial(csv_path)
+
+
+@pytest.mark.parametrize(
+    "edit, key",
+    [
+        (5, "JSON object"),
+        ([], "JSON object"),
+        ({"frame_rate": "fast"}, "frame_rate"),
+        ({"frame_rate": True}, "frame_rate"),
+        ({"frame_rate": 0}, "frame_rate"),
+        ({"frame_rate": -119.88}, "frame_rate"),
+        ({"frame_rate": float("inf")}, "frame_rate"),
+        ({"frame_rate": float("nan")}, "frame_rate"),
+        ({"weight_g": 1140.0}, "weight_g"),
+        ({"weight_g": True}, "weight_g"),
+        ({"weight_g": "1140"}, "weight_g"),
+        ({"participant": 1}, "participant"),
+        ({"strategy": ["A"]}, "strategy"),
+        ({"bowl_size": None}, "bowl_size"),
+    ],
+)
+def test_sidecar_values_must_have_their_types(tmp_path, edit, key):
+    csv_path, json_path = save_trial(tmp_path, Trial("typed", np.zeros((4, 48)), meta()))
+    doc = {**json.loads(json_path.read_text()), **edit} if isinstance(edit, dict) else edit
+    json_path.write_text(json.dumps(doc))
+    with pytest.raises(TrialFormatError, match=key):
+        load_trial(csv_path)
+
+
+def test_sidecar_frame_rate_may_be_a_whole_number(tmp_path):
+    csv_path, json_path = save_trial(tmp_path, Trial("whole", np.zeros((4, 48)), meta()))
+    json_path.write_text(json.dumps({**json.loads(json_path.read_text()), "frame_rate": 120}))
+    assert load_trial(csv_path).meta.frame_rate == 120
 
 
 def test_empty_directory_loads_nothing(tmp_path):

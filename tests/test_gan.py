@@ -349,6 +349,41 @@ def test_fifteen_critic_updates_per_generator_step():
     assert hist.critic_counts == [15, 15]
 
 
+def test_only_needed_weight_gradients_are_formed(monkeypatch):
+    # the penalty's gradient at the interpolates needs no critic weight
+    # gradient, and the generator update none of the frozen critic's
+    from mocapsynth.gan import training
+    from mocapsynth.nn import ops
+
+    calls, per_update = [0], []
+    weight_grad = ops.conv1d_weight_grad
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return weight_grad(*args, **kwargs)
+
+    def counting(name):
+        update = getattr(training, name)
+
+        def run(*args, **kwargs):
+            before = calls[0]
+            out = update(*args, **kwargs)
+            per_update.append((name, calls[0] - before))
+            return out
+
+        return run
+
+    monkeypatch.setattr(ops, "conv1d_weight_grad", counted)
+    for name in ("_critic_update", "_generator_update"):
+        monkeypatch.setattr(training, name, counting(name))
+    data, _ = _toy(n=480)
+    spec = GanTrainSpec(kind="wgan_gp", epochs=1, batch=32, critic_steps=15, seed=0)
+    _, _, hist = train_gan(spec, data, gen_spec=toy_generator_spec(), critic_spec=toy_critic_spec())
+    assert hist.gen_updates == 1
+    assert per_update == [("_critic_update", 9)] * 15 + [("_generator_update", 3)]
+    assert calls[0] == 138
+
+
 def test_lambda_zero_reduces_critic_loss_to_core():
     data, _ = _toy(n=320)
     spec = GanTrainSpec(kind="wgan_gp", epochs=1, batch=32, critic_steps=5, gp_lambda=0.0, seed=1)
