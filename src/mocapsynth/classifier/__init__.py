@@ -12,8 +12,6 @@ from .tasks import (
     TaskSpec,
     balance_classes,
     cluster_views,
-    filter_for_task,
-    labels_of,
     validation_split,
 )
 from .training import TrainReport, evaluate, predict_logits, train_classifier

@@ -1,4 +1,4 @@
-"""Task definitions: label extraction, filtering, balancing, and splits."""
+"""Task definitions: one label rule per task, and row-index balancing and splits."""
 
 from __future__ import annotations
 
@@ -6,14 +6,20 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset.preprocess import MotionSequence, cluster_columns
-from ..errors import ContractError, DataError, LabelError
+from ..dataset.preprocess import cluster_columns
+from ..dataset.trials import BALANCES, WEIGHT_NAMES, WEIGHTS_G
+from ..errors import ContractError, DataError
 from ..seeding import derive_rng
 
-WEIGHT_CLASSES = (640, 1640)  # lightest vs heaviest load
-BALANCE_CLASSES = ("balanced", "unbalanced")
+WEIGHT_CLASSES = (WEIGHTS_G[0], WEIGHTS_G[-1])  # lightest vs heaviest load
 STRATEGY_CLASSES = ("A", "B", "C", "D", "G")  # the five most frequent
-TASKS = ("weight", "balance", "strategy")
+# task -> the label field it reads and the values that are its classes, in class order
+_CLASSES = {
+    "weight": ("weight_g", WEIGHT_CLASSES),
+    "balance": ("balance", BALANCES),
+    "strategy": ("strategy", STRATEGY_CLASSES),
+}
+TASKS = tuple(_CLASSES)
 DEFAULT_VALIDATION = {"weight": 50, "balance": 100, "strategy": 100}
 
 
@@ -26,6 +32,9 @@ class TaskSpec:
     def __post_init__(self):
         if self.task not in TASKS:
             raise ContractError(f"unknown task {self.task!r}; expected one of {TASKS}")
+        if self.validation_size < 0 or self.augment_factor < 1:
+            raise ContractError(f"a task needs a validation size >= 0 and an augment factor >= 1, "
+                                f"got {self.validation_size} and {self.augment_factor}")
 
     @property
     def n_validation(self) -> int:
@@ -33,71 +42,44 @@ class TaskSpec:
 
     @property
     def class_names(self) -> tuple[str, ...]:
-        if self.task == "weight":
-            return ("heavy", "heaviest")
-        if self.task == "balance":
-            return BALANCE_CLASSES
-        return STRATEGY_CLASSES
+        classes = _CLASSES[self.task][1]
+        return tuple(WEIGHT_NAMES[w] for w in classes) if self.task == "weight" else classes
 
     @property
     def n_classes(self) -> int:
         return len(self.class_names)
 
-    def label_of(self, seq: MotionSequence) -> int:
-        if seq.meta is None:
-            raise LabelError(f"sequence {seq.name!r} carries no metadata")
-        if self.task == "weight":
-            if seq.meta.weight_g not in WEIGHT_CLASSES:
-                raise LabelError(f"weight {seq.meta.weight_g} outside the two-class task")
-            return WEIGHT_CLASSES.index(seq.meta.weight_g)
-        if self.task == "balance":
-            return BALANCE_CLASSES.index(seq.meta.balance)
-        if seq.meta.strategy not in STRATEGY_CLASSES:
-            raise LabelError(f"strategy {seq.meta.strategy!r} outside the five-class task")
-        return STRATEGY_CLASSES.index(seq.meta.strategy)
+    def labels(self, metas) -> np.ndarray:
+        """Each row's class index: -1 for an unlabelled row or a value outside the task's classes."""
+        field, classes = _CLASSES[self.task]
+        index = {value: i for i, value in enumerate(classes)}
+        return np.array([-1 if m is None else index.get(getattr(m, field), -1) for m in metas], dtype=int)
 
 
-def filter_for_task(sequences: list[MotionSequence], spec: TaskSpec) -> list[MotionSequence]:
-    """Keep only sequences whose labels belong to the task."""
-    if spec.task == "weight":
-        return [s for s in sequences if s.meta and s.meta.weight_g in WEIGHT_CLASSES]
-    if spec.task == "strategy":
-        return [s for s in sequences if s.meta and s.meta.strategy in STRATEGY_CLASSES]
-    return [s for s in sequences if s.meta is not None]
+def balance_classes(labels: np.ndarray, seed: int) -> np.ndarray:
+    """Rows that downsample every class to the smallest class count; -1 rows are left out.
 
-
-def balance_classes(
-    sequences: list[MotionSequence], spec: TaskSpec, seed: int
-) -> list[MotionSequence]:
-    """Downsample every class to the smallest class count (weight task only)."""
+    Classes come in sorted order and each class's rows ascending.
+    """
     rng = derive_rng(seed, "balance-classes")
-    by_class: dict[int, list[MotionSequence]] = {}
-    for s in sequences:
-        by_class.setdefault(spec.label_of(s), []).append(s)
-    if not by_class:
+    labels = np.asarray(labels)
+    groups = [np.flatnonzero(labels == c) for c in np.unique(labels[labels >= 0])]
+    if not groups:
         raise DataError("no sequences left after task filtering")
-    target = min(len(v) for v in by_class.values())
-    out: list[MotionSequence] = []
-    for label in sorted(by_class):
-        group = by_class[label]
-        if len(group) > target:
-            keep = rng.choice(len(group), size=target, replace=False)
-            group = [group[i] for i in sorted(keep)]
-        out.extend(group)
-    return out
+    target = min(len(g) for g in groups)
+    return np.concatenate([
+        g[np.sort(rng.choice(len(g), size=target, replace=False))] if len(g) > target else g for g in groups
+    ])
 
 
-def validation_split(
-    sequences: list[MotionSequence], n_validation: int, seed: int
-) -> tuple[list[MotionSequence], list[MotionSequence]]:
-    """Uniform seeded split without replacement; validation drawn first."""
-    if n_validation >= len(sequences):
-        raise DataError(f"validation size {n_validation} >= dataset size {len(sequences)}")
+def validation_split(n: int, n_validation: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """Training and validation positions in range(n), each ascending; validation is drawn uniformly."""
+    if n_validation >= n:
+        raise DataError(f"validation size {n_validation} >= dataset size {n}")
     rng = derive_rng(seed, "validation-split")
-    picks = set(rng.choice(len(sequences), size=n_validation, replace=False).tolist())
-    val = [s for i, s in enumerate(sequences) if i in picks]
-    train = [s for i, s in enumerate(sequences) if i not in picks]
-    return train, val
+    is_val = np.zeros(n, dtype=bool)
+    is_val[rng.choice(n, size=n_validation, replace=False)] = True
+    return np.flatnonzero(~is_val), np.flatnonzero(is_val)
 
 
 def cluster_views(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -108,7 +90,3 @@ def cluster_views(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]
         data[:, :, cols["cluster2"]],
         data[:, :, cols["cluster3"]],
     )
-
-
-def labels_of(sequences: list[MotionSequence], spec: TaskSpec) -> np.ndarray:
-    return np.array([spec.label_of(s) for s in sequences], dtype=int)

@@ -88,8 +88,8 @@ def train_classifier(
     train_labels = np.asarray(train_labels, dtype=int)
     val_labels = np.asarray(val_labels, dtype=int)
     n_classes = model.spec.n_classes
-    if train_labels.max() >= n_classes or train_labels.min() < 0:
-        raise LabelError("training label outside the task's class range")
+    if not all(0 <= y.min() and y.max() < n_classes for y in (train_labels, val_labels)):
+        raise LabelError("training or validation label outside the task's class range")
 
     report = TrainReport(n_parameters=model.num_parameters())
     params = model.parameters()

@@ -31,8 +31,6 @@ from .classifier import (
     balance_classes,
     cluster_views,
     evaluate,
-    filter_for_task,
-    labels_of,
     train_classifier,
     validation_split,
 )
@@ -43,7 +41,6 @@ from .dataset import (
     DEFAULT_HOLD_FRAMES,
     DEFAULT_SPEED_THRESHOLD,
     MotionSequence,
-    SequenceSet,
     apply_zscore,
     fit_normalizer,
     load_sequences,
@@ -56,7 +53,7 @@ from .dataset import (
     write_sequence_csv,
 )
 from .dataset.preprocess import NormStats
-from .errors import ContractError, DataError, MocapError, NoMotionError, ShapeError, StateError, TooShortError
+from .errors import ContractError, DataError, LabelError, MocapError, NoMotionError, ShapeError, StateError, TooShortError
 from .gan import (
     ConditionLabel,
     CriticSpec,
@@ -238,7 +235,6 @@ def cmd_ingest(resolved: dict) -> int:
         raise DataError("every trial was rejected during trimming")
     log.info("kept %d sequences (%d no-motion, %d too-short)", len(sequences), no_motion, too_short)
 
-    sequences = SequenceSet.of(sequences)
     stats = None
     if resolved["normalize"]:
         stats = fit_normalizer(sequences)
@@ -311,11 +307,11 @@ def cmd_train_classifier(resolved: dict) -> int:
     if sequences.normalized:
         raise StateError("train-classifier wants world-space sequences; it normalizes internally")
 
-    pool = filter_for_task(sequences, task)
-    if task.task == "weight":
-        pool = balance_classes(pool, task, seed)
+    labels = task.labels(sequences.labels)
+    pool = balance_classes(labels, seed) if task.task == "weight" else np.flatnonzero(labels >= 0)
     log.info("task %s: %d usable sequences", task.task, len(pool))
-    train_seqs, val_seqs = (SequenceSet.of(part) for part in validation_split(pool, task.n_validation, seed))
+    train_rows, val_rows = validation_split(len(pool), task.n_validation, seed)
+    train_seqs, val_seqs = sequences.take(pool[train_rows]), sequences.take(pool[val_rows])
 
     if task.augment_factor > 1:
         train_seqs = augment_dataset(
@@ -331,9 +327,9 @@ def cmd_train_classifier(resolved: dict) -> int:
     report = train_classifier(
         model,
         cluster_views(train_norm.data),
-        labels_of(train_norm, task),
+        task.labels(train_norm.labels),
         cluster_views(val_norm.data),
-        labels_of(val_norm, task),
+        task.labels(val_norm.labels),
         epochs=resolved["epochs"],
         batch=resolved["batch"],
         lr=resolved["lr"],
@@ -367,12 +363,14 @@ def cmd_eval_classifier(resolved: dict) -> int:
     task = TaskSpec(extra.get("task"))
 
     sequences, _, _ = load_sequences(resolved["input"])
-    if not sequences.normalized:
-        sequences = apply_zscore(sequences, stats)
-    pool = SequenceSet.of(filter_for_task(sequences, task))
-    if not len(pool):
+    labels = task.labels(sequences.labels)
+    rows = np.flatnonzero(labels >= 0)
+    if not len(rows):
         raise DataError(f"no sequences usable for task {task.task!r}")
-    accuracy, confusion = evaluate(model, cluster_views(pool.data), labels_of(pool, task))
+    pool = sequences.take(rows)
+    if not pool.normalized:
+        pool = apply_zscore(pool, stats)
+    accuracy, confusion = evaluate(model, cluster_views(pool.data), labels[rows])
 
     print(f"task {task.task}: accuracy {accuracy:.3f} on {len(pool)} sequences")
     print("confusion (rows actual, columns predicted):")
@@ -413,6 +411,9 @@ def cmd_train_gan(resolved: dict) -> int:
 
     labels = None
     if kind == "cond_wgan_gp":
+        unlabelled = [name for name, meta in zip(sequences.names, sequences.labels) if meta is None]
+        if unlabelled:
+            raise LabelError(f"sequence {unlabelled[0]!r} has no label; conditional training needs one per sequence")
         labels = np.array([ConditionLabel.from_meta(m).index for m in sequences.labels])
     cond = N_CONDITIONS if kind == "cond_wgan_gp" else 0
 

@@ -38,7 +38,7 @@ class SequenceSet:
     """N sequences as one C-ordered float64 (N, 32, 48) block, with a name and label per row.
 
     len() counts the rows; indexing or iterating gives MotionSequence
-    views of them, so nothing is copied.
+    views of them, so nothing is copied. take() copies chosen rows.
     """
 
     data: np.ndarray  # (N, 32, 48)
@@ -67,6 +67,13 @@ class SequenceSet:
 
     def __len__(self) -> int:
         return len(self.data)
+
+    def take(self, rows) -> "SequenceSet":
+        """A new set of the given rows, in the given order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        picked = rows.tolist()
+        return SequenceSet(self.data[rows], [self.names[i] for i in picked],
+                           [self.labels[i] for i in picked], self.normalized)
 
     def __getitem__(self, i: int) -> MotionSequence:
         # iteration goes through here too, and stops at the IndexError past the last row
@@ -185,8 +192,9 @@ def fit_normalizer(train) -> NormStats:
     return NormStats(mean, std)
 
 
-def apply_zscore(sequences: SequenceSet, stats: NormStats) -> SequenceSet:
-    """A new z-scored set; (x - mean) / std fills one new block."""
+def apply_zscore(sequences, stats: NormStats) -> SequenceSet:
+    """A new z-scored set (of a SequenceSet or a list); (x - mean) / std fills one new block."""
+    sequences = SequenceSet.of(sequences)
     if sequences.normalized:
         raise StateError("the sequence set is already normalized")
     out = np.subtract(sequences.data, stats.mean)

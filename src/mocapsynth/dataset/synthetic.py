@@ -16,7 +16,7 @@ import numpy as np
 
 from ..markers import BOWL, CSV_COLUMNS_NO_C7, N_MARKERS
 from ..seeding import derive_rng
-from .trials import Trial, TrialMeta, _write_csv_rows, save_trial
+from .trials import BALANCES, BOWL_SIZES, FRAME_RATE_HZ, ORIENTATIONS, WEIGHTS_G, Trial, TrialMeta, _write_csv_rows, save_trial
 
 # Strategy frequencies of the full usable corpus (805 trials).
 CORPUS_STRATEGY_COUNTS = {
@@ -25,7 +25,6 @@ CORPUS_STRATEGY_COUNTS = {
 # Load-weight frequencies; the lightest class is the rarest, so the
 # two-class weight task balances down to 2 x 218 = 436 trials.
 CORPUS_WEIGHT_COUNTS = {640: 218, 1140: 287, 1640: 300}
-CORPUS_SIZE = 805
 N_PARTICIPANTS = 13
 MISSING_C7_FILES = 53
 
@@ -99,16 +98,17 @@ def _corpus_metas(seed: int) -> list[TrialMeta]:
     rng.shuffle(weights)
     metas = []
     for i, (strat, weight) in enumerate(zip(strategies, weights)):
-        sizes = ("small", "medium", "large") if weight == 640 else ("small", "medium", "large", "largest")
+        # the largest bowl never carries the lightest load
+        sizes = BOWL_SIZES[:-1] if weight == WEIGHTS_G[0] else BOWL_SIZES
         metas.append(
             TrialMeta(
                 participant=f"p{(i % N_PARTICIPANTS) + 1:02d}",
                 bowl_size=sizes[rng.integers(len(sizes))],
                 weight_g=weight,
-                balance=("balanced", "unbalanced")[rng.integers(2)],
-                orientation=("facing", "left", "right")[rng.integers(3)],
+                balance=BALANCES[rng.integers(len(BALANCES))],
+                orientation=ORIENTATIONS[rng.integers(len(ORIENTATIONS))],
                 strategy=strat,
-                frame_rate=119.88,
+                frame_rate=FRAME_RATE_HZ,
             )
         )
     return metas

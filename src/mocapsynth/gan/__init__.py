@@ -16,12 +16,13 @@ from .conditioning import (
     onehot_batch,
 )
 from .losses import (
-    gan_objective,
+    critic_wloss,
+    discriminator_logloss,
     generator_logloss,
+    generator_wloss,
     gradient_penalty,
     interpolate,
     wasserstein_estimate,
-    wasserstein_losses,
 )
 from .training import (
     GanHistory,

@@ -12,15 +12,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset.trials import BALANCES, WEIGHT_NAMES
+from ..dataset.trials import BALANCES, WEIGHT_NAMES, WEIGHTS_G
 from ..errors import LabelError, ShapeError
 from ..nn import Tensor, concat
 
-WEIGHT_ORDER = ("heavy", "heavier", "heaviest")
-BALANCE_ORDER = tuple(BALANCES)
-CONDITION_CLASSES = tuple(
-    (w, b) for w in WEIGHT_ORDER for b in BALANCE_ORDER
-)
+CONDITION_CLASSES = tuple((WEIGHT_NAMES[w], b) for w in WEIGHTS_G for b in BALANCES)
 N_CONDITIONS = len(CONDITION_CLASSES)
 
 
@@ -30,9 +26,9 @@ class ConditionLabel:
     balance: str
 
     def __post_init__(self):
-        if self.weight_name not in WEIGHT_ORDER:
+        if self.weight_name not in WEIGHT_NAMES.values():
             raise LabelError(f"unknown weight class {self.weight_name!r}")
-        if self.balance not in BALANCE_ORDER:
+        if self.balance not in BALANCES:
             raise LabelError(f"unknown balance class {self.balance!r}")
 
     @property

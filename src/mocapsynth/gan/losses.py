@@ -1,9 +1,11 @@
 """Adversarial objectives.
 
-Two families. The classic saturating/non-saturating pair works on
-discriminator probabilities with one-sided label smoothing. The
-Wasserstein pair works on raw critic scores and is regularized by a
-gradient penalty on random interpolates between real and fake batches.
+Two families, one function per loss. The classic log losses work on
+discriminator probabilities, with one-sided label smoothing for the
+discriminator and the non-saturating form for the generator. The
+Wasserstein losses work on raw critic scores; the critic's is
+regularized by a gradient penalty on random interpolates between real
+and fake batches.
 """
 
 from __future__ import annotations
@@ -25,40 +27,32 @@ def _scores(t: Tensor, name: str) -> Tensor:
     return t
 
 
-def generator_logloss(d_fake: Tensor) -> Tensor:
-    """Non-saturating generator loss -mean(log D(fake))."""
-    d_fake = clip(_scores(d_fake, "d_fake"), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    return -tmean(tlog(d_fake))
-
-
-def gan_objective(
-    d_real: Tensor, d_fake: Tensor, real_label: float = 0.9
-) -> tuple[Tensor, Tensor]:
-    """Discriminator and generator losses on probabilities in (0, 1).
-
-    d_loss = -mean(real_label * log D(x) + log(1 - D(x_fake)))
-    g_loss = -mean(log D(x_fake))        (non-saturating)
+def discriminator_logloss(d_real: Tensor, d_fake: Tensor, real_label: float = 0.9) -> Tensor:
+    """Discriminator loss -mean(real_label * log D(x) + log(1 - D(x_fake))).
 
     Probabilities are clamped away from 0 and 1 before the logs so a
     saturated discriminator yields large finite losses, not infinities.
     """
-    d_real_c = clip(_scores(d_real, "d_real"), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    d_fake_c = clip(_scores(d_fake, "d_fake"), PROB_FLOOR, 1.0 - PROB_FLOOR)
-    d_loss = -(tmean(tlog(d_real_c)) * real_label + tmean(tlog(-d_fake_c + 1.0)))
-    return d_loss, generator_logloss(d_fake)
+    d_real = clip(_scores(d_real, "d_real"), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    d_fake = clip(_scores(d_fake, "d_fake"), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return -(tmean(tlog(d_real)) * real_label + tmean(tlog(-d_fake + 1.0)))
 
 
-def wasserstein_losses(c_real: Tensor, c_fake: Tensor) -> tuple[Tensor, Tensor]:
-    """Critic core loss and generator loss from raw scores.
+def generator_logloss(d_fake: Tensor) -> Tensor:
+    """Non-saturating generator loss -mean(log D(fake)), clamped like the discriminator's."""
+    d_fake = clip(_scores(d_fake, "d_fake"), PROB_FLOOR, 1.0 - PROB_FLOOR)
+    return -tmean(tlog(d_fake))
 
-    critic core = mean(c_fake) - mean(c_real)   (penalty added separately)
-    generator   = -mean(c_fake)
-    """
-    c_real = _scores(c_real, "c_real")
-    c_fake = _scores(c_fake, "c_fake")
-    critic_core = tmean(c_fake) - tmean(c_real)
-    gen_loss = -tmean(c_fake)
-    return critic_core, gen_loss
+
+def critic_wloss(c_real: Tensor, c_fake: Tensor) -> Tensor:
+    """Critic loss mean(c_fake) - mean(c_real) on raw scores; the penalty is added separately."""
+    c_real, c_fake = _scores(c_real, "c_real"), _scores(c_fake, "c_fake")
+    return tmean(c_fake) - tmean(c_real)
+
+
+def generator_wloss(c_fake: Tensor) -> Tensor:
+    """Wasserstein generator loss -mean(c_fake) on raw scores."""
+    return -tmean(_scores(c_fake, "c_fake"))
 
 
 def wasserstein_estimate(c_real: np.ndarray, c_fake: np.ndarray) -> float:

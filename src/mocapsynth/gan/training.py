@@ -21,16 +21,17 @@ import numpy as np
 from ..container import JsonRecord
 from ..dataset.preprocess import SequenceSet, invert_zscore
 from ..errors import ContractError, DataError, LabelError, NumericalError, ShapeError, StateError
-from ..nn import Adam, Tensor, no_grad, tmean
+from ..nn import Adam, Tensor, no_grad
 from ..nn.checkpoint import save_model
 from ..seeding import derive_rng
 from .conditioning import N_CONDITIONS, condition_channels, condition_concat, onehot_batch
 from .losses import (
-    gan_objective,
+    critic_wloss,
+    discriminator_logloss,
     generator_logloss,
+    generator_wloss,
     gradient_penalty,
     wasserstein_estimate,
-    wasserstein_losses,
 )
 from .networks import (
     CriticSpec,
@@ -213,10 +214,10 @@ def _critic_update(run: _Run, idx: np.ndarray, step: int) -> dict[str, float]:
     c_fake = run.critic_score(Tensor(fake), hot)
     # each loss is checked before backward so a diverged run names its step
     if not spec.wasserstein:
-        loss, _ = gan_objective(c_real, c_fake, real_label=spec.real_label)
+        loss = discriminator_logloss(c_real, c_fake, real_label=spec.real_label)
         record = {"d_loss": _finite(float(loss.data), "discriminator loss", step)}
     else:
-        loss, _ = wasserstein_losses(c_real, c_fake)
+        loss = critic_wloss(c_real, c_fake)
         penalty = 0.0
         if spec.gp_lambda > 0.0:
             gp = gradient_penalty(lambda x: run.critic_score(x, hot), real, fake, run.gp_rng)
@@ -241,10 +242,7 @@ def _generator_update(run: _Run, step: int) -> float:
         hot = run.onehots[picks]
     fake = run.generate(spec.batch, hot, with_grad=True)
     c_fake = run.critic_score(fake, hot)
-    if spec.wasserstein:
-        gen_loss = -tmean(c_fake.reshape((c_fake.shape[0],)))
-    else:
-        gen_loss = generator_logloss(c_fake)
+    gen_loss = generator_wloss(c_fake) if spec.wasserstein else generator_logloss(c_fake)
     value = _finite(float(gen_loss.data), "generator loss", step)
     run.gen_opt.zero_grad()
     # the critic stays frozen: its last gradients are released before this

@@ -54,7 +54,9 @@ class Layer:
         return [getattr(self, n) for n in self.param_names]
 
     def spec(self) -> dict:
-        return {"layer": self.name}
+        """The constructor arguments but rng, read from the attributes of the same names; tuples as lists."""
+        args = {a: getattr(self, a) for a in inspect.signature(type(self)).parameters if a != "rng"}
+        return {"layer": self.name, **{a: list(v) if isinstance(v, tuple) else v for a, v in args.items()}}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {n: getattr(self, n).data for n in self.param_names}
@@ -76,9 +78,6 @@ class Dense(Layer):
 
     def forward(self, x, training=False, rng=None):
         return dense(x, self.weight, self.bias)
-
-    def spec(self):
-        return {"layer": self.name, "fin": self.fin, "fout": self.fout}
 
 
 class Conv1D(Layer):
@@ -105,16 +104,6 @@ class Conv1D(Layer):
 
     def forward(self, x, training=False, rng=None):
         return conv1d(x, self.weight, self.bias, stride=self.stride, spacing=self.spacing)
-
-    def spec(self):
-        return {
-            "layer": self.name,
-            "kernel": self.kernel,
-            "cin": self.cin,
-            "cout": self.cout,
-            "stride": self.stride,
-            "spacing": self.spacing,
-        }
 
 
 class BatchNorm(Layer):
@@ -162,14 +151,10 @@ class BatchNorm(Layer):
         else:
             mean = self.running_mean.reshape(pshape)
             denom = np.sqrt(self.running_var.reshape(pshape) + self.eps)
-            normed = Tensor((x.data - mean) / denom)
-            if x.requires_grad:
-                normed = div(add(x, Tensor(-mean)), Tensor(np.broadcast_to(denom, x.shape).copy()))
+            normed = div(add(x, Tensor(-mean)), Tensor(denom))
         scaled = mul(normed, broadcast_to(reshape(self.gamma, pshape), x.shape))
         return add(scaled, broadcast_to(reshape(self.beta, pshape), x.shape))
 
-    def spec(self):
-        return {"layer": self.name, "features": self.features, "momentum": self.momentum, "eps": self.eps}
 
     def state_arrays(self):
         return {**super().state_arrays(), "running_mean": self.running_mean, "running_var": self.running_var}
@@ -191,9 +176,6 @@ class Activation(Layer):
     def forward(self, x, training=False, rng=None):
         return ACTIVATIONS[self.kind](x)
 
-    def spec(self):
-        return {"layer": self.name, "kind": self.kind}
-
 
 class MaxPool(Layer):
     name = "maxpool"
@@ -204,9 +186,6 @@ class MaxPool(Layer):
     def forward(self, x, training=False, rng=None):
         return maxpool1d(x, self.width)
 
-    def spec(self):
-        return {"layer": self.name, "width": self.width}
-
 
 class Upsample(Layer):
     name = "upsample"
@@ -216,9 +195,6 @@ class Upsample(Layer):
 
     def forward(self, x, training=False, rng=None):
         return upsample1d(x, self.factor)
-
-    def spec(self):
-        return {"layer": self.name, "factor": self.factor}
 
 
 class Flatten(Layer):
@@ -237,9 +213,6 @@ class Reshape(Layer):
     def forward(self, x, training=False, rng=None):
         return reshape(x, (x.shape[0],) + self.shape)
 
-    def spec(self):
-        return {"layer": self.name, "shape": list(self.shape)}
-
 
 class Dropout(Layer):
     name = "dropout"
@@ -253,9 +226,6 @@ class Dropout(Layer):
         if rng is None:
             raise ContractError("dropout in training mode needs an rng")
         return dropout(x, self.rate, rng)
-
-    def spec(self):
-        return {"layer": self.name, "rate": self.rate}
 
 
 _LAYER_TYPES = {

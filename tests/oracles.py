@@ -10,6 +10,8 @@ import math
 
 import numpy as np
 
+from mocapsynth.seeding import derive_rng
+
 
 def naive_conv1d(x, w, b, stride=1, spacing=0):
     """Quadruple-loop same-padded convolution over (B, T, Cin)."""
@@ -134,3 +136,27 @@ def csv_rows_per_value(path, columns, error):
         except ValueError as exc:
             raise error(f"{path}: line {i}: {exc}") from None
     return rows
+
+
+def balanced_rows_by_lists(labels, seed):
+    """The list walk the classifier's class balancing started as: group, draw, keep row order."""
+    rng = derive_rng(seed, "balance-classes")
+    by_class = {}
+    for row, label in enumerate(labels):
+        if label >= 0:
+            by_class.setdefault(label, []).append(row)
+    target = min(len(v) for v in by_class.values())
+    out = []
+    for label in sorted(by_class):
+        group = by_class[label]
+        if len(group) > target:
+            keep = rng.choice(len(group), size=target, replace=False)
+            group = [group[i] for i in sorted(keep)]
+        out.extend(group)
+    return out
+
+
+def split_rows_by_lists(n, n_validation, seed):
+    """The list walk of the validation split: training rows, then validation rows, each in order."""
+    picks = set(derive_rng(seed, "validation-split").choice(n, size=n_validation, replace=False).tolist())
+    return [i for i in range(n) if i not in picks], [i for i in range(n) if i in picks]

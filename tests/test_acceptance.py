@@ -27,11 +27,10 @@ from mocapsynth.classifier import (
     TaskSpec,
     balance_classes,
     cluster_views,
-    filter_for_task,
     train_classifier,
     validation_split,
 )
-from mocapsynth.dataset import MotionSequence
+from mocapsynth.dataset import MotionSequence, SequenceSet
 from mocapsynth.dataset.synthetic import (
     demo_sequence,
     separable_sequences,
@@ -118,12 +117,12 @@ def test_01_network_shape_chains():
 # ---------------------------------------------------------------- 2
 
 
-def _labeled_zeros(weight_counts: dict[int, int]) -> list[MotionSequence]:
-    sequences = []
-    i = 0
+def _labeled_zeros(weight_counts: dict[int, int]) -> SequenceSet:
+    metas = []
     for weight, count in weight_counts.items():
         for _ in range(count):
-            meta = TrialMeta(
+            i = len(metas)
+            metas.append(TrialMeta(
                 participant=f"p{i % 13:02d}",
                 bowl_size="medium",
                 weight_g=weight,
@@ -131,10 +130,8 @@ def _labeled_zeros(weight_counts: dict[int, int]) -> list[MotionSequence]:
                 orientation="facing",
                 strategy="ABCDEFGHI"[i % 9],
                 frame_rate=119.88,
-            )
-            sequences.append(MotionSequence(np.zeros((32, 48)), meta=meta, name=f"s{i:04d}"))
-            i += 1
-    return sequences
+            ))
+    return SequenceSet(np.zeros((len(metas), 32, 48)), [f"s{i:04d}" for i in range(len(metas))], metas)
 
 
 def test_02_dataset_arithmetic():
@@ -143,15 +140,15 @@ def test_02_dataset_arithmetic():
     assert len(corpus) == 805
 
     task = TaskSpec("weight")
-    pool = filter_for_task(corpus, task)
-    assert len(pool) == 218 + 300
-    balanced = balance_classes(pool, task, seed=0)
+    labels = task.labels(corpus.labels)
+    assert np.count_nonzero(labels >= 0) == 218 + 300
+    balanced = balance_classes(labels, seed=0)
     assert len(balanced) == 436
-    train, val = validation_split(balanced, task.n_validation, seed=0)
+    train, val = validation_split(len(balanced), task.n_validation, seed=0)
     assert (len(train), len(val)) == (386, 50)
-    assert len(augment_dataset(train, AugmentSpec(factor=10, seed=0))) == 3860
+    assert len(augment_dataset(corpus.take(balanced[train]), AugmentSpec(factor=10, seed=0))) == 3860
 
-    usable = corpus[:795]
+    usable = corpus.take(np.arange(795))
     assert len(augment_dataset(usable, AugmentSpec(factor=27, seed=0))) == 21465
     _ok(2, "dataset arithmetic", "386->3860, 795->21465, weight task 436/50")
 

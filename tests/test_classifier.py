@@ -4,20 +4,23 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import balanced_rows_by_lists, split_rows_by_lists
+
 from mocapsynth.classifier import (
+    TASKS,
     HierarchicalClassifier,
     HierarchicalNetSpec,
     TaskSpec,
     balance_classes,
     cluster_views,
     evaluate,
-    filter_for_task,
-    labels_of,
     parameter_count,
     train_classifier,
     validation_split,
 )
-from mocapsynth.dataset import MotionSequence, TrialMeta
+from mocapsynth.dataset import TrialMeta
 from mocapsynth.dataset.synthetic import separable_sequences
 from mocapsynth.errors import ContractError, DataError, LabelError, ShapeError
 from mocapsynth.nn import Tensor, softmax
@@ -35,10 +38,6 @@ def meta(**overrides) -> TrialMeta:
     )
     base.update(overrides)
     return TrialMeta(**base)
-
-
-def seq_with(rng, **meta_overrides) -> MotionSequence:
-    return MotionSequence(rng.normal(size=(32, 48)), meta=meta(**meta_overrides))
 
 
 # -- architecture -----------------------------------------------------------------
@@ -125,63 +124,83 @@ def test_spec_validation():
 
 
 def test_weight_task_filter_and_balance():
-    rng = np.random.default_rng(4)
-    seqs = (
-        [seq_with(rng, weight_g=640) for _ in range(218)]
-        + [seq_with(rng, weight_g=1140) for _ in range(287)]
-        + [seq_with(rng, weight_g=1640, bowl_size="largest") for _ in range(300)]
+    metas = (
+        [meta(weight_g=640)] * 218
+        + [meta(weight_g=1140)] * 287
+        + [meta(weight_g=1640, bowl_size="largest")] * 300
     )
     spec = TaskSpec("weight")
-    kept = filter_for_task(seqs, spec)
+    labels = spec.labels(metas)
+    kept = np.flatnonzero(labels >= 0)
     assert len(kept) == 518  # the middle class drops out
-    balanced = balance_classes(kept, spec, seed=0)
+    balanced = balance_classes(labels, seed=0)
     assert len(balanced) == 436
-    labels = labels_of(balanced, spec)
+    labels = labels[balanced]
     assert (labels == 0).sum() == 218 and (labels == 1).sum() == 218
 
 
 def test_weight_task_split_sizes():
-    rng = np.random.default_rng(5)
-    seqs = [seq_with(rng, weight_g=640) for _ in range(218)] + [
-        seq_with(rng, weight_g=1640, bowl_size="largest") for _ in range(218)
-    ]
-    train, val = validation_split(seqs, TaskSpec("weight").n_validation, seed=1)
+    train, val = validation_split(218 + 218, TaskSpec("weight").n_validation, seed=1)
     assert len(val) == 50 and len(train) == 386
-    assert {id(s) for s in train}.isdisjoint({id(s) for s in val})
+    assert set(train.tolist()).isdisjoint(val.tolist())
 
 
 def test_strategy_task_filters_to_top_five():
-    rng = np.random.default_rng(6)
-    seqs = [seq_with(rng, strategy=s) for s in "ABCDEFGHI"]
+    metas = [meta(strategy=s) for s in "ABCDEFGHI"]
     spec = TaskSpec("strategy")
-    kept = filter_for_task(seqs, spec)
-    assert sorted(s.meta.strategy for s in kept) == list("ABCDG")
+    kept = np.flatnonzero(spec.labels(metas) >= 0)
+    assert sorted(metas[i].strategy for i in kept) == list("ABCDG")
     assert spec.n_classes == 5
-    with pytest.raises(LabelError):
-        spec.label_of(seq_with(rng, strategy="E"))
+    assert spec.labels([meta(strategy="E")]).tolist() == [-1]
 
 
 def test_balance_task_labels():
-    rng = np.random.default_rng(7)
     spec = TaskSpec("balance")
-    assert spec.label_of(seq_with(rng, balance="balanced")) == 0
-    assert spec.label_of(seq_with(rng, balance="unbalanced")) == 1
+    assert spec.labels([meta(balance="balanced"), meta(balance="unbalanced")]).tolist() == [0, 1]
     assert spec.n_validation == 100
 
 
+def test_unlabelled_rows_are_outside_every_task():
+    for task in TASKS:
+        assert TaskSpec(task).labels([None, meta(weight_g=640, strategy="A")]).tolist() == [-1, 0]
+    assert TaskSpec("weight").class_names == ("heavy", "heaviest")
+    assert TaskSpec("balance").class_names == ("balanced", "unbalanced")
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(labels=st.lists(st.integers(-1, 3), max_size=40), seed=st.integers(0, 2**32 - 1))
+def test_balance_classes_matches_the_list_walk(labels, seed):
+    labels = np.array(labels, dtype=int)
+    if not (labels >= 0).any():
+        with pytest.raises(DataError):
+            balance_classes(labels, seed)
+        return
+    assert balance_classes(labels, seed).tolist() == balanced_rows_by_lists(labels.tolist(), seed)
+
+
+@settings(derandomize=True, database=None, max_examples=150)
+@given(n=st.integers(1, 60), data=st.data())
+def test_validation_split_matches_the_list_walk(n, data):
+    n_validation = data.draw(st.integers(0, n - 1))
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    train, val = validation_split(n, n_validation, seed)
+    assert (train.tolist(), val.tolist()) == split_rows_by_lists(n, n_validation, seed)
+
+
 def test_validation_split_is_deterministic():
-    rng = np.random.default_rng(8)
-    seqs = [seq_with(rng) for _ in range(40)]
-    t1, v1 = validation_split(seqs, 10, seed=5)
-    t2, v2 = validation_split(seqs, 10, seed=5)
-    assert [s.name for s in v1] == [s.name for s in v2]
+    t1, v1 = validation_split(40, 10, seed=5)
+    t2, v2 = validation_split(40, 10, seed=5)
+    assert v1.tolist() == v2.tolist()
     with pytest.raises(DataError):
-        validation_split(seqs, 40, seed=5)
+        validation_split(40, 40, seed=5)
 
 
 def test_unknown_task_rejected():
     with pytest.raises(ContractError):
         TaskSpec("speed")
+    for sizes in ({"validation_size": -1}, {"augment_factor": 0}):
+        with pytest.raises(ContractError):
+            TaskSpec("weight", **sizes)
 
 
 # -- evaluation -------------------------------------------------------------------
@@ -220,6 +239,8 @@ def test_evaluate_rejects_bad_labels():
     views = cluster_views(np.zeros((4, 32, 48)))
     with pytest.raises(LabelError):
         evaluate(model, views, np.array([0, 1, 2, 0]))
+    with pytest.raises(LabelError):
+        evaluate(model, views, np.array([0, -1, 1, 0]))
     with pytest.raises(DataError):
         evaluate(model, cluster_views(np.zeros((0, 32, 48))), np.array([], dtype=int))
 
@@ -281,3 +302,7 @@ def test_training_rejects_empty_and_bad_labels():
         train_classifier(model, empty, np.array([]), some, np.zeros(4, dtype=int), epochs=1)
     with pytest.raises(LabelError):
         train_classifier(model, some, np.array([0, 1, 3, 0]), some, np.zeros(4, dtype=int), epochs=1)
+    with pytest.raises(LabelError):
+        train_classifier(model, some, np.array([0, -1, 1, 0]), some, np.zeros(4, dtype=int), epochs=1)
+    with pytest.raises(LabelError):
+        train_classifier(model, some, np.zeros(4, dtype=int), some, np.array([0, 1, -1, 0]), epochs=1)

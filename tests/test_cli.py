@@ -5,7 +5,11 @@ tests assert on exit codes, artifact contents, and the resolved-config
 snapshots.
 """
 
+import contextlib
+import hashlib
+import io
 import json
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -13,10 +17,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from mocapsynth.classifier import HierarchicalClassifier, HierarchicalNetSpec
+from mocapsynth.classifier import TASKS, HierarchicalClassifier, HierarchicalNetSpec
 from mocapsynth.cli import COMMANDS, UsageError, _resolve, build_parser, main
 from mocapsynth.container import read_container, write_container
-from mocapsynth.dataset import load_sequences, read_sequence_csv, write_sequence_csv
+from mocapsynth.dataset import load_sequences, read_sequence_csv, save_sequences, write_sequence_csv
 from mocapsynth.dataset.synthetic import make_trial
 from mocapsynth.dataset.trials import TrialMeta, save_trial
 from mocapsynth.seeding import derive_rng
@@ -335,6 +339,54 @@ def test_train_and_eval_classifier(archive, tmp_path, capsys):
     capsys.readouterr()
 
 
+# sha256 of each train-classifier and eval-classifier output, taken when the
+# task filters still walked lists of sequences; 1 and 2 BLAS threads agree
+CLASSIFIER_DIGESTS = {
+    "weight": {
+        "classifier.model": "04fe04b16eedac907c6fb46208b2002a427b5b2b8b6e1572b0e4d6f08b78f818",
+        "report.json": "5a1b5e1b64982fea8e6cd03404ba05bd3bc3f15faf765b7372dac13bc17e61b2",
+        "curves.csv": "b11e1f68b5b0def4543a8a7fa0bbc7ceca221011c6076164316ba1b4bbd2e4c4",
+        "norm-stats.bin": "f50552101ced619aa84fbeceacf227d3fec17490c43b31e0e215d673651769bb",
+        "eval.json": "6b0a97812bbf59b15d55cb3025aeadf7fe64626bea29edcdf6c0fc8262b6fdef",
+    },
+    "balance": {
+        "classifier.model": "37d4862def0f8ea573056e3f96dd28bb7ae3639a4e275384681335a6342507eb",
+        "report.json": "23486b7499242c8c013bdac686d3cd8d3c8282045ba26c668cd77b74c9aca972",
+        "curves.csv": "d81a729841665b9fa677efce2b1da71e9871c15778c0b045e5e674e71ca869bd",
+        "norm-stats.bin": "a9447ae34bde4a882b57f3c681d4ab3ab52a09c75cb21bb84cff3f151215e8ca",
+        "eval.json": "457ca42f8e4a38d763fcc4a7434c50c5928051fc5382191033052f08085d5f45",
+    },
+    "strategy": {
+        "classifier.model": "23420afdd487d44e33822c19e3a6be980c2b6b6ee7b9cea8b38d44bf72a7475d",
+        "report.json": "2286a5fe5343e654ecb82e60d50e0957b82e51b328061c0d4d31ee5d56af318c",
+        "curves.csv": "90f1ccc433e29f5b41dcbdf34166513230ae39543363f08abf53e75d543c0f03",
+        "norm-stats.bin": "a9447ae34bde4a882b57f3c681d4ab3ab52a09c75cb21bb84cff3f151215e8ca",
+        "eval.json": "1c8bc91763933bc809e73535f57dc808af3a1130e3d9a7e8b5bec792683b950e",
+    },
+}
+
+
+@pytest.mark.parametrize("task", TASKS)
+def test_classifier_outputs_are_pinned(archive, tmp_path, capsys, task):
+    clf, ev = tmp_path / "clf", tmp_path / "ev"
+    assert main(["train-classifier", "--input", str(archive), "--out", str(clf), "--task", task,
+                 "--epochs", "1", "--batch", "4", "--val-size", "2", "--augment-factor", "2", "--seed", "3"]) == 0
+    assert main(["eval-classifier", "--input", str(archive), "--model", str(clf / "classifier.model"),
+                 "--out", str(ev)]) == 0
+    files = [clf / "classifier.model", clf / "report.json", clf / "curves.csv", clf / "norm-stats.bin", ev / "eval.json"]
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == CLASSIFIER_DIGESTS[task]
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("sizes", [["--val-size", "-1"], ["--val-size", "2", "--augment-factor", "0"]],
+                         ids=["negative-val-size", "zero-augment-factor"])
+def test_classifier_task_sizes_are_checked(archive, tmp_path, capsys, sizes):
+    rc = main(["train-classifier", "--input", str(archive), "--out", str(tmp_path / "o"),
+               "--task", "weight", "--epochs", "1"] + sizes)
+    assert rc == 1
+    assert "validation size" in one_error_line(capsys)
+
+
 def test_train_gan_artifacts(gan_dir):
     for name in ("generator.model", "critic.model", "norm-stats.bin", "history.json"):
         assert (gan_dir / name).exists()
@@ -416,6 +468,17 @@ def test_conditional_generate_label_flow(cond_gan_dir, gan_dir, tmp_path, capsys
                "--count", "1", "--label", "heaviest"])
     assert rc == 2
     capsys.readouterr()
+
+
+def test_conditional_training_names_an_unlabelled_row(augmented, tmp_path, capsys):
+    sequences, _, _ = load_sequences(augmented)
+    sequences.labels[5] = None
+    archive = tmp_path / "unlabelled.bin"
+    save_sequences(archive, sequences)
+    rc = main(["train-gan", "--input", str(archive), "--out", str(tmp_path / "o"),
+               "--kind", "cond-wgan-gp", "--epochs", "1", "--batch", "4", "--critic-steps", "2"])
+    assert rc == 1
+    assert repr(sequences.names[5]) in one_error_line(capsys)
 
 
 def _rewritten_generator(gan_dir, path, case):
@@ -526,3 +589,55 @@ def test_render_bare_csv_svg(archive, tmp_path, capsys):
     assert frames[0].name == "frame_000.svg"
     text = frames[0].read_text()
     assert text.startswith("<?xml")
+
+
+# settings whose value names a file or directory
+PATH_SETTINGS = {"input", "out", "spec", "model", "stats", "topology"}
+hostile_text = st.text(max_size=8) | st.sampled_from(
+    ["", "-1", "0", "nan", "-inf", "1e400", "--", "-h", "0x10", "1_0", "\u2603", "weight=heavy,balance=balanced"]
+)
+
+
+def hostile_paths(root: Path) -> list[str]:
+    """A missing file, a directory, and an empty and a garbage file as .bin and as .csv."""
+    (root / "dir").mkdir()
+    paths = [root / "missing.bin", root / "dir"]
+    for suffix in (".bin", ".csv"):
+        (root / f"empty{suffix}").write_bytes(b"")
+        (root / f"garbage{suffix}").write_bytes(b"MOCAP\x00\xff{not json\n1,2,3\n" * 3)
+        paths += [root / f"empty{suffix}", root / f"garbage{suffix}"]
+    return [str(p) for p in paths]
+
+
+def flag_values(setting, paths):
+    """The value tokens after a flag: none for a switch, else one of the flag's type or hostile text."""
+    if setting.type is bool:
+        return st.just([])
+    if setting.name in PATH_SETTINGS:
+        return st.sampled_from(paths).map(lambda p: [p])
+    typed = {int: st.integers().map(str), float: st.floats().map(repr) | st.integers().map(str),
+             str: st.text(max_size=8)}[setting.type]
+    if setting.choices:
+        typed = st.sampled_from(setting.choices)
+    return st.one_of(typed, typed, hostile_text).map(lambda v: [v])  # typed values twice as often
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(data=st.data())
+def test_any_argv_exits_0_1_or_2_without_a_traceback(tmp_path_factory, data):
+    name = data.draw(st.sampled_from(sorted(COMMANDS)))
+    picked = data.draw(st.lists(st.sampled_from(COMMANDS[name].settings), unique=True))
+    with tempfile.TemporaryDirectory(dir=tmp_path_factory.getbasetemp()) as root:
+        paths = hostile_paths(Path(root))
+        argv = [name]
+        for setting in picked:
+            argv += ["--" + setting.name.replace("_", "-")] + data.draw(flag_values(setting, paths))
+        if data.draw(st.booleans()):
+            argv += ["--config", data.draw(st.sampled_from(paths))]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            rc = main(argv)
+    text = err.getvalue()
+    assert rc in (0, 1, 2), (argv, text)
+    assert "Traceback" not in text
+    assert sum("error:" in line for line in text.splitlines()) <= 1, (argv, text)

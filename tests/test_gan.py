@@ -28,10 +28,12 @@ from mocapsynth.gan import (
     build_generator,
     condition_channels,
     condition_concat,
+    critic_wloss,
+    discriminator_logloss,
     first_stationary_epoch,
-    gan_objective,
     generate_sequences,
     generator_logloss,
+    generator_wloss,
     gradient_penalty,
     interpolate,
     mode_collapsed,
@@ -45,7 +47,6 @@ from mocapsynth.gan import (
     train_gan,
     validate_wgan_critic,
     wasserstein_estimate,
-    wasserstein_losses,
     window_stationary,
 )
 from mocapsynth.nn import Sequential, Tensor, load_model
@@ -59,7 +60,7 @@ from mocapsynth.seeding import derive_rng
 def test_gan_objective_hand_value():
     d_real = Tensor(np.array([0.9, 0.9]))
     d_fake = Tensor(np.array([0.1, 0.1]))
-    d_loss, _ = gan_objective(d_real, d_fake, real_label=0.9)
+    d_loss = discriminator_logloss(d_real, d_fake, real_label=0.9)
     # -(0.9*log 0.9 + log 0.9) = -1.9 log 0.9
     assert abs(float(d_loss.data) - (-1.9 * math.log(0.9))) < 1e-12
     assert abs(float(d_loss.data) - 0.200) < 1e-3
@@ -71,9 +72,8 @@ def test_generator_loss_at_half_is_log_two():
 
 
 def test_gan_objective_clamps_saturated_probabilities():
-    d_loss, g_loss = gan_objective(
-        Tensor(np.array([0.0, 1.0])), Tensor(np.array([1.0, 0.0]))
-    )
+    d_real, d_fake = Tensor(np.array([0.0, 1.0])), Tensor(np.array([1.0, 0.0]))
+    d_loss, g_loss = discriminator_logloss(d_real, d_fake), generator_logloss(d_fake)
     assert np.isfinite(d_loss.data) and np.isfinite(g_loss.data)
 
 
@@ -84,21 +84,18 @@ def test_generator_loss_rewards_fooling():
 
 
 def test_wasserstein_hand_values():
-    core, gen = wasserstein_losses(
-        Tensor(np.array([2.0, 2.0])), Tensor(np.array([1.0, 1.0]))
-    )
+    c_real, c_fake = Tensor(np.array([2.0, 2.0])), Tensor(np.array([1.0, 1.0]))
+    core, gen = critic_wloss(c_real, c_fake), generator_wloss(c_fake)
     assert float(core.data) == -1.0
     assert float(gen.data) == -1.0
     assert wasserstein_estimate(np.array([2.0, 2.0]), np.array([1.0, 1.0])) == 1.0
 
 
 def test_wasserstein_accepts_column_scores():
-    core, gen = wasserstein_losses(
-        Tensor(np.array([[2.0], [2.0]])), Tensor(np.array([[1.0], [1.0]]))
-    )
+    core = critic_wloss(Tensor(np.array([[2.0], [2.0]])), Tensor(np.array([[1.0], [1.0]])))
     assert float(core.data) == -1.0
     with pytest.raises(ShapeError):
-        wasserstein_losses(Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
+        critic_wloss(Tensor(np.zeros((3, 2))), Tensor(np.zeros(3)))
 
 
 # ------------------------------------------------------- gradient penalty
