@@ -18,7 +18,7 @@ from .container import JsonRecord
 from .dataset.preprocess import SEQUENCE_LENGTH, MotionSequence, SequenceSet
 from .errors import InvalidFactorError, StateError
 from .markers import BOWL, N_MARKERS, SHOULDERS, WAIST
-from .seeding import derive_rng
+from .seeding import derive_uniforms
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,15 @@ class AugmentSpec(JsonRecord):
     seed: int = 0
 
     def __post_init__(self):
-        if self.scale_lo <= 0 or self.scale_hi < self.scale_lo:
+        # each range is drawn with Generator.uniform, which needs hi - lo finite and >= 0
+        for what, lo, hi in (
+            ("rotation", self.rotate_lo_deg, self.rotate_hi_deg),
+            ("scale", self.scale_lo, self.scale_hi),
+            ("translation", -self.translate_m, self.translate_m),
+        ):
+            if not 0 <= hi - lo < math.inf:
+                raise InvalidFactorError(f"bad {what} range [{lo}, {hi}]")
+        if self.scale_lo <= 0:
             raise InvalidFactorError(f"bad scale range [{self.scale_lo}, {self.scale_hi}]")
         if self.factor < 1:
             raise InvalidFactorError(f"factor must be >= 1, got {self.factor}")
@@ -134,7 +142,8 @@ def augment_dataset(sequences, spec: AugmentSpec) -> SequenceSet:
     input i is row i * factor + j of the result, named "<name>+a<j>" for
     j > 0, and draws its rotation, scale and shift from its own stream,
     derive_rng(spec.seed, "augment", i, j), so the result is
-    deterministic and independent of evaluation order. The factor - 1
+    deterministic and independent of evaluation order; derive_uniforms
+    computes every copy's draws in one pass, with the same bits. The factor - 1
     copies of one input are rotated straight into their rows of the one
     preallocated output, then scaled about their rotated torso centers
     and translated there in place. A factor of 1 returns the input set.
@@ -145,18 +154,18 @@ def augment_dataset(sequences, spec: AugmentSpec) -> SequenceSet:
         return src
     _require_world_space(src, "augment_dataset")
     n = len(src)
+    draws = derive_uniforms(spec.seed, "augment", range(n), range(1, f), (
+        (spec.rotate_lo_deg, spec.rotate_hi_deg),
+        (spec.scale_lo, spec.scale_hi),
+        (-spec.translate_m, spec.translate_m),
+        (-spec.translate_m, spec.translate_m),
+    ))
+    cos_sin = np.array([_cos_sin(angle) for angle in draws[..., 0].ravel().tolist()]).reshape(n, f - 1, 2)
     out = np.empty((n * f,) + src.data.shape[1:])
     rows = out.reshape(n, f, SEQUENCE_LENGTH, N_MARKERS, 3)
     for i, pts in enumerate(src.data.reshape(n, SEQUENCE_LENGTH, N_MARKERS, 3)):
-        draws = []
-        for j in range(1, f):
-            rng = derive_rng(spec.seed, "augment", i, j)
-            c, s = _cos_sin(rng.uniform(spec.rotate_lo_deg, spec.rotate_hi_deg))
-            factor = rng.uniform(spec.scale_lo, spec.scale_hi)
-            dx = rng.uniform(-spec.translate_m, spec.translate_m)
-            dy = rng.uniform(-spec.translate_m, spec.translate_m)
-            draws.append((c, s, factor, dx, dy))
-        c, s, factor, dx, dy = np.array(draws).T[..., None, None]
+        c, s = cos_sin[i].T[..., None, None]
+        factor, dx, dy = draws[i, :, 1:].T[..., None, None]
         rows[i, 0] = pts
         block = _rotated(pts, c, s, out=rows[i, 1:])
         _scale(block, factor)

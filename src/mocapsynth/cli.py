@@ -155,6 +155,8 @@ def _read_json_object(path, what: str) -> dict:
         doc = json.loads(path.read_text())
     except ValueError as exc:
         raise UsageError(f"{what} {path}: invalid JSON: {exc}") from None
+    except OSError as exc:
+        raise UsageError(f"{what} {path}: cannot read: {exc.strerror or exc}") from None
     if not isinstance(doc, dict):
         raise UsageError(f"{what} {path}: must hold a JSON object, not {type(doc).__name__}")
     return doc
@@ -209,6 +211,8 @@ def _load_stats(path) -> NormStats:
 
 def cmd_ingest(resolved: dict) -> int:
     _require(resolved, "input", "out")
+    if resolved["stride"] < 1:
+        raise UsageError("--stride must be at least 1")
     out_dir = Path(resolved["out"])
     result = load_trials(resolved["input"])
     if not result.trials:
@@ -259,7 +263,6 @@ def cmd_ingest(resolved: dict) -> int:
 def cmd_augment(resolved: dict) -> int:
     _require(resolved, "input", "out")
     out_dir = Path(resolved["out"])
-    sequences, _, extra = load_sequences(resolved["input"])
     spec = AugmentSpec(
         translate_m=resolved["translate"],
         scale_lo=resolved["scale_lo"],
@@ -269,6 +272,7 @@ def cmd_augment(resolved: dict) -> int:
         factor=resolved["factor"],
         seed=resolved["seed"],
     )
+    sequences, _, extra = load_sequences(resolved["input"])
     augmented = augment_dataset(sequences, spec)
     log.info("augmented %d -> %d sequences", len(sequences), len(augmented))
     _snapshot(out_dir, "augment", resolved)

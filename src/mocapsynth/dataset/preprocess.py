@@ -146,6 +146,8 @@ def centered_indices(n_frames: int, stride: int = CENTER_STRIDE) -> np.ndarray:
     When the strided span does not fit, the stride shrinks to the largest
     integer that does; the window is then clamped inside [0, n_frames).
     """
+    if stride < 1:
+        raise ContractError(f"stride must be at least 1, got {stride}")
     if n_frames < SEQUENCE_LENGTH:
         raise TooShortError(f"{n_frames} frames, need {SEQUENCE_LENGTH}")
     span = (SEQUENCE_LENGTH - 1) * stride

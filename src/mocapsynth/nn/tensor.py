@@ -9,6 +9,7 @@ gradient-penalty term of the WGAN critic loss).
 
 from __future__ import annotations
 
+import weakref
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -59,7 +60,7 @@ def needs_grad(t: "Tensor") -> bool:
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "op", "_prev", "_vjp")
+    __slots__ = ("data", "requires_grad", "grad", "op", "_prev", "_vjp", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data)
@@ -317,12 +318,23 @@ def mul_const(a: Tensor, c: float | np.ndarray) -> Tensor:
     return _make(a.data * c, (a,), lambda g: (mul_const(g, c),), "mul_const")
 
 
+def _vjp_of_output(out: Tensor, vjp: Callable[[Tensor, Tensor], tuple[Tensor]]) -> Tensor:
+    """Give `out` the vjp g -> vjp(g, out), holding `out` only weakly.
+
+    A closure over `out` stored on `out` would make each graph a reference
+    cycle, freed only when the cyclic collector runs. Backward calls a
+    node's vjp only while it holds the node, so the reference is live then.
+    """
+    if out.requires_grad:
+        ref = weakref.ref(out)
+        out._vjp = lambda g: vjp(g, ref())
+    return out
+
+
 def texp(a) -> Tensor:
     a = _ensure(a)
     out = _make(np.exp(a.data), (a,), None, "exp")
-    if out._prev or (grad_enabled() and a.requires_grad):
-        out._vjp = lambda g: (mul(g, out),)
-    return out
+    return _vjp_of_output(out, lambda g, y: (mul(g, y),))
 
 
 def tlog(a) -> Tensor:
@@ -333,25 +345,19 @@ def tlog(a) -> Tensor:
 def tsqrt(a) -> Tensor:
     a = _ensure(a)
     out = _make(np.sqrt(a.data), (a,), None, "sqrt")
-    if out.requires_grad:
-        out._vjp = lambda g: (div(mul_const(g, 0.5), out),)
-    return out
+    return _vjp_of_output(out, lambda g, y: (div(mul_const(g, 0.5), y),))
 
 
 def tanh(a) -> Tensor:
     a = _ensure(a)
     out = _make(np.tanh(a.data), (a,), None, "tanh")
-    if out.requires_grad:
-        out._vjp = lambda g: (mul(g, add(1.0, neg(mul(out, out)))),)
-    return out
+    return _vjp_of_output(out, lambda g, y: (mul(g, add(1.0, neg(mul(y, y)))),))
 
 
 def sigmoid(a) -> Tensor:
     a = _ensure(a)
     out = _make(1.0 / (1.0 + np.exp(-a.data)), (a,), None, "sigmoid")
-    if out.requires_grad:
-        out._vjp = lambda g: (mul(g, mul(out, add(1.0, neg(out)))),)
-    return out
+    return _vjp_of_output(out, lambda g, y: (mul(g, mul(y, add(1.0, neg(y)))),))
 
 
 def relu(a) -> Tensor:

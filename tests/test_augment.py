@@ -307,5 +307,9 @@ def test_spec_validation_and_json_round_trip():
         AugmentSpec(scale_lo=-0.1)
     with pytest.raises(InvalidFactorError):
         AugmentSpec(scale_lo=1.2, scale_hi=0.8)
+    for bad in (dict(translate_m=-0.1), dict(rotate_lo_deg=50.0, rotate_hi_deg=10.0), dict(translate_m=math.inf),
+                dict(rotate_lo_deg=-1e308, rotate_hi_deg=1e308), dict(scale_hi=math.nan)):
+        with pytest.raises(InvalidFactorError):
+            AugmentSpec(**bad)
     spec = AugmentSpec(translate_m=0.1, factor=3, seed=9)
     assert AugmentSpec.from_dict(spec.to_dict()) == spec

@@ -119,6 +119,27 @@ def test_ingest_refuses_a_sidecar_of_the_wrong_type(corpus_dir, tmp_path, capsys
     assert key in one_error_line(capsys)
 
 
+@pytest.mark.parametrize("flags, doc", [(["--stride", "0"], None), (["--stride", "-50"], None), ([], {"stride": 0})],
+                         ids=["flag-0", "flag-minus-50", "config-0"])
+def test_ingest_rejects_a_stride_below_one(corpus_dir, tmp_path, capsys, flags, doc):
+    if doc is not None:
+        (tmp_path / "cfg.json").write_text(json.dumps(doc))
+        flags = ["--config", str(tmp_path / "cfg.json")]
+    rc = main(["ingest", "--input", str(corpus_dir), "--out", str(tmp_path / "o"), *flags])
+    assert rc == 2
+    assert "--stride" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("flags", [["--translate", "-0.1"], ["--rotate-lo", "50", "--rotate-hi", "10"],
+                                   ["--translate", "inf"]], ids=["negative-translate", "reversed-rotation", "infinite"])
+def test_augment_refuses_a_range_it_cannot_draw_from(tmp_path, capsys, flags):
+    # the spec is checked before the archive is opened: the input does not exist
+    rc = main(["augment", "--input", str(tmp_path / "missing.bin"), "--out", str(tmp_path / "o"), *flags])
+    assert rc == 1
+    assert "range" in one_error_line(capsys)
+
+
 def test_ingest_writes_archive_and_snapshot(archive):
     sequences, stats, extra = load_sequences(archive)
     assert len(sequences) == 12
@@ -211,6 +232,17 @@ def one_error_line(capsys) -> str:
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:"), err
     return err[0]
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["stats", "--input", "trials"], "--config"),
+    (["train-classifier", "--input", "in.bin", "--task", "weight"], "--spec"),
+])
+def test_a_directory_as_config_or_spec_is_a_usage_error(tmp_path, capsys, argv, flag):
+    rc = main(argv + ["--out", str(tmp_path / "o"), flag, str(tmp_path)])
+    assert rc == 2
+    assert str(tmp_path) in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize(

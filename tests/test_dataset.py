@@ -43,6 +43,7 @@ from mocapsynth.dataset.synthetic import (
 )
 from mocapsynth.dataset.trials import _write_csv_rows
 from mocapsynth.errors import (
+    ContractError,
     DegenerateFeatureError,
     NoMotionError,
     StateError,
@@ -351,6 +352,12 @@ def test_centered_indices_500_frames():
 
 def test_centered_indices_exactly_32_is_identity():
     npt.assert_array_equal(centered_indices(32), np.arange(32))
+
+
+@pytest.mark.parametrize("stride", [0, -50])
+def test_centered_indices_rejects_a_stride_below_one(stride):
+    with pytest.raises(ContractError):
+        centered_indices(500, stride)
 
 
 def test_centered_indices_short_trials_shrink_stride():

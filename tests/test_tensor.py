@@ -1,5 +1,8 @@
 """Engine tests: forward values, graph mechanics, gradients vs finite differences."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -365,6 +368,25 @@ def test_double_backward_through_norm_penalty():
     r = np.linalg.norm(xv)
     want = 2 * (2 * r - 1) * 2 * xv / r
     npt.assert_allclose(x.grad, want, rtol=1e-9)
+
+
+@pytest.mark.parametrize("op", [texp, tsqrt, tanh, sigmoid])
+def test_graph_is_freed_without_the_cyclic_collector(op):
+    # a vjp holding its own output strongly makes each graph a reference cycle,
+    # which only the cyclic collector frees
+    gc.disable()
+    try:
+        x = Tensor(np.array([0.3, 0.7, 1.2]), requires_grad=True)
+        y = op(x)
+        (g,) = grad(tsum(y * y), [x], create_graph=True)
+        loss = tsum(g * g)
+        loss.backward()
+        assert x.grad is not None
+        nodes = [weakref.ref(t) for t in (y, g, loss)]
+        del y, g, loss
+        assert [ref() for ref in nodes] == [None, None, None]
+    finally:
+        gc.enable()
 
 
 def test_double_backward_matches_finite_difference():
