@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import JsonRecord
-from .dataset.preprocess import SEQUENCE_LENGTH, MotionSequence, SequenceSet
-from .errors import InvalidFactorError, StateError
+from .dataset.preprocess import SEQUENCE_LENGTH, SequenceSet
+from .errors import SettingError, StateError
 from .markers import BOWL, N_MARKERS, SHOULDERS, WAIST
 from .seeding import derive_uniforms
 
@@ -33,26 +33,17 @@ class AugmentSpec(JsonRecord):
 
     def __post_init__(self):
         # each range is drawn with Generator.uniform, which needs hi - lo finite and >= 0
-        for what, lo, hi in (
-            ("rotation", self.rotate_lo_deg, self.rotate_hi_deg),
-            ("scale", self.scale_lo, self.scale_hi),
-            ("translation", -self.translate_m, self.translate_m),
+        for what, lo, hi, names in (
+            ("rotation", self.rotate_lo_deg, self.rotate_hi_deg, ("rotate_lo_deg", "rotate_hi_deg")),
+            ("scale", self.scale_lo, self.scale_hi, ("scale_lo", "scale_hi")),
+            ("translation", -self.translate_m, self.translate_m, ("translate_m",)),
         ):
             if not 0 <= hi - lo < math.inf:
-                raise InvalidFactorError(f"bad {what} range [{lo}, {hi}]")
+                raise SettingError(f"bad {what} range [{lo}, {hi}]", *names)
         if self.scale_lo <= 0:
-            raise InvalidFactorError(f"bad scale range [{self.scale_lo}, {self.scale_hi}]")
+            raise SettingError(f"bad scale range [{self.scale_lo}, {self.scale_hi}]", "scale_lo")
         if self.factor < 1:
-            raise InvalidFactorError(f"factor must be >= 1, got {self.factor}")
-
-
-def _require_world_space(seq: MotionSequence | SequenceSet, op: str) -> None:
-    if seq.normalized:
-        raise StateError(f"{op} needs world-space coordinates, got a normalized sequence")
-
-
-def _like(seq: MotionSequence, pts: np.ndarray) -> MotionSequence:
-    return MotionSequence(pts.reshape(seq.data.shape), normalized=False, meta=seq.meta, name=seq.name)
+            raise SettingError(f"factor must be >= 1, got {self.factor}", "factor")
 
 
 # The kernels take points shaped (..., 32, 16, 3) and per-copy parameters
@@ -63,14 +54,12 @@ def _like(seq: MotionSequence, pts: np.ndarray) -> MotionSequence:
 # and *, which IEEE arithmetic does not see.)
 
 
-def _rotated(pts: np.ndarray, c, s, out: np.ndarray | None = None) -> np.ndarray:
-    """pts turned by the angle of cosine c and sine s about the vertical through the frame-0 bowl, into `out` if given."""
+def _rotated(pts: np.ndarray, c, s, out: np.ndarray) -> np.ndarray:
+    """pts turned by the angle of cosine c and sine s about the vertical through the frame-0 bowl, into `out`."""
     pivot_x = pts[..., :1, BOWL : BOWL + 1, 0]
     pivot_y = pts[..., :1, BOWL : BOWL + 1, 1]
     rel_x = pts[..., 0] - pivot_x
     rel_y = pts[..., 1] - pivot_y
-    if out is None:
-        out = np.empty(np.broadcast_shapes(np.shape(c), pts.shape[:-1]) + (3,))
     out[..., 0] = pivot_x + c * rel_x - s * rel_y
     out[..., 1] = pivot_y + s * rel_x + c * rel_y
     out[..., 2] = pts[..., 2]
@@ -103,38 +92,6 @@ def _cos_sin(angle_deg: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def translate_xy(seq: MotionSequence, dx: float, dy: float) -> MotionSequence:
-    """Shift every marker in every frame by (dx, dy) on the floor plane."""
-    _require_world_space(seq, "translate_xy")
-    pts = seq.points().copy()
-    _translate(pts, dx, dy)
-    return _like(seq, pts)
-
-
-def torso_centers(seq: MotionSequence) -> np.ndarray:
-    """(32, 3) per-frame scaling pivot: midpoint of shoulder mean and waist mean."""
-    return _torso_centers(seq.points())
-
-
-def scale_about_torso(seq: MotionSequence, factor: float) -> MotionSequence:
-    """Scale every marker (bowl included) about the per-frame torso center."""
-    _require_world_space(seq, "scale_about_torso")
-    if factor <= 0:
-        raise InvalidFactorError(f"scale factor must be positive, got {factor}")
-    pts = seq.points().copy()
-    _scale(pts, factor)
-    return _like(seq, pts)
-
-
-def rotate_about_bowl_start(seq: MotionSequence, angle_deg: float) -> MotionSequence:
-    """Rotate all frames about the vertical axis through the bowl's frame-0 spot.
-
-    Positive angles turn counter-clockwise seen from above (+Z).
-    """
-    _require_world_space(seq, "rotate_about_bowl_start")
-    return _like(seq, _rotated(seq.points(), *_cos_sin(angle_deg)))
-
-
 def augment_dataset(sequences, spec: AugmentSpec) -> SequenceSet:
     """factor copies per input, the first being the original; labels verbatim.
 
@@ -152,7 +109,8 @@ def augment_dataset(sequences, spec: AugmentSpec) -> SequenceSet:
     f = spec.factor
     if f == 1:
         return src
-    _require_world_space(src, "augment_dataset")
+    if src.normalized:
+        raise StateError("augment_dataset needs world-space coordinates, got a normalized sequence set")
     n = len(src)
     draws = derive_uniforms(spec.seed, "augment", range(n), range(1, f), (
         (spec.rotate_lo_deg, spec.rotate_hi_deg),

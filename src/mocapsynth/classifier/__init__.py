@@ -2,7 +2,6 @@ from .network import (
     BRANCH_WIDTHS,
     HierarchicalClassifier,
     HierarchicalNetSpec,
-    parameter_count,
 )
 from .tasks import (
     DEFAULT_VALIDATION,

@@ -16,7 +16,7 @@ import numpy as np
 
 # perfbench's tracer patches read_container and write_container by name on this module
 from ..container import JsonRecord, read_container, write_container  # noqa: F401
-from ..errors import ContractError, ShapeError
+from ..errors import ContractError, SettingError, ShapeError
 from ..nn import Sequential, Tensor, concat
 from ..nn.checkpoint import load_model, save_model
 from ..nn.layers import Activation, Conv1D, Dense, Dropout, Flatten, MaxPool
@@ -37,16 +37,16 @@ class HierarchicalNetSpec(JsonRecord):
 
     def __post_init__(self):
         if self.n_classes < 2:
-            raise ShapeError(f"need at least 2 classes, got {self.n_classes}")
+            raise SettingError(f"need at least 2 classes, got {self.n_classes}")
         if any(f < 1 for f in self.branch_filters) or self.dense_width < 1 or self.kernel < 1:
-            raise ShapeError("filter counts, dense width, and kernel must be positive")
+            raise SettingError("filter counts, dense width, and kernel must be positive")
         if not 0.0 <= self.dropout < 1.0:
-            raise ContractError(f"dropout must be in [0, 1), got {self.dropout}")
+            raise SettingError(f"dropout must be in [0, 1), got {self.dropout}")
         if self.first_spacing < 0:
-            raise ContractError(f"first_spacing must be at least 0, got {self.first_spacing}")
+            raise SettingError(f"first_spacing must be at least 0, got {self.first_spacing}")
         span = (self.kernel - 1) * (self.first_spacing + 1) + 1
         if span > SEQ_LEN:
-            raise ContractError(
+            raise SettingError(
                 f"kernel {self.kernel} at first_spacing {self.first_spacing} spans {span} frames,"
                 f" more than the {SEQ_LEN}-frame sequence"
             )
@@ -137,18 +137,3 @@ class HierarchicalClassifier:
     @classmethod
     def load(cls, path: str | Path) -> tuple["HierarchicalClassifier", dict]:
         return load_model(path, cls)
-
-
-def parameter_count(spec: HierarchicalNetSpec) -> int:
-    """Closed-form trainable parameter count for a spec."""
-    f1, f2, f3 = spec.branch_filters
-    k = spec.kernel
-    total = 0
-    for width in BRANCH_WIDTHS:
-        total += k * width * f1 + f1
-        total += k * f1 * f2 + f2
-        total += k * f2 * f3 + f3
-    concat_width = 3 * (SEQ_LEN // 8) * f3
-    total += concat_width * spec.dense_width + spec.dense_width
-    total += spec.dense_width * spec.n_classes + spec.n_classes
-    return total

@@ -8,7 +8,7 @@ import numpy as np
 
 from ..dataset.preprocess import cluster_columns
 from ..dataset.trials import BALANCES, WEIGHT_NAMES, WEIGHTS_G
-from ..errors import ContractError, DataError
+from ..errors import ContractError, DataError, SettingError
 from ..seeding import derive_rng
 
 WEIGHT_CLASSES = (WEIGHTS_G[0], WEIGHTS_G[-1])  # lightest vs heaviest load
@@ -30,11 +30,12 @@ class TaskSpec:
     augment_factor: int = 10
 
     def __post_init__(self):
-        if self.task not in TASKS:
+        if self.task not in TASKS:  # a ContractError: eval-classifier reads the task from a checkpoint
             raise ContractError(f"unknown task {self.task!r}; expected one of {TASKS}")
         if self.validation_size < 0 or self.augment_factor < 1:
-            raise ContractError(f"a task needs a validation size >= 0 and an augment factor >= 1, "
-                                f"got {self.validation_size} and {self.augment_factor}")
+            raise SettingError(f"a task needs a validation size >= 0 and an augment factor >= 1, "
+                               f"got {self.validation_size} and {self.augment_factor}",
+                               "validation_size", "augment_factor")
 
     @property
     def n_validation(self) -> int:

@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import DataError, LabelError, NumericalError
+from ..errors import DataError, LabelError, NumericalError, SettingError
 from ..nn import Adam, Tensor, cross_entropy, no_grad
 from ..seeding import derive_rng
 from .network import HierarchicalClassifier
@@ -82,6 +82,11 @@ def train_classifier(
     seed: int = 0,
 ) -> TrainReport:
     """Cross-entropy training with Adam; weights end at the best-validation epoch."""
+    for name, value in (("epochs", epochs), ("batch", batch)):
+        if value < 1:
+            raise SettingError(f"{name} must be at least 1, got {value}", name)
+    if not 0 < lr < np.inf:
+        raise SettingError(f"lr must be finite and positive, got {lr}", "lr")
     n = train_views[0].shape[0]
     if n == 0 or val_views[0].shape[0] == 0:
         raise DataError("empty training or validation split")

@@ -6,7 +6,9 @@ built-in default. The fully resolved settings are written next to the
 outputs as resolved-config.json, so any run can be reproduced from its
 artifacts alone. All randomness descends from the single --seed.
 
-Exit codes: 0 success, 1 runtime failure, 2 usage error.
+Exit codes: 0 success, 1 runtime failure, 2 usage error. A flag or
+config value that the code consuming it refuses raises SettingError
+there, and main reports it as a usage error naming the flag.
 """
 
 from __future__ import annotations
@@ -53,7 +55,7 @@ from .dataset import (
     write_sequence_csv,
 )
 from .dataset.preprocess import NormStats
-from .errors import ContractError, DataError, LabelError, MocapError, NoMotionError, ShapeError, StateError, TooShortError
+from .errors import ContractError, DataError, LabelError, MocapError, NoMotionError, SettingError, StateError, TooShortError
 from .gan import (
     ConditionLabel,
     CriticSpec,
@@ -81,8 +83,13 @@ EXPORT_FORMATS = ("jsonl", "svg_ortho")
 STATS_KIND = "normstats"
 
 
-class UsageError(Exception):
+class UsageError(SettingError):
     """Bad invocation: reported on stderr, exit code 2."""
+
+
+# the settings whose flag is spelled otherwise than the code that consumes them names them
+_FLAG_NAMES = {"translate_m": "translate", "rotate_lo_deg": "rotate_lo", "rotate_hi_deg": "rotate_hi",
+               "validation_size": "val_size", "n": "count"}
 
 
 # ------------------------------------------------------------ plumbing
@@ -211,8 +218,6 @@ def _load_stats(path) -> NormStats:
 
 def cmd_ingest(resolved: dict) -> int:
     _require(resolved, "input", "out")
-    if resolved["stride"] < 1:
-        raise UsageError("--stride must be at least 1")
     out_dir = Path(resolved["out"])
     result = load_trials(resolved["input"])
     if not result.trials:
@@ -288,13 +293,9 @@ def cmd_augment(resolved: dict) -> int:
 def _net_spec(spec_path, n_classes: int) -> HierarchicalNetSpec:
     """The default network, with the overrides of an optional --spec JSON file."""
     overrides = _read_json_object(spec_path, "spec file") if spec_path else {}
-    where = f"spec file {spec_path}"
     if "n_classes" in overrides:
-        raise UsageError(f"{where}: n_classes comes from the task")
-    try:
-        return HierarchicalNetSpec.from_dict({**overrides, "n_classes": n_classes})
-    except (ContractError, ShapeError) as exc:
-        raise UsageError(f"{where}: {exc}") from None
+        raise UsageError(f"spec file {spec_path}: n_classes comes from the task")
+    return HierarchicalNetSpec.from_dict({**overrides, "n_classes": n_classes})
 
 
 def cmd_train_classifier(resolved: dict) -> int:
@@ -403,7 +404,15 @@ def cmd_train_gan(resolved: dict) -> int:
     _require(resolved, "input", "out")
     kind = resolved["kind"].replace("-", "_")
     out_dir = Path(resolved["out"])
-    seed = resolved["seed"]
+    spec = GanTrainSpec(
+        kind=kind,
+        epochs=resolved["epochs"],
+        batch=resolved["batch"],
+        critic_steps=resolved["critic_steps"],
+        gp_lambda=resolved["gp_lambda"],
+        lr=resolved["lr"],
+        seed=resolved["seed"],
+    )
 
     sequences, stats, _ = load_sequences(resolved["input"])
     if sequences.normalized:
@@ -420,16 +429,6 @@ def cmd_train_gan(resolved: dict) -> int:
             raise LabelError(f"sequence {unlabelled[0]!r} has no label; conditional training needs one per sequence")
         labels = np.array([ConditionLabel.from_meta(m).index for m in sequences.labels])
     cond = N_CONDITIONS if kind == "cond_wgan_gp" else 0
-
-    spec = GanTrainSpec(
-        kind=kind,
-        epochs=resolved["epochs"],
-        batch=resolved["batch"],
-        critic_steps=resolved["critic_steps"],
-        gp_lambda=resolved["gp_lambda"],
-        lr=resolved["lr"],
-        seed=seed,
-    )
     gen_spec = GeneratorSpec(cond_dim=cond, batchnorm=resolved["gen_batchnorm"] == "on")
     critic_spec = CriticSpec(
         cond_channels=cond, head="sigmoid" if kind == "dcgan" else "linear"
@@ -459,13 +458,14 @@ def _parse_label(text: str) -> ConditionLabel:
 
 def cmd_generate(resolved: dict) -> int:
     _require(resolved, "model", "out")
-    if resolved["count"] < 1:
-        raise UsageError("--count must be at least 1")
     out_dir = Path(resolved["out"])
     generator, meta = load_model(resolved["model"])
     if meta.get("role") != "generator":
         raise ContractError(f"{resolved['model']}: not a generator checkpoint (role {meta.get('role')!r})")
-    gen_spec = GeneratorSpec.from_dict(meta.get("spec"))
+    try:
+        gen_spec = GeneratorSpec.from_dict(meta.get("spec"))
+    except SettingError as exc:  # a fault of the checkpoint, not a refused setting
+        raise ContractError(f"{resolved['model']}: {exc}") from None
     if build_generator(gen_spec).architecture() != generator.architecture():
         raise ContractError(f"{resolved['model']}: the generator spec does not match the saved architecture")
     stats_path = resolved["stats"] or str(Path(resolved["model"]).parent / "norm-stats.bin")
@@ -656,13 +656,11 @@ def main(argv=None) -> int:
     command = COMMANDS[args.subcommand]
     try:
         return command.run(_resolve(args, command.settings))
-    except UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except SettingError as exc:  # a refused flag or config value, wherever it was checked
+        flags = "/".join("--" + _FLAG_NAMES.get(n, n).replace("_", "-") for n in exc.names)
+        print(f"error: {flags}: {exc}" if flags else f"error: {exc}", file=sys.stderr)
         return 2
-    except MocapError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (MocapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -20,7 +20,7 @@ from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import ContractError, TrialFormatError
+from .errors import SettingError, TrialFormatError
 
 MAGIC = b"MCSYNTH1"
 VERSION = 1
@@ -45,12 +45,12 @@ def _field_value(key: str, value, hint):
         variadic = items[-1:] == (Ellipsis,)
         if not isinstance(value, (list, tuple)) or not (variadic or len(value) == len(items)):
             want = "a list" if variadic else f"a list of {len(items)} values"
-            raise ContractError(f"{key} must be {want}, got {json.dumps(value)}")
+            raise SettingError(f"{key} must be {want}, got {json.dumps(value)}")
         if variadic:
             items = items[:1] * len(value)
         return tuple(_field_value(f"{key}[{n}]", v, h) for n, (v, h) in enumerate(zip(value, items)))
     if hint in TYPE_NAMES and not fits(value, hint):
-        raise ContractError(f"{key} must be {TYPE_NAMES[hint]}, got {json.dumps(value)}")
+        raise SettingError(f"{key} must be {TYPE_NAMES[hint]}, got {json.dumps(value)}")
     return value
 
 
@@ -58,8 +58,8 @@ class JsonRecord:
     """Dataclass mixin: the JSON dict form kept in headers and run artifacts.
 
     from_dict holds every value to its field's type, scalar or tuple, and
-    turns JSON lists back into tuples; any fault is a ContractError
-    naming the key.
+    turns JSON lists back into tuples; any fault is a SettingError
+    naming the key, which a loader reading the dict from a file wraps.
     """
 
     def to_dict(self) -> dict:
@@ -68,14 +68,14 @@ class JsonRecord:
     @classmethod
     def from_dict(cls, d: dict):
         if not isinstance(d, dict):
-            raise ContractError(f"{cls.__name__} must be a JSON object, got {json.dumps(d)}")
+            raise SettingError(f"{cls.__name__} must be a JSON object, got {json.dumps(d)}")
         fields = {f.name: f for f in dataclasses.fields(cls)}
         unknown = sorted(set(d) - set(fields))
         missing = [n for n, f in fields.items() if n not in d
                    and f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING]
         for what, keys in (("unknown", unknown), ("missing", missing)):
             if keys:
-                raise ContractError(f"{cls.__name__}: {what} keys {keys}")
+                raise SettingError(f"{cls.__name__}: {what} keys {keys}")
         hints = get_type_hints(cls)
         return cls(**{k: _field_value(k, v, hints[k]) for k, v in d.items()})
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError, DegenerateFeatureError, NoMotionError, ShapeError, StateError, TooShortError
+from ..errors import ContractError, DegenerateFeatureError, NoMotionError, SettingError, ShapeError, StateError, TooShortError
 from ..markers import CLUSTER_CENTER, CLUSTER_LOWER, CLUSTER_UPPER, N_FEATURES, cluster_feature_columns
 from .trials import Trial, TrialMeta
 
@@ -118,10 +118,12 @@ def trim_to_motion(
     A frame starts (ends) the motion when the speed stays at or above the
     threshold for hold_frames consecutive frames from (up to) it.
     """
+    if not 0 < speed_threshold < np.inf:
+        raise SettingError(f"speed_threshold must be finite and positive, got {speed_threshold}", "speed_threshold")
+    if hold_frames < 1:
+        raise SettingError(f"hold_frames must be at least 1, got {hold_frames}", "hold_frames")
     speeds = bowl_speeds(trial)
     fast = speeds >= speed_threshold
-    if hold_frames < 1:
-        hold_frames = 1
     # run[i] = True when fast[i : i + hold] is all True
     kernel = np.ones(hold_frames, dtype=int)
     runs = np.convolve(fast.astype(int), kernel, mode="valid") == hold_frames
@@ -147,7 +149,7 @@ def centered_indices(n_frames: int, stride: int = CENTER_STRIDE) -> np.ndarray:
     integer that does; the window is then clamped inside [0, n_frames).
     """
     if stride < 1:
-        raise ContractError(f"stride must be at least 1, got {stride}")
+        raise SettingError(f"stride must be at least 1, got {stride}", "stride")
     if n_frames < SEQUENCE_LENGTH:
         raise TooShortError(f"{n_frames} frames, need {SEQUENCE_LENGTH}")
     span = (SEQUENCE_LENGTH - 1) * stride

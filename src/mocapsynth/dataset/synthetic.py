@@ -1,10 +1,8 @@
-"""Synthetic fixture data: a label-faithful trial corpus and toy training sets.
+"""Synthetic fixture data: a label-faithful trial corpus.
 
 The real capture corpus is private. These generators produce stand-ins
 whose label frequencies match the published counts exactly, so every
-piece of dataset arithmetic can be exercised end to end, plus two tiny
-training sets (two-mode sequences, separable three-class sequences) for
-fast adversarial and classifier convergence checks.
+piece of dataset arithmetic can be exercised end to end.
 """
 
 from __future__ import annotations
@@ -148,69 +146,3 @@ def write_corpus(directory: str | Path, seed: int = 0, carry: int = 36) -> Path:
         _write_csv_rows(CSV_COLUMNS_NO_C7, rows, directory / f"zrej{j:04d}.csv")
         (directory / f"zrej{j:04d}.json").write_text("{}")
     return directory
-
-
-def demo_sequence(seed: int = 0):
-    """One trimmed, resampled world-space sequence; handy for renders."""
-    from .preprocess import resample_centered, trim_to_motion
-
-    meta = TrialMeta(
-        participant=1,
-        bowl_size="medium",
-        weight_g=1140,
-        balance="balanced",
-        orientation="facing",
-        strategy="B",
-    )
-    trial = make_trial("demo", meta, derive_rng(seed, "demo"), carry=120)
-    return resample_centered(trim_to_motion(trial))
-
-
-def two_mode_sequences(n: int, seed: int = 0) -> tuple[np.ndarray, np.ndarray]:
-    """Toy generative target: (n, 32, 4) sequences drawn from two far-apart modes.
-
-    Returns (data, mode_index). Mode 0 rides a sine around +2, mode 1 a
-    cosine around -2; noise keeps each mode a tight cluster.
-    """
-    rng = derive_rng(seed, "two-mode")
-    t = np.linspace(0, 2 * math.pi, 32)
-    base0 = 2.0 + 0.5 * np.sin(t)[:, None] * np.ones((1, 4))
-    base1 = -2.0 + 0.5 * np.cos(t)[:, None] * np.ones((1, 4))
-    modes = rng.integers(0, 2, size=n)
-    data = np.where(modes[:, None, None] == 0, base0[None], base1[None])
-    data = data + rng.normal(scale=0.05, size=(n, 32, 4))
-    return data, modes
-
-
-def two_mode_centers() -> np.ndarray:
-    """(2, 32, 4) noise-free mode centers for nearest-mode assignment."""
-    t = np.linspace(0, 2 * math.pi, 32)
-    c0 = 2.0 + 0.5 * np.sin(t)[:, None] * np.ones((1, 4))
-    c1 = -2.0 + 0.5 * np.cos(t)[:, None] * np.ones((1, 4))
-    return np.stack([c0, c1])
-
-
-def separable_sequences(
-    n_train: int = 900,
-    n_val: int = 100,
-    seed: int = 0,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Linearly separable 3-class motion set: (train_x, train_y, val_x, val_y).
-
-    Each class adds its own fixed 32x48 pattern; noise is small relative
-    to the class separation, so a linear boundary exists by construction.
-    """
-    rng = derive_rng(seed, "three-class")
-    patterns = rng.normal(size=(3, 32, 48))
-    patterns /= np.linalg.norm(patterns, axis=(1, 2), keepdims=True)
-
-    def draw(count: int) -> tuple[np.ndarray, np.ndarray]:
-        y = np.arange(count) % 3
-        amp = rng.uniform(6.0, 10.0, size=count)
-        x = patterns[y] * amp[:, None, None] + rng.normal(scale=0.15, size=(count, 32, 48))
-        perm = rng.permutation(count)
-        return x[perm], y[perm]
-
-    train_x, train_y = draw(n_train)
-    val_x, val_y = draw(n_val)
-    return train_x, train_y, val_x, val_y

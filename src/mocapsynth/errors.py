@@ -32,10 +32,6 @@ class StateError(MocapError):
     """Operation applied to a sequence in the wrong normalization state."""
 
 
-class InvalidFactorError(MocapError):
-    """Scale or multiplicity factor outside its valid range."""
-
-
 class ShapeError(MocapError):
     """Tensor or layer shapes are incompatible."""
 
@@ -44,16 +40,25 @@ class ContractError(MocapError):
     """An operation was called in violation of its documented contract."""
 
 
+class SettingError(ContractError):
+    """A setting's value lies outside what the code that consumes it accepts.
+
+    `names` are the refused settings, as that code calls them. The command
+    line reports a refused flag or config value as a usage error; a loader
+    that read the value from a file wraps it as a format error.
+    """
+
+    def __init__(self, message: str, *names: str):
+        super().__init__(message)
+        self.names = names
+
+
 class NumericalError(MocapError):
     """NaN or non-finite value encountered during computation."""
 
 
 class DegenerateBatchError(MocapError):
     """Batch statistics requested on a batch of fewer than 2 samples."""
-
-
-class SupportError(MocapError):
-    """Divergence requested between distributions with incompatible support."""
 
 
 class DataError(MocapError):

@@ -3,8 +3,6 @@ from .networks import (
     GeneratorSpec,
     build_critic,
     build_generator,
-    toy_critic_spec,
-    toy_generator_spec,
     validate_wgan_critic,
 )
 from .conditioning import (
@@ -34,9 +32,5 @@ from .training import (
 )
 from .diagnostics import (
     assign_modes,
-    first_stationary_epoch,
-    mode_collapsed,
-    mode_fractions,
     pairwise_distance_stats,
-    window_stationary,
 )

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..dataset.trials import BALANCES, WEIGHT_NAMES, WEIGHTS_G
-from ..errors import LabelError, ShapeError
+from ..errors import LabelError, SettingError, ShapeError
 from ..nn import Tensor, concat
 
 CONDITION_CLASSES = tuple((WEIGHT_NAMES[w], b) for w in WEIGHTS_G for b in BALANCES)
@@ -27,32 +27,17 @@ class ConditionLabel:
 
     def __post_init__(self):
         if self.weight_name not in WEIGHT_NAMES.values():
-            raise LabelError(f"unknown weight class {self.weight_name!r}")
+            raise SettingError(f"unknown weight class {self.weight_name!r}", "label")
         if self.balance not in BALANCES:
-            raise LabelError(f"unknown balance class {self.balance!r}")
+            raise SettingError(f"unknown balance class {self.balance!r}", "label")
 
     @property
     def index(self) -> int:
         return CONDITION_CLASSES.index((self.weight_name, self.balance))
 
-    def onehot(self) -> np.ndarray:
-        v = np.zeros(N_CONDITIONS)
-        v[self.index] = 1.0
-        return v
-
-    @classmethod
-    def from_index(cls, i: int) -> "ConditionLabel":
-        if not 0 <= i < N_CONDITIONS:
-            raise LabelError(f"condition index {i} outside 0..{N_CONDITIONS - 1}")
-        w, b = CONDITION_CLASSES[i]
-        return cls(w, b)
-
     @classmethod
     def from_meta(cls, meta) -> "ConditionLabel":
         return cls(WEIGHT_NAMES[meta.weight_g], meta.balance)
-
-    def __str__(self) -> str:
-        return f"{self.weight_name}/{self.balance}"
 
 
 def onehot_batch(indices: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Health checks on generator output and loss histories."""
+"""Spread and mode coverage of generator output."""
 
 from __future__ import annotations
 
@@ -37,11 +37,6 @@ def pairwise_distance_stats(samples: np.ndarray) -> dict:
     }
 
 
-def mode_collapsed(samples: np.ndarray, threshold: float) -> bool:
-    """True when the mean pairwise distance falls below the threshold."""
-    return pairwise_distance_stats(samples)["mean"] < threshold
-
-
 def assign_modes(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
     """Index of the nearest center for each sample."""
     x = _flat(samples)
@@ -54,41 +49,3 @@ def assign_modes(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
         - 2.0 * (x @ c.T)
     )
     return np.argmin(d2, axis=1)
-
-
-def mode_fractions(samples: np.ndarray, centers: np.ndarray) -> np.ndarray:
-    """Fraction of samples assigned to each center."""
-    assign = assign_modes(samples, centers)
-    counts = np.bincount(assign, minlength=len(centers))
-    return counts / counts.sum()
-
-
-def window_stationary(values, window: int = 10, tol: float = 0.05) -> bool:
-    """True when the last `window` values all sit within tol of their mean."""
-    values = np.asarray(values, dtype=float)
-    if len(values) < window:
-        return False
-    tail = values[-window:]
-    center = tail.mean()
-    band = tol * max(abs(center), 1e-12)
-    return bool(np.all(np.abs(tail - center) <= band))
-
-
-def first_stationary_epoch(
-    d_means, g_means, window: int = 10, tol: float = 0.05
-):
-    """Earliest epoch at which both loss traces have gone flat.
-
-    Flat means every value in the trailing window lies within the
-    relative tolerance of the window mean. Returns None when neither
-    history settles.
-    """
-    d_means = list(d_means)
-    g_means = list(g_means)
-    n = min(len(d_means), len(g_means))
-    for e in range(window, n + 1):
-        if window_stationary(d_means[:e], window, tol) and window_stationary(
-            g_means[:e], window, tol
-        ):
-            return e - 1
-    return None

@@ -114,18 +114,3 @@ def validate_wgan_critic(spec: CriticSpec) -> None:
         )
     if spec.head != "linear":
         raise ContractError("a WGAN critic needs a linear head, not a squashed one")
-
-
-def toy_generator_spec(noise_dim: int = 16, channels: int = 4) -> GeneratorSpec:
-    """Small stack for fast end-to-end checks on 32-step toy sequences."""
-    return GeneratorSpec(
-        noise_dim=noise_dim,
-        base_steps=4,
-        base_channels=32,
-        conv_filters=(16, 8, channels),
-        kernel=5,
-    )
-
-
-def toy_critic_spec(channels: int = 4) -> CriticSpec:
-    return CriticSpec(in_steps=32, in_channels=channels, conv_filters=(8, 16, 32), kernel=5)

@@ -13,6 +13,7 @@ plain shuffled walk over the data.
 
 from __future__ import annotations
 
+import math
 import os
 from dataclasses import dataclass, field
 
@@ -20,7 +21,7 @@ import numpy as np
 
 from ..container import JsonRecord
 from ..dataset.preprocess import SequenceSet, invert_zscore
-from ..errors import ContractError, DataError, LabelError, NumericalError, ShapeError, StateError
+from ..errors import ContractError, DataError, LabelError, NumericalError, SettingError, ShapeError, StateError
 from ..nn import Adam, Tensor, no_grad
 from ..nn.checkpoint import save_model
 from ..seeding import derive_rng
@@ -66,13 +67,16 @@ class GanTrainSpec(JsonRecord):
 
     def __post_init__(self):
         if self.kind not in KINDS:
-            raise ContractError(f"unknown training kind {self.kind!r}; expected one of {KINDS}")
-        if self.epochs < 1 or self.batch < 1 or self.critic_steps < 1:
-            raise ContractError("epochs, batch and critic_steps must be positive")
-        if self.gp_lambda < 0:
-            raise ContractError("gp_lambda must be nonnegative")
+            raise SettingError(f"unknown training kind {self.kind!r}; expected one of {KINDS}", "kind")
+        for name in ("epochs", "batch", "critic_steps"):
+            if getattr(self, name) < 1:
+                raise SettingError(f"{name} must be at least 1, got {getattr(self, name)}", name)
+        if not 0 <= self.gp_lambda < math.inf:
+            raise SettingError(f"gp_lambda must be finite and nonnegative, got {self.gp_lambda}", "gp_lambda")
+        if not (self.lr is None or 0 < self.lr < math.inf):
+            raise SettingError(f"lr must be finite and positive, got {self.lr}", "lr")
         if not 0.0 < self.real_label <= 1.0:
-            raise ContractError("real_label must sit in (0, 1]")
+            raise SettingError(f"real_label must sit in (0, 1], got {self.real_label}", "real_label")
 
     @property
     def conditional(self) -> bool:
@@ -105,15 +109,6 @@ class GanHistory(JsonRecord):
     epoch_ends: list[int] = field(default_factory=list)
     critic_updates: int = 0
     gen_updates: int = 0
-
-    def epoch_means(self, series: str) -> list[float]:
-        values = getattr(self, series)
-        means, start = [], 0
-        for end in self.epoch_ends:
-            if end > start:
-                means.append(float(np.mean(values[start:end])))
-            start = end
-        return means
 
 
 def _as_array(data) -> np.ndarray:
@@ -327,6 +322,8 @@ def sample_generator(
     condition: int | None = None,
 ) -> np.ndarray:
     """Draw n sequences from a trained generator (normalized space)."""
+    if n < 1:
+        raise SettingError(f"need at least one sequence, got {n}", "n")
     rng = derive_rng(seed, "sample")
     z = rng.standard_normal((n, gen_spec.noise_dim))
     if gen_spec.cond_dim:

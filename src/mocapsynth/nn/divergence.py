@@ -1,10 +1,10 @@
-"""Divergences between discrete distributions given as count or mass vectors."""
+"""The Jensen-Shannon divergence between discrete distributions given as count or mass vectors."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..errors import ContractError, SupportError
+from ..errors import ContractError
 
 
 def _normalise(p) -> np.ndarray:
@@ -17,20 +17,6 @@ def _normalise(p) -> np.ndarray:
     if total <= 0:
         raise ContractError("distribution has zero total mass")
     return arr / total
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) in nats; infinite when p puts mass where q has none.
-
-    Terms with p_i = 0 contribute nothing regardless of q_i.
-    """
-    p, q = _normalise(p), _normalise(q)
-    if p.shape != q.shape:
-        raise ContractError(f"support sizes differ: {p.shape} vs {q.shape}")
-    support = p > 0
-    if np.any(q[support] == 0):
-        raise SupportError("q assigns zero mass inside the support of p")
-    return float(np.sum(p[support] * np.log(p[support] / q[support])))
 
 
 def js_divergence(p, q) -> float:

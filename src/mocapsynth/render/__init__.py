@@ -6,7 +6,6 @@ from .topology import (
     SkeletonTopology,
     default_topology,
     load_topology,
-    save_topology,
 )
 from .geometry import (
     BOWL_RADIUS,
@@ -22,5 +21,4 @@ from .export import (
     export_jsonl,
     export_svg_ortho,
     frame_to_dict,
-    read_jsonl,
 )

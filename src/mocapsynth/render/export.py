@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-import numpy as np
 
 from ..errors import DataError
 from .geometry import GeometryFrame
@@ -51,11 +50,6 @@ def export_jsonl(frames: list[GeometryFrame], path) -> Path:
         for frame in frames:
             fh.write(json.dumps(frame_to_dict(frame)) + "\n")
     return path
-
-
-def read_jsonl(path) -> list[dict]:
-    with open(path) as fh:
-        return [json.loads(line) for line in fh if line.strip()]
 
 
 def _svg_bounds(frames) -> tuple[float, float, float, float]:

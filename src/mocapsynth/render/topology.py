@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from ..container import JsonRecord
-from ..errors import ContractError
+from ..errors import ContractError, SettingError
 from ..markers import MARKER_NAMES
 
 PELVIS = "pelvis"
@@ -60,16 +60,17 @@ class SkeletonTopology(JsonRecord):
             if a == b:
                 raise ContractError(f"bone {a!r}-{b!r} joins a node to itself")
 
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2) + "\n"
-
     @classmethod
     def from_json(cls, text: str | bytes) -> "SkeletonTopology":
+        """The bone table of a JSON document; any fault in it is a ContractError."""
         try:
             doc = json.loads(text)
         except ValueError as exc:
             raise ContractError(f"topology is not JSON: {exc}") from None
-        return cls.from_dict(doc)
+        try:
+            return cls.from_dict(doc)
+        except SettingError as exc:  # a fault of the file, not a refused setting
+            raise ContractError(f"topology: {exc}") from None
 
 
 def default_topology() -> SkeletonTopology:
@@ -78,7 +79,3 @@ def default_topology() -> SkeletonTopology:
 
 def load_topology(path) -> SkeletonTopology:
     return SkeletonTopology.from_json(Path(path).read_bytes())
-
-
-def save_topology(topo: SkeletonTopology, path) -> None:
-    Path(path).write_text(topo.to_json())

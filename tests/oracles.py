@@ -84,6 +84,21 @@ def adam_single_step(theta, grad, lr, beta1, beta2, eps):
     return theta - lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+def parameter_count(spec) -> int:
+    """Closed-form trainable parameter count of a HierarchicalNetSpec."""
+    f1, f2, f3 = spec.branch_filters
+    k = spec.kernel
+    total = 0
+    for width in (21, 15, 21):  # the upper, center and lower cluster widths
+        total += k * width * f1 + f1
+        total += k * f1 * f2 + f2
+        total += k * f2 * f3 + f3
+    concat_width = 3 * (32 // 8) * f3  # three pooled-by-8 branches of 32 steps
+    total += concat_width * spec.dense_width + spec.dense_width
+    total += spec.dense_width * spec.n_classes + spec.n_classes
+    return total
+
+
 def rotate_xy_about(points, angle, center):
     """CCW rotation of each (x, y) about `center`; z untouched. points (N, 3)."""
     c, s = math.cos(angle), math.sin(angle)

@@ -13,14 +13,7 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mocapsynth.augment import (
-    AugmentSpec,
-    augment_dataset,
-    rotate_about_bowl_start,
-    scale_about_torso,
-    torso_centers,
-    translate_xy,
-)
+from mocapsynth.augment import AugmentSpec, augment_dataset
 from mocapsynth.classifier import (
     HierarchicalClassifier,
     HierarchicalNetSpec,
@@ -31,12 +24,6 @@ from mocapsynth.classifier import (
     validation_split,
 )
 from mocapsynth.dataset import MotionSequence, SequenceSet
-from mocapsynth.dataset.synthetic import (
-    demo_sequence,
-    separable_sequences,
-    two_mode_centers,
-    two_mode_sequences,
-)
 from mocapsynth.dataset.trials import TrialMeta
 from mocapsynth.gan import (
     CriticSpec,
@@ -45,11 +32,8 @@ from mocapsynth.gan import (
     build_critic,
     build_generator,
     gradient_penalty,
-    mode_fractions,
     sample_generator,
     save_gan,
-    toy_critic_spec,
-    toy_generator_spec,
     train_gan,
 )
 from mocapsynth.nn import BatchNorm, Conv1D, Dense, MaxPool, Tensor, Upsample, conv1d, cross_entropy, js_divergence, tsum
@@ -58,6 +42,19 @@ from mocapsynth.seeding import derive_rng
 
 from gradcheck import check_gradients
 from oracles import naive_conv1d
+from toys import (
+    demo_sequence,
+    mode_fractions,
+    rotate_about_bowl_start,
+    scale_about_torso,
+    separable_sequences,
+    torso_centers,
+    toy_critic_spec,
+    toy_generator_spec,
+    translate_xy,
+    two_mode_centers,
+    two_mode_sequences,
+)
 
 GOLDEN = __file__.rsplit("/", 1)[0] + "/golden"
 

@@ -8,20 +8,14 @@ import numpy as np
 import numpy.testing as npt
 import pytest
 
-from mocapsynth.augment import (
-    AugmentSpec,
-    augment_dataset,
-    rotate_about_bowl_start,
-    scale_about_torso,
-    torso_centers,
-    translate_xy,
-)
+from mocapsynth.augment import AugmentSpec, augment_dataset
 from mocapsynth.dataset import MotionSequence, SequenceSet, TrialMeta, save_sequences
-from mocapsynth.errors import InvalidFactorError, StateError
+from mocapsynth.errors import SettingError, StateError
 from mocapsynth.markers import BOWL
 from mocapsynth.seeding import derive_rng
 
 from oracles import pairwise_distances, rotate_xy_about
+from toys import rotate_about_bowl_start, scale_about_torso, torso_centers, translate_xy
 
 
 def meta(**overrides) -> TrialMeta:
@@ -121,11 +115,11 @@ def test_scale_inverse_recovers_original():
 
 
 def test_scale_rejects_nonpositive_factor():
-    rng = np.random.default_rng(7)
-    with pytest.raises(InvalidFactorError):
-        scale_about_torso(world_sequence(rng), 0.0)
-    with pytest.raises(InvalidFactorError):
-        scale_about_torso(world_sequence(rng), -1.0)
+    # augment_dataset draws every scale factor from [scale_lo, scale_hi]
+    with pytest.raises(SettingError):
+        AugmentSpec(scale_lo=0.0)
+    with pytest.raises(SettingError):
+        AugmentSpec(scale_lo=-1.0)
 
 
 # -- rotate ----------------------------------------------------------------------
@@ -186,12 +180,11 @@ def test_rotate_preserves_pairwise_distances():
 
 def test_world_space_required_everywhere():
     seq = MotionSequence(np.zeros((32, 48)), normalized=True, meta=meta())
+    spec = AugmentSpec(factor=2)
     with pytest.raises(StateError):
-        translate_xy(seq, 0.1, 0.1)
+        augment_dataset([seq], spec)
     with pytest.raises(StateError):
-        scale_about_torso(seq, 0.9)
-    with pytest.raises(StateError):
-        rotate_about_bowl_start(seq, 30.0)
+        augment_dataset(SequenceSet.of([seq, seq]), spec)
 
 
 def test_augment_counts():
@@ -301,15 +294,15 @@ def test_augmented_samples_differ_from_original():
 
 
 def test_spec_validation_and_json_round_trip():
-    with pytest.raises(InvalidFactorError):
+    with pytest.raises(SettingError):
         AugmentSpec(factor=0)
-    with pytest.raises(InvalidFactorError):
+    with pytest.raises(SettingError):
         AugmentSpec(scale_lo=-0.1)
-    with pytest.raises(InvalidFactorError):
+    with pytest.raises(SettingError):
         AugmentSpec(scale_lo=1.2, scale_hi=0.8)
     for bad in (dict(translate_m=-0.1), dict(rotate_lo_deg=50.0, rotate_hi_deg=10.0), dict(translate_m=math.inf),
                 dict(rotate_lo_deg=-1e308, rotate_hi_deg=1e308), dict(scale_hi=math.nan)):
-        with pytest.raises(InvalidFactorError):
+        with pytest.raises(SettingError):
             AugmentSpec(**bad)
     spec = AugmentSpec(translate_m=0.1, factor=3, seed=9)
     assert AugmentSpec.from_dict(spec.to_dict()) == spec

@@ -6,7 +6,8 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import balanced_rows_by_lists, split_rows_by_lists
+from oracles import balanced_rows_by_lists, parameter_count, split_rows_by_lists
+from toys import separable_sequences
 
 from mocapsynth.classifier import (
     TASKS,
@@ -16,13 +17,11 @@ from mocapsynth.classifier import (
     balance_classes,
     cluster_views,
     evaluate,
-    parameter_count,
     train_classifier,
     validation_split,
 )
 from mocapsynth.dataset import TrialMeta
-from mocapsynth.dataset.synthetic import separable_sequences
-from mocapsynth.errors import ContractError, DataError, LabelError, ShapeError
+from mocapsynth.errors import ContractError, DataError, LabelError, SettingError, ShapeError
 from mocapsynth.nn import Tensor, softmax
 
 
@@ -114,9 +113,9 @@ def test_checkpoint_round_trip(tmp_path):
 
 
 def test_spec_validation():
-    with pytest.raises(ShapeError):
+    with pytest.raises(SettingError):
         HierarchicalNetSpec(n_classes=1)
-    with pytest.raises(ShapeError):
+    with pytest.raises(SettingError):
         HierarchicalNetSpec(n_classes=2, branch_filters=(0, 1, 1))
 
 

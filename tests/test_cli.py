@@ -9,6 +9,7 @@ import contextlib
 import hashlib
 import io
 import json
+import math
 import tempfile
 from pathlib import Path
 
@@ -136,7 +137,7 @@ def test_ingest_rejects_a_stride_below_one(corpus_dir, tmp_path, capsys, flags, 
 def test_augment_refuses_a_range_it_cannot_draw_from(tmp_path, capsys, flags):
     # the spec is checked before the archive is opened: the input does not exist
     rc = main(["augment", "--input", str(tmp_path / "missing.bin"), "--out", str(tmp_path / "o"), *flags])
-    assert rc == 1
+    assert rc == 2
     assert "range" in one_error_line(capsys)
 
 
@@ -415,7 +416,7 @@ def test_classifier_outputs_are_pinned(archive, tmp_path, capsys, task):
 def test_classifier_task_sizes_are_checked(archive, tmp_path, capsys, sizes):
     rc = main(["train-classifier", "--input", str(archive), "--out", str(tmp_path / "o"),
                "--task", "weight", "--epochs", "1"] + sizes)
-    assert rc == 1
+    assert rc == 2
     assert "validation size" in one_error_line(capsys)
 
 
@@ -572,6 +573,19 @@ def test_generate_refuses_a_spec_that_disagrees_with_the_architecture(gan_dir, t
     assert not out.exists()
 
 
+def test_a_checkpoint_spec_of_the_wrong_type_exits_1(gan_dir, tmp_path, capsys):
+    # the spec's type check refuses the value, but it came from a file, not from a setting
+    meta, arrays = read_container(gan_dir / "generator.model")
+    meta["extra"]["spec"]["noise_dim"] = "16"
+    model = tmp_path / "typed.model"
+    write_container(model, "model", meta, arrays)
+    out = tmp_path / "o"
+    rc = main(["generate", "--model", str(model), "--stats", str(gan_dir / "norm-stats.bin"), "--out", str(out)])
+    assert rc == 1
+    assert "noise_dim" in one_error_line(capsys)
+    assert not out.exists()
+
+
 def test_dcgan_summary_reports_its_discriminator_loss(augmented, tmp_path, capsys):
     rc = main(["train-gan", "--input", str(augmented), "--out", str(tmp_path / "dc"), "--kind", "dcgan",
                "--epochs", "1", "--batch", "4", "--seed", "5"])
@@ -673,3 +687,45 @@ def test_any_argv_exits_0_1_or_2_without_a_traceback(tmp_path_factory, data):
     assert rc in (0, 1, 2), (argv, text)
     assert "Traceback" not in text
     assert sum("error:" in line for line in text.splitlines()) <= 1, (argv, text)
+
+
+# every bounded numeric setting, and the condition label, with one value outside its range;
+# each real-valued one is also tried with nan
+BOUNDED = [
+    ("ingest", "stride", 0), ("ingest", "hold_frames", 0), ("ingest", "speed_threshold", -1.0),
+    ("augment", "factor", 0), ("augment", "translate", -1.0), ("augment", "scale_lo", 0.0),
+    ("augment", "scale_hi", 0.5), ("augment", "rotate_lo", 90.0), ("augment", "rotate_hi", -10.0),
+    ("train-classifier", "epochs", 0), ("train-classifier", "batch", 0), ("train-classifier", "lr", 0.0),
+    ("train-classifier", "augment_factor", 0), ("train-classifier", "val_size", -1),
+    ("train-gan", "epochs", 0), ("train-gan", "batch", 0), ("train-gan", "critic_steps", 0),
+    ("train-gan", "gp_lambda", -1.0), ("train-gan", "lr", -1.0),
+    ("generate", "count", 0), ("generate", "label", "weight=light,balance=balanced"),
+]
+REFUSED = BOUNDED + [(command, name, math.nan) for command, name, value in BOUNDED if isinstance(value, float)]
+
+
+@pytest.mark.parametrize("via", ["flag", "config"])
+@pytest.mark.parametrize("command, name, value", REFUSED, ids=[f"{c}-{n}-{v}" for c, n, v in REFUSED])
+def test_a_refused_setting_is_a_usage_error(corpus_dir, archive, gan_dir, tmp_path, capsys, command, name, value, via):
+    out = tmp_path / "o"
+    # settings that make the run valid but for the one under test
+    base = {
+        "ingest": {"input": str(corpus_dir)},
+        "augment": {"input": str(archive)},
+        "train-classifier": {"input": str(archive), "task": "weight", "epochs": 1, "val_size": 2, "augment_factor": 2},
+        "train-gan": {"input": str(archive), "epochs": 1, "batch": 4, "critic_steps": 2},
+        "generate": {"model": str(gan_dir / "generator.model")},
+    }[command]
+    values = {**base, "out": str(out), name: value}
+    if via == "flag":
+        argv = [command] + [token for key, v in values.items() for token in ("--" + key.replace("_", "-"), str(v))]
+    else:
+        (tmp_path / "cfg.json").write_text(json.dumps(values))
+        argv = [command, "--config", str(tmp_path / "cfg.json")]
+    rc = main(argv)
+    err = capsys.readouterr().err
+    errors = [line for line in err.splitlines() if "error:" in line]
+    assert rc == 2, err
+    assert "Traceback" not in err
+    assert len(errors) == 1 and "--" + name.replace("_", "-") in errors[0], err
+    assert not out.exists()

@@ -17,9 +17,11 @@ import mocapsynth.container as container
 from mocapsynth.container import MAGIC, read_container, write_container
 from mocapsynth.dataset import MotionSequence, NormStats, TrialMeta, load_sequences, save_sequences
 from mocapsynth.errors import MocapError, TrialFormatError
-from mocapsynth.gan import build_generator, toy_generator_spec
+from mocapsynth.gan import build_generator
 from mocapsynth.nn import load_model
 from mocapsynth.nn.checkpoint import save_model
+
+from toys import toy_generator_spec
 
 
 def small_container(path):

@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from mocapsynth.container import write_container
-from mocapsynth.errors import ContractError, DegenerateBatchError, SupportError
+from mocapsynth.errors import ContractError, DegenerateBatchError
 from mocapsynth.nn import (
     Activation,
     Adam,
@@ -20,7 +20,6 @@ from mocapsynth.nn import (
     Tensor,
     Upsample,
     js_divergence,
-    kl_divergence,
     load_model,
     save_model,
     tsum,
@@ -193,14 +192,16 @@ def test_adam_bias_correction_first_step_size():
 def test_kl_js_hand_values():
     p = [0.5, 0.5]
     q = [0.9, 0.1]
-    want_kl = 0.5 * np.log(0.5 / 0.9) + 0.5 * np.log(0.5 / 0.1)
-    npt.assert_allclose(kl_divergence(p, q), want_kl, rtol=1e-12)
-    npt.assert_allclose(kl_divergence(p, q), naive_kl(p, q), rtol=1e-12)
+    m = [0.7, 0.3]
+    kl_pm = 0.5 * np.log(0.5 / 0.7) + 0.5 * np.log(0.5 / 0.3)
+    kl_qm = 0.9 * np.log(0.9 / 0.7) + 0.1 * np.log(0.1 / 0.3)
+    npt.assert_allclose(naive_kl(p, m), kl_pm, rtol=1e-12)
+    npt.assert_allclose(js_divergence(p, q), 0.5 * kl_pm + 0.5 * kl_qm, rtol=1e-12)
     npt.assert_allclose(js_divergence(p, q), naive_js(p, q), rtol=1e-12)
 
 
-def test_kl_accepts_counts():
-    npt.assert_allclose(kl_divergence([5, 5], [9, 1]), kl_divergence([0.5, 0.5], [0.9, 0.1]))
+def test_js_accepts_counts():
+    npt.assert_allclose(js_divergence([5, 5], [9, 1]), js_divergence([0.5, 0.5], [0.9, 0.1]))
 
 
 def test_js_disjoint_supports_is_log_two():
@@ -221,14 +222,9 @@ def test_js_symmetric_and_bounded():
         assert 0.0 <= a <= np.log(2.0) + 1e-12
 
 
-def test_kl_unsupported_mass_raises():
-    with pytest.raises(SupportError):
-        kl_divergence([0.5, 0.5], [1.0, 0.0])
-
-
 def test_divergence_rejects_bad_input():
     with pytest.raises(ContractError):
-        kl_divergence([0.5, -0.5], [0.5, 0.5])
+        js_divergence([0.5, -0.5], [0.5, 0.5])
     with pytest.raises(ContractError):
         js_divergence([0, 0], [1, 0])
     with pytest.raises(ContractError):
