@@ -54,7 +54,7 @@ from .dataset import (
     trim_to_motion,
     write_sequence_csv,
 )
-from .dataset.preprocess import NormStats
+from .dataset.preprocess import NormStats, check_stride
 from .errors import ContractError, DataError, LabelError, MocapError, NoMotionError, SettingError, StateError, TooShortError
 from .gan import (
     ConditionLabel,
@@ -218,6 +218,7 @@ def _load_stats(path) -> NormStats:
 
 def cmd_ingest(resolved: dict) -> int:
     _require(resolved, "input", "out")
+    check_stride(resolved["stride"])  # refused in uniform mode too, which does not read it
     out_dir = Path(resolved["out"])
     result = load_trials(resolved["input"])
     if not result.trials:

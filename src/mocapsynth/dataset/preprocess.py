@@ -142,14 +142,18 @@ def trim_to_motion(
     return trial.with_coords(trimmed)
 
 
+def check_stride(stride: int) -> None:
+    if stride < 1:
+        raise SettingError(f"stride must be at least 1, got {stride}", "stride")
+
+
 def centered_indices(n_frames: int, stride: int = CENTER_STRIDE) -> np.ndarray:
     """32 indices at the given stride, centered on the midpoint frame.
 
     When the strided span does not fit, the stride shrinks to the largest
     integer that does; the window is then clamped inside [0, n_frames).
     """
-    if stride < 1:
-        raise SettingError(f"stride must be at least 1, got {stride}", "stride")
+    check_stride(stride)
     if n_frames < SEQUENCE_LENGTH:
         raise TooShortError(f"{n_frames} frames, need {SEQUENCE_LENGTH}")
     span = (SEQUENCE_LENGTH - 1) * stride

@@ -4,9 +4,9 @@ Sequences are (batch, time, channels). A convolution is one graph node:
 its forward pass multiplies an im2col matrix of same-padded input
 windows by the flattened kernel. Its input and weight gradients are two
 further primitives, a transposed convolution and a windows-by-gradient
-product. The three are adjoints of one another, so each one's vjp is
-written with the other two and the double backward that a gradient
-penalty needs stays exact.
+product. The three are adjoints, so each one's vjp is written with the
+other two and a gradient penalty's double backward stays exact. Max
+pooling (`select`, `spread`) and `dense` are single nodes the same way.
 """
 
 from __future__ import annotations
@@ -18,15 +18,13 @@ from ..errors import ContractError, ShapeError
 from .tensor import (
     Tensor,
     _make,
-    add,
-    broadcast_to,
-    concat,
+    _unbroadcast,
     matmul,
     mul_const,
-    narrow,
     needs_grad,
     repeat_time,
     reshape,
+    transpose2d,
     tsum,
 )
 
@@ -164,24 +162,49 @@ def conv1d_weight_grad(
     return _make(data, (x, g), vjp, "conv1d_weight_grad")
 
 
+def _pool_windows(x: np.ndarray, width: int) -> np.ndarray:
+    """(B, T, C) -> (width, B, ceil(T / width), C), window step first; odd tails repeat the last step."""
+    b, t, c = x.shape
+    if t % width:
+        x = np.concatenate([x, np.repeat(x[:, t - 1 :], -t % width, axis=1)], axis=1)
+    return x.reshape(b, -1, width, c).transpose(2, 0, 1, 3).copy()
+
+
 def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
     """Non-overlapping max pooling over time; odd tails repeat the last step.
 
-    The winning positions are frozen from the forward values, so the op is
-    locally linear and safe to differentiate twice.
+    The winning positions are frozen from the forward values into a mask,
+    so the op is locally linear and safe to differentiate twice.
     """
     if x.ndim != 3:
         raise ShapeError(f"maxpool1d expects (B, T, C), got shape {x.shape}")
-    b, t, c = x.shape
-    t_out = -(-t // width)
-    tail = t_out * width - t
-    if tail:
-        x = concat([x, repeat_time(narrow(x, 1, t - 1, 1), tail)], axis=1)
-    windows = reshape(x, (b, t_out, width, c))
-    winners = np.argmax(windows.data, axis=2)
-    mask = np.zeros(windows.shape, dtype=x.data.dtype)
-    np.put_along_axis(mask, winners[:, :, None, :], 1.0, axis=2)
-    return tsum(mul_const(windows, mask), axis=2)
+    windows = _pool_windows(x.data, width)
+    return select(x, winner_mask(windows), windows)
+
+
+def winner_mask(windows: np.ndarray) -> np.ndarray:
+    """One-hot mask of each window's first maximum, or first NaN, as np.argmax picks it."""
+    best, winner = windows[0], np.zeros(windows.shape[1:], dtype=np.intp)
+    for k in range(1, len(windows)):
+        later = (best == best) & ~(best >= windows[k])
+        best = np.where(later, windows[k], best)
+        winner[later] = k
+    return (winner == np.arange(len(windows))[:, None, None, None]).astype(windows.dtype)
+
+
+def select(x: Tensor, mask: np.ndarray, windows: np.ndarray | None = None) -> Tensor:
+    """Sum each window of x against `mask`, laid out as `_pool_windows` lays out x: (B, T, C) -> (B, Tout, C)."""
+    terms = (_pool_windows(x.data, len(mask)) if windows is None else windows) * mask
+    out = sum(terms[1:], 0.0 + terms[0])  # from +0.0, as np.sum adds: a window of -0.0 terms sums to +0.0
+    return _make(out, (x,), lambda g: (spread(g, mask, x.shape[1]),), "select")
+
+
+def spread(g: Tensor, mask: np.ndarray, length: int) -> Tensor:
+    """The adjoint of `select`: mask * g laid out over the windows, tail shares on the last step."""
+    out = (g.data * mask).transpose(1, 2, 0, 3).reshape(g.shape[0], -1, g.shape[2])
+    if out.shape[1] > length:
+        out = out[:, :length] + np.pad(out[:, length:].sum(axis=1, keepdims=True), ((0, 0), (length - 1, 0), (0, 0)))
+    return _make(out, (g,), lambda gg: (select(gg, mask),), "spread")
 
 
 def upsample1d(x: Tensor, factor: int = 2) -> Tensor:
@@ -192,11 +215,16 @@ def upsample1d(x: Tensor, factor: int = 2) -> Tensor:
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map on feature vectors: (B, Fin) -> (B, Fout)."""
+    """Affine map on feature vectors, one node: (B, Fin) -> (B, Fout)."""
     if x.ndim != 2:
         raise ShapeError(f"dense expects (B, F), got shape {x.shape}")
-    out = matmul(x, weight)
-    return add(out, broadcast_to(reshape(bias, (1, bias.shape[0])), out.shape))
+
+    def vjp(g: Tensor):
+        gx = matmul(g, transpose2d(weight)) if needs_grad(x) else None
+        gw = matmul(transpose2d(x), g) if needs_grad(weight) else None
+        return gx, gw, (reshape(_unbroadcast(g, (1, bias.shape[0])), bias.shape) if needs_grad(bias) else None)
+
+    return _make(x.data @ weight.data + bias.data, (x, weight, bias), vjp, "dense")
 
 
 def flatten(x: Tensor) -> Tensor:

@@ -211,7 +211,7 @@ def backward_pass(
             g = grads.pop(id(node), None)
             if g is None:
                 continue
-            if not np.all(np.isfinite(g.data)):
+            if not np.isfinite(g.data).all():
                 raise NumericalError(f"non-finite gradient at node {node.op!r}")
             result[node] = g
             if node._vjp is None:

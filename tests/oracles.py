@@ -45,6 +45,35 @@ def naive_maxpool1d(x, width=2):
     return out
 
 
+def maxpool_by_argmax(x, width):
+    """The pool as whole-array numpy steps: np.argmax winners, a put_along_axis mask, np.sum.
+
+    Returns (mask, out); mask is (B, Tout, width, C), one-hot at each
+    window's np.argmax, and a short tail repeats the last step.
+    """
+    b, t, c = x.shape
+    t_out = -(-t // width)
+    tail = t_out * width - t
+    if tail:
+        x = np.concatenate([x, np.repeat(x[:, t - 1 : t], tail, axis=1)], axis=1)
+    windows = x.reshape(b, t_out, width, c)
+    winners = np.argmax(windows, axis=2)
+    mask = np.zeros(windows.shape)
+    np.put_along_axis(mask, winners[:, :, None, :], 1.0, axis=2)
+    return mask, np.sum(windows * mask, axis=2)
+
+
+def maxpool_grad_by_argmax(g, mask, length):
+    """The pool's input gradient formed step by step: mask * g laid out, the tail summed onto the last step."""
+    b, t_out, width, c = mask.shape
+    laid = (np.broadcast_to(g[:, :, None, :], mask.shape).copy() * mask).reshape(b, t_out * width, c)
+    grad = laid[:, :length].copy()
+    if t_out * width > length:
+        last = np.sum(laid[:, length:].reshape(b, 1, -1, c), axis=2)
+        grad = grad + np.pad(last, ((0, 0), (length - 1, 0), (0, 0)))
+    return grad
+
+
 def naive_upsample1d(x, factor=2):
     B, T, C = x.shape
     out = np.empty((B, T * factor, C), dtype=x.dtype)
@@ -82,6 +111,27 @@ def adam_single_step(theta, grad, lr, beta1, beta2, eps):
     m_hat = m / (1 - beta1)
     v_hat = v / (1 - beta2)
     return theta - lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
+def adam_per_parameter(thetas, grad_steps, lr, beta1, beta2, eps):
+    """Adam run longhand, one parameter at a time, over a list of steps.
+
+    Each step gives one gradient per parameter, or None to leave that
+    parameter, and its moments, as they are. Returns (thetas, ms, vs).
+    """
+    thetas = [np.array(theta, dtype=float) for theta in thetas]
+    ms = [np.zeros_like(theta) for theta in thetas]
+    vs = [np.zeros_like(theta) for theta in thetas]
+    for t, grads in enumerate(grad_steps, start=1):
+        for i, g in enumerate(grads):
+            if g is None:
+                continue
+            ms[i] = beta1 * ms[i] + (1 - beta1) * g
+            vs[i] = beta2 * vs[i] + (1 - beta2) * g * g
+            m_hat = ms[i] / (1 - beta1**t)
+            v_hat = vs[i] / (1 - beta2**t)
+            thetas[i] = thetas[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+    return thetas, ms, vs
 
 
 def parameter_count(spec) -> int:

@@ -702,11 +702,15 @@ BOUNDED = [
     ("generate", "count", 0), ("generate", "label", "weight=light,balance=balanced"),
 ]
 REFUSED = BOUNDED + [(command, name, math.nan) for command, name, value in BOUNDED if isinstance(value, float)]
+# a setting the chosen mode does not read is refused all the same
+IN_ANOTHER_MODE = {"ingest-stride-0-uniform": ("ingest", "stride", 0, {"resample": "uniform"})}
+CASES = {**{f"{c}-{n}-{v}": (c, n, v, {}) for c, n, v in REFUSED}, **IN_ANOTHER_MODE}
 
 
 @pytest.mark.parametrize("via", ["flag", "config"])
-@pytest.mark.parametrize("command, name, value", REFUSED, ids=[f"{c}-{n}-{v}" for c, n, v in REFUSED])
-def test_a_refused_setting_is_a_usage_error(corpus_dir, archive, gan_dir, tmp_path, capsys, command, name, value, via):
+@pytest.mark.parametrize("command, name, value, mode", CASES.values(), ids=CASES.keys())
+def test_a_refused_setting_is_a_usage_error(corpus_dir, archive, gan_dir, tmp_path, capsys, command, name, value, mode,
+                                            via):
     out = tmp_path / "o"
     # settings that make the run valid but for the one under test
     base = {
@@ -716,7 +720,7 @@ def test_a_refused_setting_is_a_usage_error(corpus_dir, archive, gan_dir, tmp_pa
         "train-gan": {"input": str(archive), "epochs": 1, "batch": 4, "critic_steps": 2},
         "generate": {"model": str(gan_dir / "generator.model")},
     }[command]
-    values = {**base, "out": str(out), name: value}
+    values = {**base, **mode, "out": str(out), name: value}
     if via == "flag":
         argv = [command] + [token for key, v in values.items() for token in ("--" + key.replace("_", "-"), str(v))]
     else:

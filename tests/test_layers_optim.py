@@ -27,7 +27,7 @@ from mocapsynth.nn import (
 from mocapsynth.seeding import derive_rng
 
 from gradcheck import check_gradients
-from oracles import adam_single_step, naive_js, naive_kl
+from oracles import adam_per_parameter, adam_single_step, naive_js, naive_kl
 
 
 def small_net(seed=0):
@@ -184,6 +184,28 @@ def test_adam_bias_correction_first_step_size():
         p.grad = np.array([scale])
         opt.step()
         npt.assert_allclose(abs(p.data[0]), 0.05, rtol=1e-4)
+
+
+SHAPES = [(3, 4), (5,), (), (2, 1, 3), (1,)]
+
+
+def test_flat_adam_matches_per_parameter_adam_bit_for_bit():
+    rng = np.random.default_rng(29)
+    thetas = [rng.normal(size=shape) for shape in SHAPES]
+    # parameter 1 has no gradient at steps 2 and 4, parameter 4 none at step 1, and no parameter one at step 3
+    steps = [[None if (i, t) in {(1, 1), (1, 3), (4, 0)} or t == 2 else rng.normal(size=shape) * 10.0 ** rng.integers(-6, 3)
+              for i, shape in enumerate(SHAPES)] for t in range(6)]
+    params = [Tensor(theta.copy(), requires_grad=True) for theta in thetas]
+    opt = Adam(params, lr=0.01, beta1=0.8, beta2=0.99, eps=1e-7)
+    for grads in steps:
+        for p, g in zip(params, grads):
+            p.grad = g
+        opt.step()
+    want, ms, vs = adam_per_parameter(thetas, steps, 0.01, 0.8, 0.99, 1e-7)
+    for p, w in zip(params, want):
+        assert p.data.shape == w.shape and p.data.tobytes() == w.tobytes()
+    assert opt.m.tobytes() == np.concatenate([m.ravel() for m in ms]).tobytes()
+    assert opt.v.tobytes() == np.concatenate([v.ravel() for v in vs]).tobytes()
 
 
 # -- divergences -----------------------------------------------------------------

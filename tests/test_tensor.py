@@ -3,9 +3,12 @@
 import gc
 import weakref
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import numpy.testing as npt
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from mocapsynth.errors import ContractError, NumericalError, ShapeError
 from mocapsynth.nn import (
@@ -24,6 +27,7 @@ from mocapsynth.nn import (
     matmul,
     maxpool1d,
     mul,
+    mul_const,
     narrow,
     no_grad,
     pad_axis,
@@ -41,8 +45,11 @@ from mocapsynth.nn import (
     upsample1d,
 )
 
+from mocapsynth.nn import ops
+from mocapsynth.nn.ops import _pool_windows, select, spread, winner_mask
+
 from gradcheck import check_gradients, numeric_gradient, relative_error
-from oracles import naive_conv1d, naive_maxpool1d, naive_upsample1d
+from oracles import maxpool_by_argmax, maxpool_grad_by_argmax, naive_conv1d, naive_maxpool1d, naive_upsample1d
 
 TOL = 1e-6
 
@@ -136,6 +143,21 @@ def test_nan_guard_names_the_node():
         y = tlog(x)  # -inf forward, nan/inf gradients downstream
         with pytest.raises(NumericalError):
             (y * 0.0 + y).backward()
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("op, shape, build", [
+    ("select", (2, 5, 3), lambda x: maxpool1d(x, 2)),
+    ("dense", (2, 3), lambda x: dense(x, Tensor(np.ones((3, 4)), requires_grad=True), Tensor(np.ones(4)))),
+    ("mul_const", (2, 3), lambda x: mul_const(x, 2.0)),
+])
+def test_a_non_finite_gradient_is_caught_at_the_node_it_reaches(op, shape, build, bad):
+    x = Tensor(np.random.default_rng(27).normal(size=shape), requires_grad=True)
+    y = build(x)
+    weights = np.ones(y.shape)
+    weights.flat[1] = bad
+    with pytest.raises(NumericalError, match=f"at node '{op}'"):
+        tsum(mul_const(y, weights)).backward()
 
 
 def test_functional_grad_leaves_dotgrad_alone():
@@ -329,6 +351,52 @@ def test_maxpool_odd_tail_routes_gradient_to_last_step():
     npt.assert_allclose(x.grad, want)
 
 
+# signed zeros, infinities, NaN, the largest finite value and subnormals
+POOL_VALUES = [0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, np.nan, 1e308, -1e308, 5e-324, -5e-324, 2.5e-310]
+
+
+@st.composite
+def pool_cases(draw):
+    """(width, x, g): an input of any width 1-5 pool, odd tails included, and a finite upstream gradient."""
+    width = draw(st.integers(1, 5))
+    b, t, c = draw(st.integers(1, 3)), draw(st.integers(1, 11)), draw(st.integers(1, 3))
+    x = draw(hnp.arrays(np.float64, (b, t, c), elements=st.sampled_from(POOL_VALUES)))
+    finite = st.sampled_from([v for v in POOL_VALUES if np.isfinite(v)])
+    g = draw(hnp.arrays(np.float64, (b, -(-t // width), c), elements=finite))
+    return width, x, g
+
+
+@settings(derandomize=True, database=None, max_examples=400, deadline=None)
+@given(pool_cases())
+@example((2, np.full((1, 4, 2), -0.0), np.full((1, 2, 2), -0.0)))
+@example((3, np.array([[[-0.0], [-3.0], [-0.0], [-0.0]]]), np.array([[[-0.0], [-1.0]]])))
+def test_pool_matches_the_argmax_pool_bit_for_bit(case):
+    width, x, g = case
+    t = x.shape[1]
+    with np.errstate(invalid="ignore"):
+        want_mask, want = maxpool_by_argmax(x, width)
+        mask = winner_mask(_pool_windows(x, width))
+        got = maxpool1d(Tensor(x), width).data
+    assert mask.tobytes() == want_mask.transpose(2, 0, 1, 3).tobytes()
+    # a window holding inf or NaN sums to NaN both ways, but its sign and payload may differ
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+    assert spread(Tensor(g), mask, t).data.tobytes() == maxpool_grad_by_argmax(g, want_mask, t).tobytes()
+
+
+def test_pool_select_and_spread_are_adjoint():
+    rng = np.random.default_rng(26)
+    for t, width in [(8, 2), (9, 2), (7, 3)]:
+        x = Tensor(separated_values(rng, (2, t, 3)), requires_grad=True)
+        g = Tensor(rng.normal(size=(2, -(-t // width), 3)), requires_grad=True)
+        mask = winner_mask(_pool_windows(x.data, width))
+        forward = np.vdot(select(x, mask).data, g.data)
+        assert abs(np.vdot(x.data, spread(g, mask, t).data) - forward) <= 1e-12 * np.abs(g.data).sum()
+        assert check_gradients(lambda: tsum(tanh(select(x, mask))), [x]) < 1e-6
+        assert check_gradients(lambda: tsum(tanh(spread(g, mask, t))), [g]) < 1e-6
+
+
 def test_upsample_matches_naive_oracle():
     rng = np.random.default_rng(18)
     x = rng.normal(size=(2, 5, 3))
@@ -451,3 +519,41 @@ def test_double_backward_through_strided_and_spaced_conv(stride, spacing):
     penalty().backward()
     assert relative_error(w.grad, numeric_gradient(penalty, w)) < 1e-4
     assert relative_error(b.grad, numeric_gradient(penalty, b)) < 1e-4
+
+
+# -- graph size -------------------------------------------------------------------
+
+
+def test_graph_node_counts_do_not_grow(monkeypatch):
+    # per-node Python cost dominates small-shape training: fewer nodes, same values
+    from mocapsynth.classifier.network import BRANCH_WIDTHS, HierarchicalClassifier, HierarchicalNetSpec
+    from mocapsynth.gan import GanTrainSpec, train_gan
+    from mocapsynth.nn import tensor
+
+    from toys import toy_critic_spec, toy_generator_spec, two_mode_sequences
+
+    made = [0]
+    make = tensor._make
+
+    def counted(*args, **kwargs):
+        made[0] += 1
+        return make(*args, **kwargs)
+
+    monkeypatch.setattr(tensor, "_make", counted)
+    monkeypatch.setattr(ops, "_make", counted)
+
+    rng = np.random.default_rng(28)
+    model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=2), seed=0)
+    views = tuple(Tensor(rng.normal(size=(32, 32, w))) for w in BRANCH_WIDTHS)
+    onehot = np.eye(2)[rng.integers(0, 2, size=32)]
+    loss = cross_entropy(model.forward(views, training=True, rng=rng), onehot)
+    forward, made[0] = made[0], 0
+    loss.backward()
+    backward, made[0] = made[0], 0
+    assert forward <= 46 and backward <= 76, (forward, backward)  # 70 and 103 before the fused nodes
+
+    data, _ = two_mode_sequences(480, seed=7)
+    spec = GanTrainSpec(kind="wgan_gp", epochs=1, batch=32, critic_steps=15, seed=0)
+    _, _, hist = train_gan(spec, data, gen_spec=toy_generator_spec(), critic_spec=toy_critic_spec())
+    assert hist.gen_updates == 1
+    assert made[0] <= 2355, made[0]  # one generator step of 15 critic steps; 2,541 before
