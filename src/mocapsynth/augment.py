@@ -16,7 +16,7 @@ import numpy as np
 
 from .container import JsonRecord
 from .dataset.preprocess import SEQUENCE_LENGTH, SequenceSet
-from .errors import SettingError, StateError
+from .errors import ContractError, SettingError, StateError
 from .markers import BOWL, N_MARKERS, SHOULDERS, WAIST
 from .seeding import derive_uniforms
 
@@ -92,7 +92,14 @@ def _cos_sin(angle_deg: float) -> tuple[float, float]:
     return math.cos(theta), math.sin(theta)
 
 
-def augment_dataset(sequences, spec: AugmentSpec) -> SequenceSet:
+def copy_names_and_labels(names, labels, factor: int) -> tuple[list[str], list]:
+    """The names and labels of each source's factor copies: copy j > 0 of "s" is "s+a<j>", with the label of s."""
+    return ([name if j == 0 else f"{name}+a{j}" for name in names for j in range(factor)],
+            [meta for meta in labels for _ in range(factor)])
+
+
+def augment_dataset(sequences, spec: AugmentSpec, rows: range | None = None,
+                    out: np.ndarray | None = None) -> SequenceSet:
     """factor copies per input, the first being the original; labels verbatim.
 
     `sequences` is a SequenceSet or a list of MotionSequence. Copy j of
@@ -104,30 +111,44 @@ def augment_dataset(sequences, spec: AugmentSpec) -> SequenceSet:
     copies of one input are rotated straight into their rows of the one
     preallocated output, then scaled about their rotated torso centers
     and translated there in place. A factor of 1 returns the input set.
+
+    `rows`, a range of input rows, copies only those inputs, and `out`
+    is a block to fill in place of a new one (its first len(rows) *
+    factor rows; it must be C-ordered float64, else ContractError). i stays the index in the whole set, so the ranges of
+    a set augmented one at a time are the rows of the set augmented whole.
     """
     src = SequenceSet.of(sequences)
-    f = spec.factor
-    if f == 1:
-        return src
     if src.normalized:
         raise StateError("augment_dataset needs world-space coordinates, got a normalized sequence set")
-    n = len(src)
-    draws = derive_uniforms(spec.seed, "augment", range(n), range(1, f), (
+    f = spec.factor
+    if f == 1 and rows is None and out is None:
+        return src
+    rows = range(len(src)) if rows is None else rows
+    if rows.step != 1 or not 0 <= rows.start <= rows.stop <= len(src):
+        raise ContractError(f"rows {rows} is not a range of the {len(src)} input rows")
+    n, picked = len(rows), slice(rows.start, rows.stop)
+    draws = derive_uniforms(spec.seed, "augment", rows, range(1, f), (
         (spec.rotate_lo_deg, spec.rotate_hi_deg),
         (spec.scale_lo, spec.scale_hi),
         (-spec.translate_m, spec.translate_m),
         (-spec.translate_m, spec.translate_m),
     ))
     cos_sin = np.array([_cos_sin(angle) for angle in draws[..., 0].ravel().tolist()]).reshape(n, f - 1, 2)
-    out = np.empty((n * f,) + src.data.shape[1:])
-    rows = out.reshape(n, f, SEQUENCE_LENGTH, N_MARKERS, 3)
-    for i, pts in enumerate(src.data.reshape(n, SEQUENCE_LENGTH, N_MARKERS, 3)):
+    shape = (n * f,) + src.data.shape[1:]
+    if out is None:
+        out = np.empty(shape)
+    elif (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous
+          and out.flags.writeable and out.shape[1:] == shape[1:] and len(out) >= shape[0]):
+        # a prefix of a C-ordered block reshapes to a view, so the copies land in it
+        out = out[: shape[0]]
+    else:
+        raise ContractError(f"out must be a writable, C-ordered float64 block of at least {shape[0]} rows of {shape[1:]}")
+    copies = out.reshape(n, f, SEQUENCE_LENGTH, N_MARKERS, 3)
+    for i, pts in enumerate(src.data[picked].reshape(n, SEQUENCE_LENGTH, N_MARKERS, 3)):
         c, s = cos_sin[i].T[..., None, None]
         factor, dx, dy = draws[i, :, 1:].T[..., None, None]
-        rows[i, 0] = pts
-        block = _rotated(pts, c, s, out=rows[i, 1:])
+        copies[i, 0] = pts
+        block = _rotated(pts, c, s, out=copies[i, 1:])
         _scale(block, factor)
         _translate(block, dx, dy)
-    names = [name if j == 0 else f"{name}+a{j}" for name in src.names for j in range(f)]
-    labels = [meta for meta in src.labels for _ in range(f)]
-    return SequenceSet(out, names, labels)
+    return SequenceSet(out, *copy_names_and_labels(src.names[picked], src.labels[picked], f))

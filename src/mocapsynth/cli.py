@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .augment import AugmentSpec, augment_dataset
+from .augment import AugmentSpec, augment_dataset, copy_names_and_labels
 from .classifier import (
     TASKS,
     HierarchicalClassifier,
@@ -43,6 +43,7 @@ from .dataset import (
     DEFAULT_HOLD_FRAMES,
     DEFAULT_SPEED_THRESHOLD,
     MotionSequence,
+    SequenceStream,
     apply_zscore,
     fit_normalizer,
     load_sequences,
@@ -266,7 +267,18 @@ def cmd_ingest(resolved: dict) -> int:
     return 0
 
 
+# augment writes its archive a chunk of whole sources at a time, of about
+# this many rows (3 MB), so its memory does not grow with the factor
+AUGMENT_CHUNK_ROWS = 256
+
+
 def cmd_augment(resolved: dict) -> int:
+    """Stream the augmented archive through one reused buffer, header first.
+
+    Every copy's name and label are known before any data. Each chunk is
+    augment_dataset of a range of source rows, which draws from the rows'
+    own streams, so the bytes are those of the whole set augmented and saved.
+    """
     _require(resolved, "input", "out")
     out_dir = Path(resolved["out"])
     spec = AugmentSpec(
@@ -278,16 +290,22 @@ def cmd_augment(resolved: dict) -> int:
         factor=resolved["factor"],
         seed=resolved["seed"],
     )
-    sequences, _, extra = load_sequences(resolved["input"])
-    augmented = augment_dataset(sequences, spec)
-    log.info("augmented %d -> %d sequences", len(sequences), len(augmented))
-    _snapshot(out_dir, "augment", resolved)
+    sources, _, extra = load_sequences(resolved["input"])
+    n, f = len(sources), spec.factor
+    step = max(1, AUGMENT_CHUNK_ROWS // f)
+    buffer = np.empty((min(n, step) * f,) + sources.data.shape[1:])
+    blocks = (augment_dataset(sources, spec, range(lo, min(lo + step, n)), out=buffer).data
+              for lo in range(0, n, step))
+    augmented = SequenceStream(*copy_names_and_labels(sources.names, sources.labels, f), blocks)
+    log.info("augmenting %d -> %d sequences", n, len(augmented))
+    out_dir.mkdir(parents=True, exist_ok=True)
     save_sequences(
         out_dir / "sequences.bin",
         augmented,
         extra={**extra, "augment": json.dumps(spec.to_dict(), sort_keys=True)},
     )
-    print(f"augmented {len(sequences)} -> {len(augmented)} sequences")
+    _snapshot(out_dir, "augment", resolved)
+    print(f"augmented {n} -> {len(augmented)} sequences")
     return 0
 
 

@@ -4,7 +4,9 @@ Layout: 8-byte magic, little-endian uint64 header length, UTF-8 JSON
 header, then the raw bytes of each named array in header order. Arrays
 are always stored little-endian; writes are atomic (a uniquely named
 temp file beside the target, then a rename) and byte-deterministic for
-identical content.
+identical content. An array may also be handed over as an ArrayStream,
+whose header entry is known up front and whose bytes arrive in chunks,
+so a large array is written without ever being held whole.
 """
 
 from __future__ import annotations
@@ -14,13 +16,15 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 from types import UnionType
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .errors import SettingError, TrialFormatError
+from .errors import ContractError, SettingError, TrialFormatError
 
 MAGIC = b"MCSYNTH1"
 VERSION = 1
@@ -80,23 +84,38 @@ class JsonRecord:
         return cls(**{k: _field_value(k, v, hints[k]) for k, v in d.items()})
 
 
-def _canonical_dtype(arr: np.ndarray) -> np.dtype:
-    dt = arr.dtype.newbyteorder("<")
+def _canonical_dtype(dtype) -> np.dtype:
+    dt = np.dtype(dtype).newbyteorder("<")
     if dt.kind not in "fiub":
-        raise TrialFormatError(f"unsupported array dtype {arr.dtype}")
+        raise TrialFormatError(f"unsupported array dtype {dtype}")
     return dt
 
 
-def write_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray]) -> None:
+@dataclass(frozen=True)
+class ArrayStream:
+    """An array written chunk by chunk: shape and dtype go in the header, then the chunks' bytes in order.
+
+    Each chunk is cast to `dtype` as a whole array would be; together the
+    chunks must hold exactly the bytes the shape declares.
+    """
+
+    shape: tuple[int, ...]
+    dtype: np.dtype
+    chunks: Iterable[np.ndarray]
+
+
+def write_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray | ArrayStream]) -> None:
     path = Path(path)
     entries = []
-    blobs = []
+    parts = []
     for name in sorted(arrays):
-        arr = np.asarray(arrays[name])
-        dt = _canonical_dtype(arr)
-        # the file takes the array's own buffer when it is already
-        # little-endian and C-ordered; asarray keeps 0-d shapes
-        blobs.append(np.asarray(arr, dtype=dt, order="C"))
+        arr = arrays[name]
+        if not isinstance(arr, ArrayStream):
+            # asarray keeps 0-d shapes
+            arr = np.asarray(arr)
+            arr = ArrayStream(arr.shape, arr.dtype, (arr,))
+        dt = _canonical_dtype(arr.dtype)
+        parts.append((name, dt, math.prod(arr.shape) * dt.itemsize, arr.chunks))
         entries.append({"dtype": dt.str, "name": name, "shape": list(arr.shape)})
     header = {"arrays": entries, "kind": kind, "meta": meta, "version": VERSION}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
@@ -109,8 +128,19 @@ def write_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, n
             fh.write(MAGIC)
             fh.write(struct.pack("<Q", len(header_bytes)))
             fh.write(header_bytes)
-            for blob in blobs:
-                fh.write(blob)
+            for name, dt, declared, chunks in parts:
+                written = 0
+                for chunk in chunks:
+                    # the file takes the chunk's own buffer when it is
+                    # already little-endian and C-ordered
+                    chunk = np.asarray(chunk, dtype=dt, order="C")
+                    written += chunk.nbytes
+                    if written > declared:
+                        break
+                    fh.write(chunk)
+                if written != declared:
+                    got = f"more than {declared}" if written > declared else str(written)
+                    raise ContractError(f"array {name!r}: its chunks hold {got} bytes, its shape declares {declared}")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -2,14 +2,37 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+from dataclasses import dataclass
 from pathlib import Path
 
-from ..container import read_container, write_container
+import numpy as np
+
+from ..container import ArrayStream, read_container, write_container
 from ..errors import ContractError, ShapeError, TrialFormatError
-from .preprocess import NormStats, SequenceSet
+from ..markers import N_FEATURES
+from .preprocess import SEQUENCE_LENGTH, NormStats, SequenceSet
 from .trials import TrialMeta
 
 KIND = "sequences"
+
+
+@dataclass(frozen=True)
+class SequenceStream:
+    """Rows named and labelled up front whose data comes later, as (k, 32, 48) blocks in row order.
+
+    save_sequences writes the header from the names and labels, then each
+    block as it arrives, so the rows are never held all at once. Its rows
+    are world-space: an archive of normalized rows carries its norm stats,
+    which are fitted to the whole set.
+    """
+
+    names: list[str]
+    labels: list[TrialMeta | None]
+    blocks: Iterable[np.ndarray]
+
+    def __len__(self) -> int:
+        return len(self.names)
 
 
 def save_sequences(
@@ -18,19 +41,24 @@ def save_sequences(
     stats: NormStats | None = None,
     extra: dict | None = None,
 ) -> None:
-    """Write a SequenceSet (or a list of MotionSequence) with optional norm stats."""
-    sequences = SequenceSet.of(sequences)
+    """Write a SequenceSet, a SequenceStream or a list of MotionSequence, with optional norm stats."""
+    if isinstance(sequences, SequenceStream):
+        data = ArrayStream((len(sequences), SEQUENCE_LENGTH, N_FEATURES), np.float64, sequences.blocks)
+        normalized = False
+    else:
+        sequences = SequenceSet.of(sequences)
+        data, normalized = sequences.data, sequences.normalized
     if not len(sequences):
         raise ContractError("refusing to write an empty sequence archive")
     # augmented copies share their source's label: one dict per distinct label
     dicts = {m: m.to_dict() for m in set(sequences.labels) if m}
     meta = {
-        "normalized": sequences.normalized,
+        "normalized": normalized,
         "names": sequences.names,
         "labels": [dicts[m] if m else None for m in sequences.labels],
         "extra": extra or {},
     }
-    arrays = {"data": sequences.data}
+    arrays = {"data": data}
     if stats is not None:
         arrays.update(stats.to_arrays())
     write_container(path, KIND, meta, arrays)

@@ -10,7 +10,7 @@ import pytest
 
 from mocapsynth.augment import AugmentSpec, augment_dataset
 from mocapsynth.dataset import MotionSequence, SequenceSet, TrialMeta, save_sequences
-from mocapsynth.errors import SettingError, StateError
+from mocapsynth.errors import ContractError, SettingError, StateError
 from mocapsynth.markers import BOWL
 from mocapsynth.seeding import derive_rng
 
@@ -180,11 +180,12 @@ def test_rotate_preserves_pairwise_distances():
 
 def test_world_space_required_everywhere():
     seq = MotionSequence(np.zeros((32, 48)), normalized=True, meta=meta())
-    spec = AugmentSpec(factor=2)
-    with pytest.raises(StateError):
-        augment_dataset([seq], spec)
-    with pytest.raises(StateError):
-        augment_dataset(SequenceSet.of([seq, seq]), spec)
+    # a factor of 1 copies nothing, but an archive of its output would lack the norm stats
+    for spec in (AugmentSpec(factor=1), AugmentSpec(factor=2)):
+        with pytest.raises(StateError):
+            augment_dataset([seq], spec)
+        with pytest.raises(StateError):
+            augment_dataset(SequenceSet.of([seq, seq]), spec)
 
 
 def test_augment_counts():
@@ -266,6 +267,48 @@ def test_augment_dataset_bytes_are_pinned():
     out = augment_dataset(seqs, AugmentSpec(factor=4, seed=11))
     digest = hashlib.sha256(b"".join(s.data.tobytes() for s in out)).hexdigest()
     assert digest == "b8c3ac34906d5be9b1b6215068b937a737e481be8dec2d7b3305826a4e786955"
+
+
+@pytest.mark.parametrize("factor", [1, 3, 27])
+def test_ranges_of_rows_augmented_into_one_buffer_are_the_rows_of_the_whole(factor):
+    rng = np.random.default_rng(21)
+    seqs = SequenceSet.of([world_sequence(rng) for _ in range(13)])
+    spec = AugmentSpec(factor=factor, seed=5)
+    whole = augment_dataset(seqs, spec)
+    buffer = np.empty((5 * factor, 32, 48))
+    for lo in range(0, 13, 5):
+        part = augment_dataset(seqs, spec, range(lo, min(lo + 5, 13)), out=buffer)
+        assert np.shares_memory(part.data, buffer)
+        assert np.array_equal(part.data, whole.data[lo * factor : (lo + 5) * factor])
+        assert part.names == whole.names[lo * factor : (lo + 5) * factor]
+        assert part.labels == whole.labels[lo * factor : (lo + 5) * factor]
+
+
+@pytest.mark.parametrize("rows", [range(0, 4, 2), range(2, 5), range(3, 2)])
+def test_rows_outside_the_input_are_refused(rows):
+    seqs = [world_sequence(np.random.default_rng(22)) for _ in range(4)]
+    with pytest.raises(ContractError):
+        augment_dataset(seqs, AugmentSpec(factor=2), rows)
+
+
+def _read_only(block):
+    block.flags.writeable = False
+    return block
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda: np.empty((4, 48, 32)).transpose(0, 2, 1),  # a reshape of it would copy
+    lambda: np.empty((8, 32, 48))[::2],
+    lambda: np.empty((3, 32, 48)),  # too short for 2 inputs x 2 copies
+    lambda: np.empty((4, 48, 32)),
+    lambda: np.empty((4, 32, 48), dtype=np.float32),
+    lambda: _read_only(np.empty((4, 32, 48))),
+    lambda: [[0.0] * 48] * 32,
+], ids=["transposed", "strided", "short", "row-shape", "float32", "read-only", "list"])
+def test_out_blocks_that_cannot_take_the_copies_are_refused(make_out):
+    seqs = [world_sequence(np.random.default_rng(23)) for _ in range(4)]
+    with pytest.raises(ContractError, match="out must be"):
+        augment_dataset(seqs, AugmentSpec(factor=2), range(1, 3), out=make_out())
 
 
 def test_augment_and_save_hold_about_one_copy_of_the_output(tmp_path):

@@ -11,6 +11,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -18,10 +19,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mocapsynth.augment import AugmentSpec, augment_dataset
 from mocapsynth.classifier import TASKS, HierarchicalClassifier, HierarchicalNetSpec
-from mocapsynth.cli import COMMANDS, UsageError, _resolve, build_parser, main
+from mocapsynth.cli import AUGMENT_CHUNK_ROWS, COMMANDS, UsageError, _resolve, build_parser, main
 from mocapsynth.container import read_container, write_container
-from mocapsynth.dataset import load_sequences, read_sequence_csv, save_sequences, write_sequence_csv
+from mocapsynth.dataset import (MotionSequence, NormStats, load_sequences, read_sequence_csv, save_sequences,
+                                write_sequence_csv)
 from mocapsynth.dataset.synthetic import make_trial
 from mocapsynth.dataset.trials import TrialMeta, save_trial
 from mocapsynth.seeding import derive_rng
@@ -187,6 +190,92 @@ def test_augment_reports_a_truncated_archive(archive, tmp_path, capsys):
     assert rc == 1
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:")
+
+
+def source_archive(path, n, normalized=False):
+    """n random sequences, every third unlabelled, saved with a provenance note (and stats when normalized)."""
+    rng = np.random.default_rng(n)
+    seqs = []
+    for i in range(n):
+        meta = None if i % 3 == 2 else TrialMeta(
+            participant=f"p{i % 4:02d}", bowl_size="small", weight_g=WEIGHTS[i % 3], balance="balanced",
+            orientation="facing", strategy="ABC"[i % 3], frame_rate=119.88)
+        seqs.append(MotionSequence(rng.uniform(-2, 2, size=(32, 48)), normalized, meta, f"s{i:04d}"))
+    stats = NormStats(np.zeros(48), np.ones(48)) if normalized else None
+    save_sequences(path, seqs, stats=stats, extra={"source": "test"})
+    return path
+
+
+def augmented_in_memory(path, factor, seed):
+    """The bytes of the archive augment_dataset and save_sequences make of the archive at path."""
+    sequences, _, extra = load_sequences(path)
+    spec = AugmentSpec(factor=factor, seed=seed)
+    out = path.with_name("in-memory.bin")
+    save_sequences(out, augment_dataset(sequences, spec),
+                   extra={**extra, "augment": json.dumps(spec.to_dict(), sort_keys=True)})
+    data = out.read_bytes()
+    out.unlink()
+    return data
+
+
+def sources_per_chunk(factor):
+    return max(1, AUGMENT_CHUNK_ROWS // factor)
+
+
+# (factor, sources): one source; one below and one above a chunk of sources; one source per chunk
+STREAM_CASES = [(f, n) for f in (1, 2, 27) for n in (1, sources_per_chunk(f) - 1, sources_per_chunk(f) + 1)]
+STREAM_CASES.append((AUGMENT_CHUNK_ROWS + 1, 2))
+
+
+@pytest.mark.parametrize("factor, n", STREAM_CASES, ids=[f"factor{f}-{n}src" for f, n in STREAM_CASES])
+def test_the_streamed_archive_is_the_in_memory_one(tmp_path, capsys, factor, n):
+    src = source_archive(tmp_path / "src.bin", n)
+    want = augmented_in_memory(src, factor, seed=7)
+    rc = main(["augment", "--input", str(src), "--out", str(tmp_path / "o"), "--factor", str(factor), "--seed", "7"])
+    assert rc == 0
+    assert (tmp_path / "o" / "sequences.bin").read_bytes() == want
+    assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["resolved-config.json", "sequences.bin"]
+
+
+def test_augment_may_replace_its_own_input(tmp_path, capsys):
+    # the source is read whole before the rename puts the new archive in its place
+    src = source_archive(tmp_path / "sequences.bin", sources_per_chunk(3) + 1)
+    want = augmented_in_memory(src, 3, seed=2)
+    assert main(["augment", "--input", str(src), "--out", str(tmp_path), "--factor", "3", "--seed", "2"]) == 0
+    assert src.read_bytes() == want
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["resolved-config.json", "sequences.bin"]
+
+
+@pytest.mark.parametrize("factor", [1, 2])
+def test_augment_refuses_a_normalized_archive(tmp_path, capsys, factor):
+    src = source_archive(tmp_path / "src.bin", 4, normalized=True)
+    rc = main(["augment", "--input", str(src), "--out", str(tmp_path / "o"), "--factor", str(factor)])
+    assert rc == 1
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "world-space" in err[0]
+    assert not list((tmp_path / "o").glob("*.bin")) and not list((tmp_path / "o").glob("*.tmp"))
+
+
+def test_augment_memory_does_not_grow_with_the_factor(tmp_path, capsys):
+    # tracemalloc sees numpy's buffers. Held whole, the factor-27 output
+    # would be 27 source blocks; streamed, the run holds the source, one
+    # chunk buffer of about 3 MB and the header, whose names and labels
+    # are the only part that grows with the factor (about 2 MB here)
+    n = 120
+    src = source_archive(tmp_path / "src.bin", n)
+    source_bytes = n * 32 * 48 * 8
+    peaks = {}
+    for factor in (3, 27):
+        tracemalloc.start()
+        try:
+            rc = main(["augment", "--input", str(src), "--out", str(tmp_path / str(factor)), "--factor", str(factor)])
+            _, peaks[factor] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    buffer_bytes = sources_per_chunk(27) * 27 * 32 * 48 * 8
+    assert peaks[27] <= peaks[3] + buffer_bytes, peaks
+    assert peaks[27] <= 6 * source_bytes, f"peak {peaks[27] / source_bytes:.2f}x the source block"
 
 
 def test_config_file_precedence(archive, tmp_path, capsys):

@@ -14,9 +14,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import mocapsynth.container as container
-from mocapsynth.container import MAGIC, read_container, write_container
+from mocapsynth.container import MAGIC, ArrayStream, read_container, write_container
 from mocapsynth.dataset import MotionSequence, NormStats, TrialMeta, load_sequences, save_sequences
-from mocapsynth.errors import MocapError, TrialFormatError
+from mocapsynth.errors import ContractError, MocapError, StateError, TrialFormatError
 from mocapsynth.gan import build_generator
 from mocapsynth.nn import load_model
 from mocapsynth.nn.checkpoint import save_model
@@ -127,6 +127,38 @@ def test_a_failed_write_leaves_no_temp_file(tmp_path, monkeypatch):
     monkeypatch.setattr(container.os, "replace", fail)
     with pytest.raises(OSError, match="disk full"):
         small_container(tmp_path / "c.bin")
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_streamed_array_writes_the_bytes_of_the_whole_array(tmp_path):
+    arrays = {"a": np.arange(24, dtype=np.float64).reshape(4, 6), "b": np.array([1, 2], dtype=np.int32)}
+    write_container(tmp_path / "whole.bin", "test", {"m": 1}, arrays)
+    # chunks of uneven length, one empty and one of another dtype, cast as a whole array is
+    chunks = [arrays["a"][:1], arrays["a"][1:1], arrays["a"][1:3].astype(np.int64), arrays["a"][3:]]
+    stream = ArrayStream((4, 6), np.float64, iter(chunks))
+    write_container(tmp_path / "streamed.bin", "test", {"m": 1}, {"a": stream, "b": arrays["b"]})
+    assert (tmp_path / "streamed.bin").read_bytes() == (tmp_path / "whole.bin").read_bytes()
+
+
+class Broken(StateError):
+    pass
+
+
+def broken_chunks():
+    yield np.zeros((1, 6))
+    raise Broken("the chunk source failed")
+
+
+@pytest.mark.parametrize("chunks, error", [
+    ([np.zeros((1, 6)), np.zeros((2, 6))], ContractError),  # fewer bytes than declared
+    ([np.zeros((4, 6)), np.zeros((1, 1))], ContractError),  # more
+    ([np.zeros(25)], ContractError),  # more, in one chunk
+    (broken_chunks(), Broken),  # raises partway
+], ids=["short", "long", "long-one-chunk", "raises"])
+def test_a_refused_stream_leaves_neither_target_nor_temp_file(tmp_path, chunks, error):
+    with pytest.raises(error) as caught:
+        write_container(tmp_path / "c.bin", "test", {}, {"a": ArrayStream((4, 6), np.float64, chunks)})
+    assert isinstance(caught.value, MocapError)
     assert os.listdir(tmp_path) == []
 
 
