@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .container import JsonRecord
-from .dataset.preprocess import SEQUENCE_LENGTH, SequenceSet
+from .dataset.preprocess import SEQUENCE_LENGTH, SequenceSet, writable_block
 from .errors import ContractError, SettingError, StateError
 from .markers import BOWL, N_MARKERS, SHOULDERS, WAIST
 from .seeding import derive_uniforms
@@ -114,7 +114,7 @@ def augment_dataset(sequences, spec: AugmentSpec, rows: range | None = None,
 
     `rows`, a range of input rows, copies only those inputs, and `out`
     is a block to fill in place of a new one (its first len(rows) *
-    factor rows; it must be C-ordered float64, else ContractError). i stays the index in the whole set, so the ranges of
+    factor rows; see writable_block). i stays the index in the whole set, so the ranges of
     a set augmented one at a time are the rows of the set augmented whole.
     """
     src = SequenceSet.of(sequences)
@@ -134,15 +134,7 @@ def augment_dataset(sequences, spec: AugmentSpec, rows: range | None = None,
         (-spec.translate_m, spec.translate_m),
     ))
     cos_sin = np.array([_cos_sin(angle) for angle in draws[..., 0].ravel().tolist()]).reshape(n, f - 1, 2)
-    shape = (n * f,) + src.data.shape[1:]
-    if out is None:
-        out = np.empty(shape)
-    elif (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous
-          and out.flags.writeable and out.shape[1:] == shape[1:] and len(out) >= shape[0]):
-        # a prefix of a C-ordered block reshapes to a view, so the copies land in it
-        out = out[: shape[0]]
-    else:
-        raise ContractError(f"out must be a writable, C-ordered float64 block of at least {shape[0]} rows of {shape[1:]}")
+    out = np.empty((n * f,) + src.data.shape[1:]) if out is None else writable_block(out, n * f)
     copies = out.reshape(n, f, SEQUENCE_LENGTH, N_MARKERS, 3)
     for i, pts in enumerate(src.data[picked].reshape(n, SEQUENCE_LENGTH, N_MARKERS, 3)):
         c, s = cos_sin[i].T[..., None, None]

@@ -10,8 +10,7 @@ from ..errors import DataError, LabelError, NumericalError, SettingError
 from ..nn import Adam, Tensor, cross_entropy, no_grad
 from ..seeding import derive_rng
 from .network import HierarchicalClassifier
-
-Views = tuple[np.ndarray, np.ndarray, np.ndarray]
+from .tasks import cluster_views
 
 # defaults of train_classifier, which the CLI settings also take
 EPOCHS, BATCH, LR = 400, 32, 1e-3
@@ -39,27 +38,30 @@ class TrainReport:
         }
 
 
-def predict_logits(model: HierarchicalClassifier, views: Views, batch: int = 256) -> np.ndarray:
+def _views(block: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
+    return tuple(Tensor(v) for v in cluster_views(block))
+
+
+def predict_logits(model: HierarchicalClassifier, block: np.ndarray, batch: int = 256) -> np.ndarray:
+    """Logits of a z-scored (n, 32, 48) block, whose branch views are cut one batch at a time."""
     outs = []
-    n = views[0].shape[0]
     with no_grad():
-        for lo in range(0, n, batch):
-            sub = tuple(Tensor(v[lo : lo + batch]) for v in views)
-            outs.append(model.forward(sub, training=False).data)
+        for lo in range(0, len(block), batch):
+            outs.append(model.forward(_views(block[lo : lo + batch]), training=False).data)
     return np.concatenate(outs, axis=0)
 
 
 def evaluate(
-    model: HierarchicalClassifier, views: Views, labels: np.ndarray
+    model: HierarchicalClassifier, block: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """Accuracy and confusion matrix (rows actual, columns predicted)."""
+    """Accuracy and confusion matrix (rows actual, columns predicted) on a z-scored (n, 32, 48) block."""
     n_classes = model.spec.n_classes
     labels = np.asarray(labels, dtype=int)
     if labels.size == 0:
         raise DataError("cannot evaluate on an empty set")
     if labels.min() < 0 or labels.max() >= n_classes:
         raise LabelError(f"label outside [0, {n_classes}): {labels.min()}..{labels.max()}")
-    preds = predict_logits(model, views).argmax(axis=1)
+    preds = predict_logits(model, block).argmax(axis=1)
     confusion = np.bincount(labels * n_classes + preds, minlength=n_classes * n_classes)
     confusion = confusion.reshape(n_classes, n_classes)
     accuracy = float(np.trace(confusion) / labels.size)
@@ -72,23 +74,27 @@ def _onehot(labels: np.ndarray, n_classes: int) -> np.ndarray:
 
 def train_classifier(
     model: HierarchicalClassifier,
-    train_views: Views,
+    train_block: np.ndarray,
     train_labels: np.ndarray,
-    val_views: Views,
+    val_block: np.ndarray,
     val_labels: np.ndarray,
     epochs: int = EPOCHS,
     batch: int = BATCH,
     lr: float = LR,
     seed: int = 0,
 ) -> TrainReport:
-    """Cross-entropy training with Adam; weights end at the best-validation epoch."""
+    """Cross-entropy training with Adam; weights end at the best-validation epoch.
+
+    The blocks are z-scored (n, 32, 48) sequences; each batch's rows are
+    cut into the three branch views as the batch is drawn.
+    """
     for name, value in (("epochs", epochs), ("batch", batch)):
         if value < 1:
             raise SettingError(f"{name} must be at least 1, got {value}", name)
     if not 0 < lr < np.inf:
         raise SettingError(f"lr must be finite and positive, got {lr}", "lr")
-    n = train_views[0].shape[0]
-    if n == 0 or val_views[0].shape[0] == 0:
+    n = len(train_block)
+    if n == 0 or len(val_block) == 0:
         raise DataError("empty training or validation split")
     train_labels = np.asarray(train_labels, dtype=int)
     val_labels = np.asarray(val_labels, dtype=int)
@@ -111,8 +117,7 @@ def train_classifier(
         correct = 0
         for lo in range(0, n, batch):
             sel = order[lo : lo + batch]
-            sub = tuple(Tensor(v[sel]) for v in train_views)
-            logits = model.forward(sub, training=True, rng=drop_rng)
+            logits = model.forward(_views(train_block[sel]), training=True, rng=drop_rng)
             loss = cross_entropy(logits, onehot[sel])
             if not np.isfinite(loss.item()):
                 raise NumericalError(f"loss diverged at epoch {epoch}, batch {lo // batch}")
@@ -124,7 +129,7 @@ def train_classifier(
         report.train_loss.append(float(np.mean(losses)))
         report.train_acc.append(correct / n)
 
-        val_logits = predict_logits(model, val_views)
+        val_logits = predict_logits(model, val_block)
         vl = cross_entropy(Tensor(val_logits), _onehot(val_labels, n_classes)).item()
         va = float((val_logits.argmax(axis=1) == val_labels).mean())
         report.val_loss.append(vl)
@@ -136,5 +141,5 @@ def train_classifier(
 
     for p, saved in zip(params, best_state):
         p.data = saved
-    _, report.confusion = evaluate(model, val_views, val_labels)
+    _, report.confusion = evaluate(model, val_block, val_labels)
     return report

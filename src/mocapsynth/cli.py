@@ -8,7 +8,8 @@ artifacts alone. All randomness descends from the single --seed.
 
 Exit codes: 0 success, 1 runtime failure, 2 usage error. A flag or
 config value that the code consuming it refuses raises SettingError
-there, and main reports it as a usage error naming the flag.
+there, and main reports it as a usage error naming the flag. A run
+that asks for more memory than it can get is a runtime failure.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ from .classifier import (
     HierarchicalNetSpec,
     TaskSpec,
     balance_classes,
-    cluster_views,
     evaluate,
     train_classifier,
     validation_split,
@@ -55,7 +55,7 @@ from .dataset import (
     trim_to_motion,
     write_sequence_csv,
 )
-from .dataset.preprocess import NormStats, check_stride
+from .dataset.preprocess import NormStats, SequenceSet, check_stride
 from .errors import ContractError, DataError, LabelError, MocapError, NoMotionError, SettingError, StateError, TooShortError
 from .gan import (
     ConditionLabel,
@@ -246,10 +246,11 @@ def cmd_ingest(resolved: dict) -> int:
         raise DataError("every trial was rejected during trimming")
     log.info("kept %d sequences (%d no-motion, %d too-short)", len(sequences), no_motion, too_short)
 
+    sequences = SequenceSet.of(sequences)  # one block, which z-scoring may overwrite
     stats = None
     if resolved["normalize"]:
         stats = fit_normalizer(sequences)
-        sequences = apply_zscore(sequences, stats)
+        sequences = apply_zscore(sequences, stats, out=sequences.data)
     _snapshot(out_dir, "ingest", resolved)
     save_sequences(
         out_dir / "sequences.bin",
@@ -336,23 +337,24 @@ def cmd_train_classifier(resolved: dict) -> int:
     log.info("task %s: %d usable sequences", task.task, len(pool))
     train_rows, val_rows = validation_split(len(pool), task.n_validation, seed)
     train_seqs, val_seqs = sequences.take(pool[train_rows]), sequences.take(pool[val_rows])
+    del sequences  # every block from here on is the command's own, so it is z-scored in place
 
     if task.augment_factor > 1:
         train_seqs = augment_dataset(
             train_seqs, AugmentSpec(factor=task.augment_factor, seed=seed)
         )
     stats = fit_normalizer(train_seqs)
-    train_norm = apply_zscore(train_seqs, stats)
-    val_norm = apply_zscore(val_seqs, stats)
+    train_norm = apply_zscore(train_seqs, stats, out=train_seqs.data)
+    val_norm = apply_zscore(val_seqs, stats, out=val_seqs.data)
     log.info("training on %d sequences, validating on %d", len(train_norm), len(val_norm))
 
     model = HierarchicalClassifier(net_spec, seed=seed)
 
     report = train_classifier(
         model,
-        cluster_views(train_norm.data),
+        train_norm.data,
         task.labels(train_norm.labels),
-        cluster_views(val_norm.data),
+        val_norm.data,
         task.labels(val_norm.labels),
         epochs=resolved["epochs"],
         batch=resolved["batch"],
@@ -392,9 +394,10 @@ def cmd_eval_classifier(resolved: dict) -> int:
     if not len(rows):
         raise DataError(f"no sequences usable for task {task.task!r}")
     pool = sequences.take(rows)
+    del sequences
     if not pool.normalized:
-        pool = apply_zscore(pool, stats)
-    accuracy, confusion = evaluate(model, cluster_views(pool.data), labels[rows])
+        pool = apply_zscore(pool, stats, out=pool.data)
+    accuracy, confusion = evaluate(model, pool.data, labels[rows])
 
     print(f"task {task.task}: accuracy {accuracy:.3f} on {len(pool)} sequences")
     print("confusion (rows actual, columns predicted):")
@@ -439,7 +442,7 @@ def cmd_train_gan(resolved: dict) -> int:
             raise StateError("normalized archive lacks its normalization stats")
     else:
         stats = fit_normalizer(sequences)
-        sequences = apply_zscore(sequences, stats)
+        sequences = apply_zscore(sequences, stats, out=sequences.data)  # the loaded block is this command's own
 
     labels = None
     if kind == "cond_wgan_gp":
@@ -681,6 +684,9 @@ def main(argv=None) -> int:
         return 2
     except (MocapError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError as exc:  # numpy's refusal names the size it was asked for
+        print("error: the run needs more memory than it could get" + (f" ({exc})" if str(exc) else ""), file=sys.stderr)
         return 1
 
 

@@ -184,8 +184,18 @@ def resample_uniform(trial: Trial) -> MotionSequence:
     return MotionSequence(trial.coords[idx], normalized=False, meta=trial.meta, name=trial.name)
 
 
+# fit_normalizer reduces the squared deviations this many frames at a time (1.5 MB)
+NORMALIZE_CHUNK_FRAMES = 4096
+
+
 def fit_normalizer(train) -> NormStats:
-    """Per-feature mean/std over every frame of every training sequence (a SequenceSet or a list)."""
+    """Per-feature mean/std over every frame of every training sequence (a SequenceSet or a list).
+
+    The std is frames.std(axis=0), bit for bit, without its full-size
+    temporary. NumPy reduces axis 0 of a C-ordered block one row after
+    another from the first, so carrying the running sum as the first row
+    of each chunk's reduce adds the same numbers in the same order.
+    """
     train = SequenceSet.of(train)
     if not len(train):
         raise StateError("cannot fit a normalizer on an empty training set")
@@ -193,19 +203,43 @@ def fit_normalizer(train) -> NormStats:
         raise StateError("normalizer must be fit on unnormalized sequences")
     frames = train.data.reshape(-1, N_FEATURES)  # a view: the (N*32, 48) rows, in order
     mean = frames.mean(axis=0)
-    std = frames.std(axis=0)  # population std: every frame is data, not a sample
+    acc = np.empty((0, N_FEATURES))
+    for lo in range(0, len(frames), NORMALIZE_CHUNK_FRAMES):
+        d = np.subtract(frames[lo : lo + NORMALIZE_CHUNK_FRAMES], mean)
+        d *= d
+        acc = np.add.reduce(np.concatenate([acc, d]), axis=0)[None]
+    std = np.sqrt(acc[0] / len(frames))  # population std: every frame is data, not a sample
     bad = np.where(std <= 1e-12 * np.maximum(1.0, np.abs(mean)))[0]
     if bad.size:
         raise DegenerateFeatureError(int(bad[0]))
     return NormStats(mean, std)
 
 
-def apply_zscore(sequences, stats: NormStats) -> SequenceSet:
-    """A new z-scored set (of a SequenceSet or a list); (x - mean) / std fills one new block."""
+def writable_block(out, rows: int) -> np.ndarray:
+    """The first `rows` rows of `out`, a block that a result may be written into.
+
+    `out` must be a writable, C-ordered float64 (>= rows, 32, 48) array,
+    else ContractError; a prefix of it reshapes to a view, so what is
+    written there lands in `out`.
+    """
+    shape = (SEQUENCE_LENGTH, N_FEATURES)
+    if not (isinstance(out, np.ndarray) and out.dtype == np.float64 and out.flags.c_contiguous
+            and out.flags.writeable and out.shape[1:] == shape and len(out) >= rows):
+        raise ContractError(f"out must be a writable, C-ordered float64 block of at least {rows} rows of {shape}")
+    return out[:rows]
+
+
+def apply_zscore(sequences, stats: NormStats, out: np.ndarray | None = None) -> SequenceSet:
+    """The z-scored set (of a SequenceSet or a list): (x - mean) / std.
+
+    The result fills one new block, or the first rows of `out` (see
+    writable_block), which may be the input's own block: a caller that
+    owns its block z-scores it in place, with the same bits.
+    """
     sequences = SequenceSet.of(sequences)
     if sequences.normalized:
         raise StateError("the sequence set is already normalized")
-    out = np.subtract(sequences.data, stats.mean)
+    out = np.subtract(sequences.data, stats.mean, out=None if out is None else writable_block(out, len(sequences)))
     out /= stats.std
     return SequenceSet(out, sequences.names, sequences.labels, normalized=True)
 

@@ -411,14 +411,7 @@ def toy_classifier_run():
     train_x, train_y, val_x, val_y = separable_sequences(900, 100, seed=2026)
     model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=3), seed=2026)
     start = time.perf_counter()
-    report = train_classifier(
-        model,
-        cluster_views(train_x),
-        train_y,
-        cluster_views(val_x),
-        val_y,
-        **TOY_CLF_ARGS,
-    )
+    report = train_classifier(model, train_x, train_y, val_x, val_y, **TOY_CLF_ARGS)
     elapsed = time.perf_counter() - start
     return {
         "data": (train_x, train_y, val_x, val_y),
@@ -458,9 +451,7 @@ def test_10_seeded_reruns_are_bit_identical(toy_gan_run, toy_classifier_run, tmp
 
     train_x, train_y, val_x, val_y = toy_classifier_run["data"]
     model2 = HierarchicalClassifier(HierarchicalNetSpec(n_classes=3), seed=2026)
-    report2 = train_classifier(
-        model2, cluster_views(train_x), train_y, cluster_views(val_x), val_y, **TOY_CLF_ARGS
-    )
+    report2 = train_classifier(model2, train_x, train_y, val_x, val_y, **TOY_CLF_ARGS)
     toy_classifier_run["model"].save(tmp_path / "clf-a.model")
     model2.save(tmp_path / "clf-b.model")
     assert (tmp_path / "clf-a.model").read_bytes() == (tmp_path / "clf-b.model").read_bytes()

@@ -213,9 +213,9 @@ def test_evaluate_perfect_and_constant_predictors():
         p.data = np.zeros_like(p.data)
     model.head.layers[-1].bias.data = np.array([0.0, 1.0])  # always class 1
     rng = np.random.default_rng(9)
-    views = cluster_views(rng.normal(size=(40, 32, 48)))
+    block = rng.normal(size=(40, 32, 48))
     labels = np.array([0, 1] * 20)
-    acc, confusion = evaluate(model, views, labels)
+    acc, confusion = evaluate(model, block, labels)
     assert acc == 0.5
     npt.assert_array_equal(confusion, [[0, 20], [0, 20]])
     # rows sum to per-class counts
@@ -225,23 +225,23 @@ def test_evaluate_perfect_and_constant_predictors():
 def test_evaluate_twice_is_identical():
     model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=3), seed=10)
     rng = np.random.default_rng(10)
-    views = cluster_views(rng.normal(size=(30, 32, 48)))
+    block = rng.normal(size=(30, 32, 48))
     labels = rng.integers(0, 3, 30)
-    a1, c1 = evaluate(model, views, labels)
-    a2, c2 = evaluate(model, views, labels)
+    a1, c1 = evaluate(model, block, labels)
+    a2, c2 = evaluate(model, block, labels)
     assert a1 == a2
     npt.assert_array_equal(c1, c2)
 
 
 def test_evaluate_rejects_bad_labels():
     model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=2), seed=11)
-    views = cluster_views(np.zeros((4, 32, 48)))
+    block = np.zeros((4, 32, 48))
     with pytest.raises(LabelError):
-        evaluate(model, views, np.array([0, 1, 2, 0]))
+        evaluate(model, block, np.array([0, 1, 2, 0]))
     with pytest.raises(LabelError):
-        evaluate(model, views, np.array([0, -1, 1, 0]))
+        evaluate(model, block, np.array([0, -1, 1, 0]))
     with pytest.raises(DataError):
-        evaluate(model, cluster_views(np.zeros((0, 32, 48))), np.array([], dtype=int))
+        evaluate(model, np.zeros((0, 32, 48)), np.array([], dtype=int))
 
 
 # -- training ---------------------------------------------------------------------
@@ -252,9 +252,8 @@ def test_overfits_tiny_set():
     rng = np.random.default_rng(12)
     x = rng.normal(size=(10, 32, 48))
     y = np.arange(10) % 2
-    views = cluster_views(x)
     model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=2, branch_filters=(2, 2, 2), dense_width=8), seed=12)
-    report = train_classifier(model, views, y, views, y, epochs=60, batch=10, seed=12)
+    report = train_classifier(model, x, y, x, y, epochs=60, batch=10, seed=12)
     assert max(report.train_acc) == 1.0
     assert report.n_parameters == model.num_parameters()
 
@@ -262,13 +261,11 @@ def test_overfits_tiny_set():
 def test_training_report_and_restored_best_weights():
     train_x, train_y, val_x, val_y = separable_sequences(n_train=60, n_val=30, seed=13)
     model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=3, branch_filters=(2, 4, 4), dense_width=16), seed=13)
-    report = train_classifier(
-        model, cluster_views(train_x), train_y, cluster_views(val_x), val_y, epochs=8, batch=16, seed=13
-    )
+    report = train_classifier(model, train_x, train_y, val_x, val_y, epochs=8, batch=16, seed=13)
     assert len(report.val_acc) == 8 and len(report.train_loss) == 8
     assert 0 <= report.best_epoch < 8
     # the kept weights must reproduce the best recorded validation accuracy
-    acc, confusion = evaluate(model, cluster_views(val_x), val_y)
+    acc, confusion = evaluate(model, val_x, val_y)
     assert acc == pytest.approx(max(report.val_acc))
     assert confusion.sum() == 30
     npt.assert_array_equal(confusion.sum(axis=1), np.bincount(val_y, minlength=3))
@@ -276,13 +273,12 @@ def test_training_report_and_restored_best_weights():
 
 def test_training_is_deterministic():
     train_x, train_y, val_x, val_y = separable_sequences(n_train=30, n_val=12, seed=14)
-    views, vviews = cluster_views(train_x), cluster_views(val_x)
 
     def run():
         model = HierarchicalClassifier(
             HierarchicalNetSpec(n_classes=3, branch_filters=(2, 2, 2), dense_width=8), seed=14
         )
-        report = train_classifier(model, views, train_y, vviews, val_y, epochs=3, batch=8, seed=14)
+        report = train_classifier(model, train_x, train_y, val_x, val_y, epochs=3, batch=8, seed=14)
         return model, report
 
     m1, r1 = run()
@@ -295,8 +291,8 @@ def test_training_is_deterministic():
 
 def test_training_rejects_empty_and_bad_labels():
     model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=2), seed=15)
-    empty = cluster_views(np.zeros((0, 32, 48)))
-    some = cluster_views(np.zeros((4, 32, 48)))
+    empty = np.zeros((0, 32, 48))
+    some = np.zeros((4, 32, 48))
     with pytest.raises(DataError):
         train_classifier(model, empty, np.array([]), some, np.zeros(4, dtype=int), epochs=1)
     with pytest.raises(LabelError):

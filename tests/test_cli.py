@@ -21,10 +21,12 @@ from hypothesis import strategies as st
 
 from mocapsynth.augment import AugmentSpec, augment_dataset
 from mocapsynth.classifier import TASKS, HierarchicalClassifier, HierarchicalNetSpec
+from mocapsynth import cli
 from mocapsynth.cli import AUGMENT_CHUNK_ROWS, COMMANDS, UsageError, _resolve, build_parser, main
 from mocapsynth.container import read_container, write_container
-from mocapsynth.dataset import (MotionSequence, NormStats, load_sequences, read_sequence_csv, save_sequences,
-                                write_sequence_csv)
+from mocapsynth.dataset import (MotionSequence, NormStats, load_sequences, load_trials, read_sequence_csv,
+                                save_sequences, write_sequence_csv)
+from mocapsynth.dataset.preprocess import NORMALIZE_CHUNK_FRAMES
 from mocapsynth.dataset.synthetic import make_trial
 from mocapsynth.dataset.trials import TrialMeta, save_trial
 from mocapsynth.seeding import derive_rng
@@ -278,6 +280,63 @@ def test_augment_memory_does_not_grow_with_the_factor(tmp_path, capsys):
     assert peaks[27] <= 6 * source_bytes, f"peak {peaks[27] / source_bytes:.2f}x the source block"
 
 
+def test_augment_past_any_memory_is_a_runtime_error(archive, tmp_path, capsys):
+    # numpy refuses a buffer of 10**12 copies at once, before any name is made
+    rc = main(["augment", "--input", str(archive), "--out", str(tmp_path / "o"), "--factor", str(10**12)])
+    assert rc == 1
+    assert "needs more memory than it could get" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
+def test_train_classifier_holds_about_one_copy_of_its_training_block(archive, tmp_path, capsys, caplog):
+    # tracemalloc sees numpy's buffers. The weight task trains on 6 of the 12
+    # sequences, so at factor 400 the augmented block is 2,400 rows (29.5 MB).
+    # Z-scored in place, with each batch's branch views cut as it is drawn,
+    # the run holds that block, the archive and one batch's graph; a z-scored
+    # copy and whole-set views would add about two blocks more
+    factor = 400
+    block_bytes = 6 * factor * 32 * 48 * 8
+    caplog.set_level("INFO")
+    tracemalloc.start()
+    try:
+        rc = main(["train-classifier", "--input", str(archive), "--out", str(tmp_path / "clf"), "--task", "weight",
+                   "--epochs", "1", "--val-size", "2", "--augment-factor", str(factor), "--seed", "3"])
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rc == 0
+    assert "training on 2400 sequences" in caplog.text
+    assert peak <= 1.5 * block_bytes, f"peak {peak / block_bytes:.2f}x the training block"
+
+
+def test_train_gan_set_up_holds_about_one_copy_of_the_archive(tmp_path, monkeypatch, capsys):
+    # the loaded block is z-scored in place, and its std is reduced a chunk of
+    # frames at a time: a full-size (x - mean) or a z-scored copy would double the peak
+    n = 2000
+    src = source_archive(tmp_path / "src.bin", n)
+    block_bytes = n * 32 * 48 * 8
+    chunk_bytes = NORMALIZE_CHUNK_FRAMES * 48 * 8
+    peaks = []
+
+    class Stop(Exception):
+        pass
+
+    def stop_before_training(spec, sequences, **kwargs):
+        peaks.append(tracemalloc.get_traced_memory()[1])
+        assert sequences.normalized and len(sequences) == n
+        raise Stop
+
+    monkeypatch.setattr(cli, "train_gan", stop_before_training)
+    tracemalloc.start()
+    try:
+        with pytest.raises(Stop):
+            main(["train-gan", "--input", str(src), "--out", str(tmp_path / "gan")])
+    finally:
+        tracemalloc.stop()
+    # the chunk, its join with the running sum, and the archive header's names and labels
+    assert peaks[0] <= block_bytes + 4 * chunk_bytes, f"peak {peaks[0] / block_bytes:.2f}x the loaded block"
+
+
 def test_config_file_precedence(archive, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"factor": 5}))
@@ -497,6 +556,39 @@ def test_classifier_outputs_are_pinned(archive, tmp_path, capsys, task):
                  "--out", str(ev)]) == 0
     files = [clf / "classifier.model", clf / "report.json", clf / "curves.csv", clf / "norm-stats.bin", ev / "eval.json"]
     assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == CLASSIFIER_DIGESTS[task]
+    capsys.readouterr()
+
+
+# sha256 of the outputs of the commands that z-score an archive they own,
+# taken before the z-scoring moved in place
+NORMALIZING_DIGESTS = {
+    "ingest-normalize": {
+        "sequences.bin": "d7ae0861208d02253a801812c36996eaa5c42f71832f7596df414791619c1b19",
+    },
+    "train-gan": {
+        "generator.model": "46211b6421fe54d5e6ac6d120016574736bdb5402e9fd7c30cd9677b3485b939",
+        "critic.model": "553f13f4e514d4f4e83451579b21bf4fb72e7de80e8d0514076f331f05f882df",
+        "history.json": "1841f6b005a4e96ad4691da67477e6d89b2d8e81dc09d71f9a9e8161015c4a04",
+        "norm-stats.bin": "57cd0eaf99833803cd9ccd8d1e808adc40360a9ddf79776a3d962b9fbd12503f",
+    },
+}
+
+
+@pytest.mark.parametrize("case", NORMALIZING_DIGESTS)
+def test_normalizing_outputs_are_pinned(corpus_dir, augmented, tmp_path, monkeypatch, capsys, case):
+    if case == "ingest-normalize":
+        # the corpus's bowl height is constant, so each trial is scaled apart; the
+        # archive records its --input, so the run reads it by a relative path
+        for i, trial in enumerate(load_trials(corpus_dir).trials):
+            save_trial(tmp_path / "trials", trial.with_coords(trial.coords * (1 + i / 50)))
+        monkeypatch.chdir(tmp_path)
+        argv = ["ingest", "--input", "trials", "--out", "o", "--normalize", "--seed", "1"]
+    else:
+        argv = ["train-gan", "--input", str(augmented), "--out", str(tmp_path / "o"), "--kind", "wgan-gp",
+                "--epochs", "1", "--batch", "4", "--critic-steps", "2", "--seed", "6"]
+    assert main(argv) == 0
+    want = NORMALIZING_DIGESTS[case]
+    assert {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() for name in want} == want
     capsys.readouterr()
 
 

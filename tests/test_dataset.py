@@ -34,6 +34,7 @@ from mocapsynth.dataset import (
     uniform_indices,
     write_sequence_csv,
 )
+from mocapsynth.dataset.preprocess import NORMALIZE_CHUNK_FRAMES, SEQUENCE_LENGTH
 from mocapsynth.dataset.synthetic import (
     CORPUS_STRATEGY_COUNTS,
     CORPUS_WEIGHT_COUNTS,
@@ -50,7 +51,7 @@ from mocapsynth.errors import (
     TooShortError,
     TrialFormatError,
 )
-from mocapsynth.markers import BOWL, C7, CLUSTERS, CSV_COLUMNS, CSV_COLUMNS_NO_C7, N_BODY_MARKERS, N_MARKERS
+from mocapsynth.markers import BOWL, C7, CLUSTERS, CSV_COLUMNS, CSV_COLUMNS_NO_C7, N_BODY_MARKERS, N_FEATURES, N_MARKERS
 
 
 def meta(**overrides) -> TrialMeta:
@@ -482,6 +483,86 @@ def test_normalized_training_set_is_standard():
     z = apply_zscore(SequenceSet.of(seqs), stats).data.reshape(-1, 48)
     assert np.all(np.abs(z.mean(axis=0)) < 1e-9)
     assert np.all(np.abs(z.std(axis=0) - 1.0) < 1e-9)
+
+
+CHUNK_SEQUENCES = NORMALIZE_CHUNK_FRAMES // SEQUENCE_LENGTH
+
+
+def float_bits(a: np.ndarray) -> np.ndarray:
+    return a.view(np.uint64)
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(
+    # 32 frames; one below, exactly and one above a chunk; several chunks
+    n=st.sampled_from([1, CHUNK_SEQUENCES - 1, CHUNK_SEQUENCES, CHUNK_SEQUENCES + 1, 3 * CHUNK_SEQUENCES + 5]),
+    scale_exp=st.integers(-3, 6),
+    offset=st.sampled_from([0.0, 1.0, -37.5, 2.5e4, -3e6, 1e9]),
+    constant=st.none() | st.integers(0, N_FEATURES - 1),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_fit_normalizer_is_numpys_mean_and_std_bit_for_bit(n, scale_exp, offset, constant, seed):
+    rng = np.random.default_rng(seed)
+    scales = 10.0 ** (scale_exp + rng.uniform(-1, 1, size=N_FEATURES))
+    data = offset * rng.uniform(0.5, 1.0, size=N_FEATURES) + scales * rng.normal(size=(n, 32, N_FEATURES))
+    if constant is not None:
+        data[:, :, constant] = offset + 0.1
+    frames = data.reshape(-1, N_FEATURES)
+    mean, std = frames.mean(axis=0), frames.std(axis=0)
+    degenerate = np.flatnonzero(std <= 1e-12 * np.maximum(1.0, np.abs(mean)))
+    seqs = SequenceSet(data, [f"s{i}" for i in range(n)], [None] * n)
+    if degenerate.size:
+        with pytest.raises(DegenerateFeatureError) as exc:
+            fit_normalizer(seqs)
+        assert exc.value.feature_index == degenerate[0]
+    else:
+        stats = fit_normalizer(seqs)
+        npt.assert_array_equal(float_bits(stats.mean), float_bits(mean))
+        npt.assert_array_equal(float_bits(stats.std), float_bits(std))
+
+
+def standardish_set(n: int, seed: int) -> SequenceSet:
+    rng = np.random.default_rng(seed)
+    return SequenceSet.of([MotionSequence(rng.normal(loc=3, scale=7, size=(32, 48))) for _ in range(n)])
+
+
+def test_zscore_into_a_block_is_the_copying_result_bit_for_bit():
+    seqs = standardish_set(5, 12)
+    stats = fit_normalizer(seqs)
+    source = seqs.data.copy()
+    copied = apply_zscore(seqs, stats)
+    npt.assert_array_equal(float_bits(seqs.data), float_bits(source))  # the copying path leaves its input alone
+    out = np.empty((5, 32, 48))
+    into = apply_zscore(seqs, stats, out=out)
+    assert np.shares_memory(into.data, out) and into.normalized
+    npt.assert_array_equal(float_bits(out), float_bits(copied.data))
+    in_place = apply_zscore(seqs, stats, out=seqs.data)
+    assert np.shares_memory(in_place.data, seqs.data)
+    npt.assert_array_equal(float_bits(seqs.data), float_bits(copied.data))
+    assert in_place.names == seqs.names and in_place.labels == seqs.labels
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@pytest.mark.parametrize("make_out", [
+    lambda: np.full((4, 48, 32), 7.0).transpose(0, 2, 1),
+    lambda: np.full((8, 32, 48), 7.0)[::2],
+    lambda: np.full((3, 32, 48), 7.0),
+    lambda: np.full((4, 32, 47), 7.0),
+    lambda: np.full((4, 32, 48), 7.0, dtype=np.float32),
+    lambda: _read_only(np.full((4, 32, 48), 7.0)),
+    lambda: [[[7.0] * 48] * 32] * 4,
+], ids=["transposed", "strided", "short", "row-shape", "float32", "read-only", "list"])
+def test_zscore_refuses_an_out_it_cannot_fill_and_writes_nothing(make_out):
+    seqs = standardish_set(4, 13)
+    stats = fit_normalizer(seqs)
+    out = make_out()
+    with pytest.raises(ContractError, match="out must be"):
+        apply_zscore(seqs, stats, out=out)
+    assert np.all(np.asarray(out) == 7.0)
 
 
 def test_fit_normalizer_rejects_empty_and_normalized():
