@@ -55,7 +55,7 @@ from .dataset import (
     trim_to_motion,
     write_sequence_csv,
 )
-from .dataset.preprocess import NormStats, SequenceSet, check_stride
+from .dataset.preprocess import N_FEATURES, SEQUENCE_LENGTH, NormStats, SequenceSet, check_stride, check_trim
 from .errors import ContractError, DataError, LabelError, MocapError, NoMotionError, SettingError, StateError, TooShortError
 from .gan import (
     ConditionLabel,
@@ -218,52 +218,46 @@ def _load_stats(path) -> NormStats:
 
 
 def cmd_ingest(resolved: dict) -> int:
+    """Trim and resample each trial as it is parsed into the next row of one block, a row per CSV file."""
     _require(resolved, "input", "out")
     check_stride(resolved["stride"])  # refused in uniform mode too, which does not read it
+    check_trim(resolved["speed_threshold"], resolved["hold_frames"])
     out_dir = Path(resolved["out"])
-    result = load_trials(resolved["input"])
+    block = np.empty((sum(1 for _ in Path(resolved["input"]).glob("*.csv")), SEQUENCE_LENGTH, N_FEATURES))
+    names, labels, rejects = [], [], Counter()
+
+    def keep(trial):
+        # trim and resample are looked up at call time, so a tracer may wrap them
+        try:
+            trimmed = trim_to_motion(trial, speed_threshold=resolved["speed_threshold"], hold_frames=resolved["hold_frames"])
+            if resolved["resample"] == "centered":
+                block[len(names)] = resample_centered(trimmed, stride=resolved["stride"]).data
+            else:
+                block[len(names)] = resample_uniform(trimmed).data
+        except (NoMotionError, TooShortError) as exc:
+            rejects[type(exc)] += 1
+            return
+        names.append(trial.name)
+        labels.append(trial.meta)
+
+    result = load_trials(resolved["input"], keep=keep)  # its trials count the loaded files
     if not result.trials:
         raise DataError(f"no trials loaded from {resolved['input']}")
     log.info("loaded %d trials (%d skipped for missing C7)", len(result.trials), result.skipped_missing_c7)
-
-    sequences, too_short, no_motion = [], 0, 0
-    for trial in result.trials:
-        try:
-            trimmed = trim_to_motion(
-                trial,
-                speed_threshold=resolved["speed_threshold"],
-                hold_frames=resolved["hold_frames"],
-            )
-            if resolved["resample"] == "centered":
-                sequences.append(resample_centered(trimmed, stride=resolved["stride"]))
-            else:
-                sequences.append(resample_uniform(trimmed))
-        except NoMotionError:
-            no_motion += 1
-        except TooShortError:
-            too_short += 1
-    if not sequences:
+    if not names:
         raise DataError("every trial was rejected during trimming")
-    log.info("kept %d sequences (%d no-motion, %d too-short)", len(sequences), no_motion, too_short)
+    no_motion, too_short = rejects[NoMotionError], rejects[TooShortError]
+    log.info("kept %d sequences (%d no-motion, %d too-short)", len(names), no_motion, too_short)
 
-    sequences = SequenceSet.of(sequences)  # one block, which z-scoring may overwrite
+    sequences = SequenceSet(block[: len(names)], names, labels)  # z-scoring may overwrite it
     stats = None
     if resolved["normalize"]:
         stats = fit_normalizer(sequences)
         sequences = apply_zscore(sequences, stats, out=sequences.data)
     _snapshot(out_dir, "ingest", resolved)
-    save_sequences(
-        out_dir / "sequences.bin",
-        sequences,
-        stats=stats,
-        extra={
-            "source": str(resolved["input"]),
-            "resample": resolved["resample"],
-            "skipped_missing_c7": result.skipped_missing_c7,
-            "skipped_no_motion": no_motion,
-            "skipped_too_short": too_short,
-        },
-    )
+    extra = {"source": str(resolved["input"]), "resample": resolved["resample"], "skipped_missing_c7":
+             result.skipped_missing_c7, "skipped_no_motion": no_motion, "skipped_too_short": too_short}
+    save_sequences(out_dir / "sequences.bin", sequences, stats=stats, extra=extra)
     print(f"ingested {len(sequences)} sequences -> {out_dir / 'sequences.bin'}")
     return 0
 
@@ -544,9 +538,8 @@ def cmd_stats(resolved: dict) -> int:
     _require(resolved, "input")
     src = Path(resolved["input"])
     if src.is_dir():
-        result = load_trials(src)
-        metas = [t.meta for t in result.trials]
-        skipped = result.skipped_missing_c7
+        result = load_trials(src, keep=lambda trial: trial.meta)  # labels only, never every trial's coordinates
+        metas, skipped = result.trials, result.skipped_missing_c7
     else:
         sequences, _, _ = load_sequences(src)
         metas = [m for m in sequences.labels if m is not None]

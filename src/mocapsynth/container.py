@@ -12,6 +12,7 @@ so a large array is written without ever being held whole.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -104,6 +105,25 @@ class ArrayStream:
     chunks: Iterable[np.ndarray]
 
 
+HEADER_SLICE_ITEMS = 256
+_dumps = functools.partial(json.dumps, sort_keys=True, separators=(",", ":"))
+
+
+def _header_pieces(value):
+    """The text of _dumps(value) in pieces, a long list 256 items at a time: one dump would peak at twice its size."""
+    if isinstance(value, dict) and all(isinstance(key, str) for key in value):
+        for i, key in enumerate(sorted(value)):
+            yield ("," if i else "{") + _dumps(key) + ":"
+            yield from _header_pieces(value[key])
+        yield "}" if value else "{}"
+    elif isinstance(value, list) and len(value) > HEADER_SLICE_ITEMS:
+        for lo in range(0, len(value), HEADER_SLICE_ITEMS):
+            yield ("," if lo else "[") + _dumps(value[lo : lo + HEADER_SLICE_ITEMS])[1:-1]
+        yield "]"
+    else:
+        yield _dumps(value)
+
+
 def write_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, np.ndarray | ArrayStream]) -> None:
     path = Path(path)
     entries = []
@@ -118,16 +138,18 @@ def write_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, n
         parts.append((name, dt, math.prod(arr.shape) * dt.itemsize, arr.chunks))
         entries.append({"dtype": dt.str, "name": name, "shape": list(arr.shape)})
     header = {"arrays": entries, "kind": kind, "meta": meta, "version": VERSION}
-    header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
 
     # a unique name keeps concurrent writers apart; "x" mode creates it
     # with the same umask-derived permissions as a plain open
     tmp = path.with_name(f"{path.name}.{os.urandom(8).hex()}.tmp")
     try:
         with open(tmp, "xb") as fh:
-            fh.write(MAGIC)
-            fh.write(struct.pack("<Q", len(header_bytes)))
-            fh.write(header_bytes)
+            # the length goes in after the header; json.dumps escapes all non-ASCII, so the pieces are ASCII
+            fh.write(MAGIC + bytes(8))
+            header_len = sum(fh.write(piece.encode("ascii")) for piece in _header_pieces(header))
+            fh.seek(len(MAGIC))
+            fh.write(struct.pack("<Q", header_len))
+            fh.seek(0, os.SEEK_END)
             for name, dt, declared, chunks in parts:
                 written = 0
                 for chunk in chunks:

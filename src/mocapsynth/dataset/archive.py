@@ -73,8 +73,10 @@ def load_sequences(path: str | Path) -> tuple[SequenceSet, NormStats | None, dic
             and isinstance(labels, list) and all(m is None or isinstance(m, dict) for m in labels)
             and isinstance(extra, dict)):
         raise TrialFormatError(f"{path}: names must be strings, labels objects or nulls, normalized a boolean, extra an object")
+    seen = {}  # one TrialMeta per distinct label dict, built once: augmented copies share their source's
     try:
-        sequences = SequenceSet(arrays["data"], names, [TrialMeta.from_dict(m) if m else None for m in labels], normalized)
+        metas = [seen.get(key := repr(d)) or seen.setdefault(key, TrialMeta.from_dict(d)) if d else None for d in labels]
+        sequences = SequenceSet(arrays["data"], names, metas, normalized)
         stats = NormStats.from_arrays(arrays) if "norm_mean" in arrays else None
     except (ContractError, ShapeError) as exc:
         raise TrialFormatError(f"{path}: {exc}") from None

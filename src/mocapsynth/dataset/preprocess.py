@@ -118,10 +118,7 @@ def trim_to_motion(
     A frame starts (ends) the motion when the speed stays at or above the
     threshold for hold_frames consecutive frames from (up to) it.
     """
-    if not 0 < speed_threshold < np.inf:
-        raise SettingError(f"speed_threshold must be finite and positive, got {speed_threshold}", "speed_threshold")
-    if hold_frames < 1:
-        raise SettingError(f"hold_frames must be at least 1, got {hold_frames}", "hold_frames")
+    check_trim(speed_threshold, hold_frames)
     speeds = bowl_speeds(trial)
     fast = speeds >= speed_threshold
     # run[i] = True when fast[i : i + hold] is all True
@@ -140,6 +137,13 @@ def trim_to_motion(
             f"trial {trial.name!r}: {trimmed.shape[0]} frames after trimming, need {SEQUENCE_LENGTH}"
         )
     return trial.with_coords(trimmed)
+
+
+def check_trim(speed_threshold: float, hold_frames: int) -> None:
+    if not 0 < speed_threshold < np.inf:
+        raise SettingError(f"speed_threshold must be finite and positive, got {speed_threshold}", "speed_threshold")
+    if hold_frames < 1:
+        raise SettingError(f"hold_frames must be at least 1, got {hold_frames}", "hold_frames")
 
 
 def check_stride(stride: int) -> None:

@@ -12,6 +12,7 @@ import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
@@ -118,7 +119,7 @@ class Trial:
 
 @dataclass
 class LoadResult:
-    trials: list[Trial]
+    trials: list  # what load_trials' keep returned for each loaded trial
     skipped_missing_c7: int
 
 
@@ -224,14 +225,12 @@ def load_trial(csv_path: str | Path) -> Trial:
     return Trial(csv_path.stem, coords, meta)
 
 
-def load_trials(directory: str | Path) -> LoadResult:
-    """Load every trial CSV under `directory`; C7-less trials are skipped and counted."""
-    directory = Path(directory)
-    trials: list[Trial] = []
-    skipped = 0
-    for csv_path in sorted(directory.glob("*.csv")):
+def load_trials(directory: str | Path, keep: Callable[[Trial], object] = lambda trial: trial) -> LoadResult:
+    """Load each trial CSV under `directory` and pass it to `keep` at once; C7-less trials are skipped and counted."""
+    kept, skipped = [], 0
+    for csv_path in sorted(Path(directory).glob("*.csv")):
         try:
-            trials.append(load_trial(csv_path))
-        except MissingC7:
+            kept.append(keep(load_trial(csv_path)))
+        except MissingC7:  # raised by the parse only, never by keep
             skipped += 1
-    return LoadResult(trials, skipped)
+    return LoadResult(kept, skipped)

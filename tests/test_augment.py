@@ -9,7 +9,7 @@ import numpy.testing as npt
 import pytest
 
 from mocapsynth.augment import AugmentSpec, augment_dataset
-from mocapsynth.dataset import MotionSequence, SequenceSet, TrialMeta, save_sequences
+from mocapsynth.dataset import MotionSequence, SequenceSet, TrialMeta, load_sequences, save_sequences
 from mocapsynth.errors import ContractError, SettingError, StateError
 from mocapsynth.markers import BOWL
 from mocapsynth.seeding import derive_rng
@@ -326,6 +326,25 @@ def test_augment_and_save_hold_about_one_copy_of_the_output(tmp_path):
         tracemalloc.stop()
     assert len(out) == 360
     assert peak <= 1.5 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output block"
+
+
+def test_a_loaded_augmented_archive_holds_one_label_per_source(tmp_path):
+    # the archive lists a label per row; loaded, the copies of a source share
+    # one TrialMeta, so beyond its block the set holds little but the names
+    # (about 90 B a row, where a TrialMeta per row adds about 400 B)
+    rng = np.random.default_rng(21)
+    n, factor = 20, 50
+    seqs = [MotionSequence(rng.uniform(-2, 2, size=(32, 48)), meta=meta(participant=f"p{i:02d}"), name=f"s{i:02d}")
+            for i in range(n)]
+    save_sequences(tmp_path / "augmented.bin", augment_dataset(seqs, AugmentSpec(factor=factor, seed=2)))
+    tracemalloc.start()
+    try:
+        loaded, _, _ = load_sequences(tmp_path / "augmented.bin")
+        held, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(loaded) == n * factor and len({id(m) for m in loaded.labels}) == n
+    assert held - loaded.data.nbytes <= 200 * len(loaded), f"{(held - loaded.data.nbytes) / len(loaded):.0f} B a row"
 
 
 def test_augmented_samples_differ_from_original():

@@ -28,7 +28,8 @@ from mocapsynth.dataset import (MotionSequence, NormStats, load_sequences, load_
                                 save_sequences, write_sequence_csv)
 from mocapsynth.dataset.preprocess import NORMALIZE_CHUNK_FRAMES
 from mocapsynth.dataset.synthetic import make_trial
-from mocapsynth.dataset.trials import TrialMeta, save_trial
+from mocapsynth.dataset.trials import Trial, TrialMeta, _write_csv_rows, save_trial
+from mocapsynth.markers import CSV_COLUMNS_NO_C7
 from mocapsynth.seeding import derive_rng
 
 WEIGHTS = (640, 1140, 1640)
@@ -137,6 +138,43 @@ def test_ingest_rejects_a_stride_below_one(corpus_dir, tmp_path, capsys, flags, 
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("flag, value", [("--hold-frames", "0"), ("--speed-threshold", "-1")])
+def test_ingest_checks_its_trim_settings_before_reading_a_trial(corpus_dir, tmp_path, capsys, flag, value):
+    # an empty directory, and one whose first trial holds a NaN, would
+    # otherwise fail as data errors before any trial reaches trimming
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "nan").mkdir()
+    lines = (corpus_dir / "t000.csv").read_text().split("\n")
+    lines[1] = "nan" + lines[1][lines[1].index(","):]
+    (tmp_path / "nan" / "t000.csv").write_text("\n".join(lines))
+    (tmp_path / "nan" / "t000.json").write_bytes((corpus_dir / "t000.json").read_bytes())
+    for directory in ("empty", "nan"):
+        rc = main(["ingest", "--input", str(tmp_path / directory), "--out", str(tmp_path / "o"), flag, value])
+        assert rc == 2
+        assert flag in one_error_line(capsys)
+        assert not (tmp_path / "o").exists()
+
+
+def test_ingest_holds_one_parsed_trial_at_a_time(tmp_path, capsys):
+    # tracemalloc sees numpy's buffers. Each trial has 640 frames (240 KB of
+    # coordinates), of which ingest keeps one 32-frame row (12 KB) in a block
+    # of a row per file, so its peak grows by the rows, not by the trials
+    meta = TrialMeta("p00", "medium", 1140, "balanced", "facing", "B")
+    peaks = {}
+    for n in (8, 40):
+        for i in range(n):
+            save_trial(tmp_path / str(n), make_trial(f"t{i:03d}", meta, derive_rng(4, "long", i), carry=600))
+        tracemalloc.start()
+        try:
+            rc = main(["ingest", "--input", str(tmp_path / str(n)), "--out", str(tmp_path / f"o{n}")])
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    rows_bytes = (40 - 8) * 32 * 48 * 8
+    assert peaks[40] - peaks[8] <= 1.5 * rows_bytes + 64 * 1024, f"grew {(peaks[40] - peaks[8]) / rows_bytes:.2f}x the rows"
+
+
 @pytest.mark.parametrize("flags", [["--translate", "-0.1"], ["--rotate-lo", "50", "--rotate-hi", "10"],
                                    ["--translate", "inf"]], ids=["negative-translate", "reversed-rotation", "infinite"])
 def test_augment_refuses_a_range_it_cannot_draw_from(tmp_path, capsys, flags):
@@ -159,14 +197,16 @@ def test_ingest_writes_archive_and_snapshot(archive):
     assert snapshot["resample"] == "centered"
 
 
-def test_stats_table_matches_corpus(corpus_dir, capsys):
-    assert main(["stats", "--input", str(corpus_dir)]) == 0
+def test_stats_table_matches_corpus(corpus_dir, tmp_path, capsys):
+    assert main(["stats", "--input", str(corpus_dir), "--out", str(tmp_path)]) == 0
     out = capsys.readouterr().out
     assert "records: 12" in out
     for name in ("heavy", "heavier", "heaviest"):
         assert f"{name}: 4" in out
     assert "balanced: 6" in out
     assert "participants: 3" in out
+    # taken while stats still held every parsed trial
+    assert hashlib.sha256((tmp_path / "stats.json").read_bytes()).hexdigest() == "4f4f3cd0d84b519beb43ace1218ae11262733c4dc7b83bec089e23c181be1dfc"
 
 
 def test_stats_json_on_archive(archive, tmp_path, capsys):
@@ -559,9 +599,34 @@ def test_classifier_outputs_are_pinned(archive, tmp_path, capsys, task):
     capsys.readouterr()
 
 
-# sha256 of the outputs of the commands that z-score an archive they own,
-# taken before the z-scoring moved in place
-NORMALIZING_DIGESTS = {
+def ingest_input(corpus_dir, directory, rejects=False):
+    """The corpus with each trial scaled apart (its bowl height is constant).
+
+    With rejects, a no-motion, a too-short and a C7-less trial sit among
+    them, so the kept trials are not the leading files.
+    """
+    trials = load_trials(corpus_dir).trials
+    for i, trial in enumerate(trials):
+        save_trial(directory, trial.with_coords(trial.coords * (1 + i / 50)))
+    if rejects:
+        meta = trials[0].meta
+        save_trial(directory, Trial("t003a", np.tile(trials[3].coords[:1], (80, 1)), meta))
+        save_trial(directory, make_trial("t006a", meta, derive_rng(99, "short"), lead_in=5, carry=20, lead_out=5))
+        no_c7 = np.delete(trials[9].points(), 6, axis=1).reshape(trials[9].n_frames, -1)
+        _write_csv_rows(CSV_COLUMNS_NO_C7, no_c7, directory / "t009a.csv")
+        (directory / "t009a.json").write_text("{}")
+
+
+# sha256 of ingest's archive in each resampling mode, taken while ingest still
+# held every parsed trial, and of the outputs of the commands that z-score an
+# archive they own, taken before the z-scoring moved in place
+PINNED_DIGESTS = {
+    "ingest-centered": {
+        "sequences.bin": "ff4bfb98173773fc13d85bf6a7a48f0139e1fbed60d0a9fec81dd97629f67f20",
+    },
+    "ingest-uniform": {
+        "sequences.bin": "65590292357b542549baf0a3ee386c61228ab69d0ee1efa9b4fbff838ca76049",
+    },
     "ingest-normalize": {
         "sequences.bin": "d7ae0861208d02253a801812c36996eaa5c42f71832f7596df414791619c1b19",
     },
@@ -574,20 +639,22 @@ NORMALIZING_DIGESTS = {
 }
 
 
-@pytest.mark.parametrize("case", NORMALIZING_DIGESTS)
+@pytest.mark.parametrize("case", PINNED_DIGESTS)
 def test_normalizing_outputs_are_pinned(corpus_dir, augmented, tmp_path, monkeypatch, capsys, case):
-    if case == "ingest-normalize":
-        # the corpus's bowl height is constant, so each trial is scaled apart; the
-        # archive records its --input, so the run reads it by a relative path
-        for i, trial in enumerate(load_trials(corpus_dir).trials):
-            save_trial(tmp_path / "trials", trial.with_coords(trial.coords * (1 + i / 50)))
+    if case.startswith("ingest"):
+        # the archive records its --input, so the run reads it by a relative path
+        ingest_input(corpus_dir, tmp_path / "trials", rejects=case != "ingest-normalize")
         monkeypatch.chdir(tmp_path)
-        argv = ["ingest", "--input", "trials", "--out", "o", "--normalize", "--seed", "1"]
+        mode = {"ingest-uniform": ["--resample", "uniform"], "ingest-normalize": ["--normalize"]}.get(case, [])
+        argv = ["ingest", "--input", "trials", "--out", "o", "--seed", "1", *mode]
     else:
         argv = ["train-gan", "--input", str(augmented), "--out", str(tmp_path / "o"), "--kind", "wgan-gp",
                 "--epochs", "1", "--batch", "4", "--critic-steps", "2", "--seed", "6"]
     assert main(argv) == 0
-    want = NORMALIZING_DIGESTS[case]
+    if case in ("ingest-centered", "ingest-uniform"):
+        extra = load_sequences(tmp_path / "o" / "sequences.bin")[2]
+        assert [extra[f"skipped_{why}"] for why in ("missing_c7", "no_motion", "too_short")] == [1, 1, 1]
+    want = PINNED_DIGESTS[case]
     assert {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() for name in want} == want
     capsys.readouterr()
 
