@@ -4,6 +4,7 @@ from .network import (
     HierarchicalNetSpec,
 )
 from .tasks import (
+    BRANCH_COLUMNS,
     DEFAULT_VALIDATION,
     STRATEGY_CLASSES,
     TASKS,

@@ -16,14 +16,15 @@ import numpy as np
 
 # perfbench's tracer patches read_container and write_container by name on this module
 from ..container import JsonRecord, read_container, write_container  # noqa: F401
+from ..dataset.preprocess import SEQUENCE_LENGTH
 from ..errors import ContractError, SettingError, ShapeError
 from ..nn import Sequential, Tensor, concat
 from ..nn.checkpoint import load_model, save_model
 from ..nn.layers import Activation, Conv1D, Dense, Dropout, Flatten, MaxPool
 from ..seeding import derive_rng
+from .tasks import BRANCH_COLUMNS
 
-BRANCH_WIDTHS = (21, 15, 21)
-SEQ_LEN = 32
+BRANCH_WIDTHS = tuple(len(cols) for cols in BRANCH_COLUMNS)
 
 
 @dataclass(frozen=True)
@@ -45,10 +46,10 @@ class HierarchicalNetSpec(JsonRecord):
         if self.first_spacing < 0:
             raise SettingError(f"first_spacing must be at least 0, got {self.first_spacing}")
         span = (self.kernel - 1) * (self.first_spacing + 1) + 1
-        if span > SEQ_LEN:
+        if span > SEQUENCE_LENGTH:
             raise SettingError(
                 f"kernel {self.kernel} at first_spacing {self.first_spacing} spans {span} frames,"
-                f" more than the {SEQ_LEN}-frame sequence"
+                f" more than the {SEQUENCE_LENGTH}-frame sequence"
             )
 
 
@@ -77,7 +78,7 @@ class HierarchicalClassifier:
                     ]
                 )
             )
-        concat_width = 3 * (SEQ_LEN // 8) * f3
+        concat_width = 3 * (SEQUENCE_LENGTH // 8) * f3
         rng = derive_rng(seed, "head")
         self.head = Sequential(
             [
@@ -96,8 +97,8 @@ class HierarchicalClassifier:
     ) -> Tensor:
         """views: three (B, 32, width) tensors -> (B, n_classes) logits."""
         for v, width in zip(views, BRANCH_WIDTHS):
-            if v.ndim != 3 or v.shape[1] != SEQ_LEN or v.shape[2] != width:
-                raise ShapeError(f"branch input must be (B, {SEQ_LEN}, {width}), got {v.shape}")
+            if v.ndim != 3 or v.shape[1] != SEQUENCE_LENGTH or v.shape[2] != width:
+                raise ShapeError(f"branch input must be (B, {SEQUENCE_LENGTH}, {width}), got {v.shape}")
         outs = [branch.forward(v, training=training, rng=rng) for branch, v in zip(self.branches, views)]
         h = concat(outs, axis=1)
         return self.head.forward(h, training=training, rng=rng)

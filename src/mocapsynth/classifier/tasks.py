@@ -6,9 +6,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..dataset.preprocess import cluster_columns
 from ..dataset.trials import BALANCES, WEIGHT_NAMES, WEIGHTS_G
 from ..errors import ContractError, DataError, SettingError
+from ..markers import CLUSTERS
 from ..seeding import derive_rng
 
 WEIGHT_CLASSES = (WEIGHTS_G[0], WEIGHTS_G[-1])  # lightest vs heaviest load
@@ -21,6 +21,8 @@ _CLASSES = {
 }
 TASKS = tuple(_CLASSES)
 DEFAULT_VALIDATION = {"weight": 50, "balance": 100, "strategy": 100}
+# each branch's feature columns: x, y and z of each marker of its cluster, in cluster order
+BRANCH_COLUMNS = tuple([3 * m + axis for m in cluster for axis in range(3)] for cluster in CLUSTERS)
 
 
 @dataclass(frozen=True)
@@ -85,9 +87,4 @@ def validation_split(n: int, n_validation: int, seed: int) -> tuple[np.ndarray, 
 
 def cluster_views(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split stacked (n, 32, 48) feature matrices into the three branch views."""
-    cols = cluster_columns()
-    return (
-        data[:, :, cols["cluster1"]],
-        data[:, :, cols["cluster2"]],
-        data[:, :, cols["cluster3"]],
-    )
+    return tuple(data[:, :, cols] for cols in BRANCH_COLUMNS)

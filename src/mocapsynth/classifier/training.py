@@ -6,6 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from ..container import JsonRecord
 from ..errors import DataError, LabelError, NumericalError, SettingError
 from ..nn import Adam, Tensor, cross_entropy, no_grad
 from ..seeding import derive_rng
@@ -17,25 +18,14 @@ EPOCHS, BATCH, LR = 400, 32, 1e-3
 
 
 @dataclass
-class TrainReport:
+class TrainReport(JsonRecord):
     train_loss: list[float] = field(default_factory=list)
     train_acc: list[float] = field(default_factory=list)
     val_loss: list[float] = field(default_factory=list)
     val_acc: list[float] = field(default_factory=list)
-    confusion: np.ndarray | None = None  # rows actual, columns predicted
+    confusion: list[list[int]] | None = None  # rows actual, columns predicted
     best_epoch: int = -1
     n_parameters: int = 0
-
-    def to_dict(self) -> dict:
-        return {
-            "train_loss": self.train_loss,
-            "train_acc": self.train_acc,
-            "val_loss": self.val_loss,
-            "val_acc": self.val_acc,
-            "confusion": self.confusion.tolist() if self.confusion is not None else None,
-            "best_epoch": self.best_epoch,
-            "n_parameters": self.n_parameters,
-        }
 
 
 def _views(block: np.ndarray) -> tuple[Tensor, Tensor, Tensor]:
@@ -141,5 +131,5 @@ def train_classifier(
 
     for p, saved in zip(params, best_state):
         p.data = saved
-    _, report.confusion = evaluate(model, val_block, val_labels)
+    report.confusion = evaluate(model, val_block, val_labels)[1].tolist()
     return report

@@ -82,6 +82,7 @@ log = logging.getLogger("mocapsynth")
 EXPORT_FORMATS = ("jsonl", "svg_ortho")
 
 STATS_KIND = "normstats"
+STATS_FILE = "norm-stats.bin"
 
 
 class UsageError(SettingError):
@@ -205,11 +206,14 @@ def _snapshot(out_dir: Path, subcommand: str, resolved: dict) -> None:
     )
 
 
-def _save_stats(path: Path, stats: NormStats) -> None:
-    write_container(path, STATS_KIND, {}, stats.to_arrays())
+def _save_stats(out_dir: Path, stats: NormStats) -> None:
+    """Save the stats a model was trained under beside it."""
+    write_container(out_dir / STATS_FILE, STATS_KIND, {}, stats.to_arrays())
 
 
-def _load_stats(path) -> NormStats:
+def _load_stats(resolved: dict) -> NormStats:
+    """The stats of --stats, else the ones saved beside --model."""
+    path = resolved["stats"] or Path(resolved["model"]).parent / STATS_FILE
     _, arrays = read_container(path, expect_kind=STATS_KIND)
     return NormStats.from_arrays(arrays)
 
@@ -361,7 +365,7 @@ def cmd_train_classifier(resolved: dict) -> int:
         out_dir / "classifier.model",
         extra={"task": task.task, "classes": list(task.class_names)},
     )
-    _save_stats(out_dir / "norm-stats.bin", stats)
+    _save_stats(out_dir, stats)
     (out_dir / "report.json").write_text(json.dumps(report.to_dict(), indent=2) + "\n")
     with open(out_dir / "curves.csv", "w", newline="\n") as fh:
         fh.write("epoch,train_loss,train_acc,val_loss,val_acc\n")
@@ -378,19 +382,19 @@ def cmd_train_classifier(resolved: dict) -> int:
 def cmd_eval_classifier(resolved: dict) -> int:
     _require(resolved, "input", "model")
     model, extra = HierarchicalClassifier.load(resolved["model"])
-    stats_path = resolved["stats"] or str(Path(resolved["model"]).parent / "norm-stats.bin")
-    stats = _load_stats(stats_path)
+    stats = _load_stats(resolved)
     task = TaskSpec(extra.get("task"))
 
     sequences, _, _ = load_sequences(resolved["input"])
+    if sequences.normalized:
+        raise StateError("eval-classifier wants world-space sequences; it normalizes with the model's stats")
     labels = task.labels(sequences.labels)
     rows = np.flatnonzero(labels >= 0)
     if not len(rows):
         raise DataError(f"no sequences usable for task {task.task!r}")
     pool = sequences.take(rows)
     del sequences
-    if not pool.normalized:
-        pool = apply_zscore(pool, stats, out=pool.data)
+    pool = apply_zscore(pool, stats, out=pool.data)
     accuracy, confusion = evaluate(model, pool.data, labels[rows])
 
     print(f"task {task.task}: accuracy {accuracy:.3f} on {len(pool)} sequences")
@@ -456,7 +460,7 @@ def cmd_train_gan(resolved: dict) -> int:
 
     _snapshot(out_dir, "train-gan", resolved)
     save_gan(out_dir, generator, critic, gen_spec, critic_spec, spec)
-    _save_stats(out_dir / "norm-stats.bin", stats)
+    _save_stats(out_dir, stats)
     (out_dir / "history.json").write_text(json.dumps(history.to_dict(), indent=2) + "\n")
     # dcgan records no distance estimate, so its summary gives the last discriminator loss
     what, values = ("discriminator loss", history.d_loss) if kind == "dcgan" else ("distance estimate", history.w_estimate)
@@ -480,12 +484,12 @@ def cmd_generate(resolved: dict) -> int:
         raise ContractError(f"{resolved['model']}: not a generator checkpoint (role {meta.get('role')!r})")
     try:
         gen_spec = GeneratorSpec.from_dict(meta.get("spec"))
+        rebuilt = build_generator(gen_spec)  # its layers check their settings
     except SettingError as exc:  # a fault of the checkpoint, not a refused setting
         raise ContractError(f"{resolved['model']}: {exc}") from None
-    if build_generator(gen_spec).architecture() != generator.architecture():
+    if rebuilt.architecture() != generator.architecture():
         raise ContractError(f"{resolved['model']}: the generator spec does not match the saved architecture")
-    stats_path = resolved["stats"] or str(Path(resolved["model"]).parent / "norm-stats.bin")
-    stats = _load_stats(stats_path)
+    stats = _load_stats(resolved)
 
     condition = None
     if resolved["label"] is not None:
@@ -606,7 +610,7 @@ COMMANDS = {
         S("spec", "JSON file of network hyperparameter overrides"),
     )),
     "eval-classifier": Command(cmd_eval_classifier, "evaluate a trained classifier on an archive", (
-        S("input", "sequence archive"),
+        S("input", "world-space sequence archive"),
         S("model", "classifier checkpoint"),
         _STATS,
         S("out", "optional output directory for eval.json"),

@@ -1,4 +1,4 @@
-"""Trim, resample, normalize, and cluster-split trials into fixed-length sequences."""
+"""Trim, resample and normalize trials into fixed-length sequences."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import ContractError, DegenerateFeatureError, NoMotionError, SettingError, ShapeError, StateError, TooShortError
-from ..markers import CLUSTER_CENTER, CLUSTER_LOWER, CLUSTER_UPPER, N_FEATURES, cluster_feature_columns
+from ..markers import N_FEATURES
 from .trials import Trial, TrialMeta
 
 SEQUENCE_LENGTH = 32
@@ -254,15 +254,3 @@ def invert_zscore(sequences: SequenceSet, stats: NormStats) -> SequenceSet:
     out = np.multiply(sequences.data, stats.std)
     out += stats.mean
     return SequenceSet(out, sequences.names, sequences.labels, normalized=False)
-
-
-_CLUSTER_COLS = {
-    "cluster1": cluster_feature_columns(CLUSTER_UPPER),
-    "cluster2": cluster_feature_columns(CLUSTER_CENTER),
-    "cluster3": cluster_feature_columns(CLUSTER_LOWER),
-}
-
-
-def cluster_columns() -> dict[str, list[int]]:
-    """Stable feature-column order for each cluster (documented interface)."""
-    return {k: list(v) for k, v in _CLUSTER_COLS.items()}

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..container import TYPE_NAMES, fits
+from ..container import TYPE_NAMES, JsonRecord, fits
 from ..errors import TrialFormatError
 from ..markers import CSV_COLUMNS, CSV_COLUMNS_NO_C7, N_MARKERS
 
@@ -30,7 +30,7 @@ FRAME_RATE_HZ = 119.88
 
 
 @dataclass(frozen=True)
-class TrialMeta:
+class TrialMeta(JsonRecord):
     participant: str
     bowl_size: str
     weight_g: int
@@ -57,20 +57,12 @@ class TrialMeta:
     def weight_name(self) -> str:
         return WEIGHT_NAMES[self.weight_g]
 
-    def to_dict(self) -> dict:
-        return {
-            "participant": self.participant,
-            "bowl_size": self.bowl_size,
-            "weight_g": self.weight_g,
-            "balance": self.balance,
-            "orientation": self.orientation,
-            "strategy": self.strategy,
-            "frame_rate": self.frame_rate,
-        }
-
     @classmethod
     def from_dict(cls, d) -> "TrialMeta":
-        """Read a sidecar's JSON object: string labels, whole-number weight, finite positive frame rate."""
+        """Read a sidecar's JSON object: string labels, whole-number weight, finite positive frame rate.
+
+        Unlike a JsonRecord's, unknown keys are ignored, frame_rate is required and a fault is a TrialFormatError.
+        """
         if not isinstance(d, dict):
             raise TrialFormatError(f"metadata must be a JSON object, got {json.dumps(d)}")
         required = {"participant", "bowl_size", "weight_g", "balance", "orientation", "strategy", "frame_rate"}

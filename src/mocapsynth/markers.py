@@ -59,16 +59,3 @@ CSV_COLUMNS = tuple(
 # by the loader and counted, mirroring capture sessions that lost C7.
 CSV_COLUMNS_NO_C7 = tuple(c for c in CSV_COLUMNS if not c.startswith("marker6_"))
 
-
-def marker_columns(marker: int) -> tuple[int, int, int]:
-    """Feature-column indices (x, y, z) of one marker."""
-    return (3 * marker, 3 * marker + 1, 3 * marker + 2)
-
-
-def cluster_feature_columns(cluster: tuple[int, ...]) -> list[int]:
-    """Flat feature columns for a marker cluster, marker order preserved."""
-    cols: list[int] = []
-    for m in cluster:
-        cols.extend(marker_columns(m))
-    return cols
-

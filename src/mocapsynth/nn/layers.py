@@ -1,18 +1,20 @@
 """Composable layers over the autodiff tensors.
 
-Each layer knows its trainable parameters, a JSON-friendly ``spec()``
-that checkpoints record, and how to rebuild itself from that spec.
-Stateful layers (batch norm) also carry buffers.
+Each layer is a record of its settings: its JSON form is the ``spec()``
+that checkpoints record, and it is rebuilt from that spec. It also
+knows its trainable parameters; stateful layers (batch norm) carry
+buffers as well.
 """
 
 from __future__ import annotations
 
-import inspect
+from dataclasses import InitVar, dataclass, fields
+from typing import ClassVar
 
 import numpy as np
 
-from ..container import fits
-from ..errors import ContractError, DegenerateBatchError, ShapeError
+from ..container import JsonRecord, field_types
+from ..errors import ContractError, DegenerateBatchError, SettingError, ShapeError
 from .ops import conv1d, dense, dropout, flatten, maxpool1d, upsample1d
 from .tensor import (
     Tensor,
@@ -43,9 +45,18 @@ def glorot_uniform(rng: np.random.Generator, shape: tuple[int, ...], fan_in: int
     return rng.uniform(-limit, limit, size=shape).astype(np.float64)
 
 
-class Layer:
-    name = "layer"
-    param_names: tuple[str, ...] = ()  # the trainable Tensor attributes, saved under these names
+@dataclass(eq=False)  # layers compare and hash by identity
+class Layer(JsonRecord):
+    name: ClassVar[str] = "layer"
+    param_names: ClassVar[tuple[str, ...]] = ()  # the trainable Tensor attributes, saved under these names
+
+    def __post_init__(self):
+        """Every whole-number setting is at least 1, but spacing, which is at least 0."""
+        types = field_types(type(self))
+        for f in fields(self):
+            least = 0 if f.name == "spacing" else 1
+            if types[f.name] is int and getattr(self, f.name) < least:
+                raise SettingError(f"{self.name} {f.name} must be at least {least}, got {getattr(self, f.name)}")
 
     def forward(self, x: Tensor, training: bool = False, rng: np.random.Generator | None = None) -> Tensor:
         raise NotImplementedError
@@ -54,9 +65,8 @@ class Layer:
         return [getattr(self, n) for n in self.param_names]
 
     def spec(self) -> dict:
-        """The constructor arguments but rng, read from the attributes of the same names; tuples as lists."""
-        args = {a: getattr(self, a) for a in inspect.signature(type(self)).parameters if a != "rng"}
-        return {"layer": self.name, **{a: list(v) if isinstance(v, tuple) else v for a, v in args.items()}}
+        """The settings, tuples as lists, under the layer's name."""
+        return {"layer": self.name, **{k: list(v) if isinstance(v, tuple) else v for k, v in self.to_dict().items()}}
 
     def state_arrays(self) -> dict[str, np.ndarray]:
         return {n: getattr(self, n).data for n in self.param_names}
@@ -66,36 +76,39 @@ class Layer:
             getattr(self, n).data = arrays[n].astype(np.float64)
 
 
+@dataclass(eq=False)
 class Dense(Layer):
     name = "dense"
     param_names = ("weight", "bias")
+    fin: int
+    fout: int
+    rng: InitVar[np.random.Generator | None] = None
 
-    def __init__(self, fin: int, fout: int, rng: np.random.Generator | None = None):
-        self.fin, self.fout = fin, fout
+    def __post_init__(self, rng):
+        super().__post_init__()
         rng = rng or np.random.default_rng(0)
-        self.weight = Tensor(glorot_uniform(rng, (fin, fout), fin, fout), requires_grad=True)
-        self.bias = Tensor(np.zeros(fout, dtype=np.float64), requires_grad=True)
+        self.weight = Tensor(glorot_uniform(rng, (self.fin, self.fout), self.fin, self.fout), requires_grad=True)
+        self.bias = Tensor(np.zeros(self.fout, dtype=np.float64), requires_grad=True)
 
     def forward(self, x, training=False, rng=None):
         return dense(x, self.weight, self.bias)
 
 
+@dataclass(eq=False)
 class Conv1D(Layer):
     name = "conv1d"
     param_names = ("weight", "bias")
+    kernel: int
+    cin: int
+    cout: int
+    stride: int = 1
+    spacing: int = 0
+    rng: InitVar[np.random.Generator | None] = None
 
-    def __init__(
-        self,
-        kernel: int,
-        cin: int,
-        cout: int,
-        stride: int = 1,
-        spacing: int = 0,
-        rng: np.random.Generator | None = None,
-    ):
-        self.kernel, self.cin, self.cout = kernel, cin, cout
-        self.stride, self.spacing = stride, spacing
+    def __post_init__(self, rng):
+        super().__post_init__()
         rng = rng or np.random.default_rng(0)
+        kernel, cin, cout = self.kernel, self.cin, self.cout
         self.weight = Tensor(
             glorot_uniform(rng, (kernel, cin, cout), kernel * cin, kernel * cout),
             requires_grad=True,
@@ -106,6 +119,7 @@ class Conv1D(Layer):
         return conv1d(x, self.weight, self.bias, stride=self.stride, spacing=self.spacing)
 
 
+@dataclass(eq=False)
 class BatchNorm(Layer):
     """Per-feature normalisation with running statistics for evaluation.
 
@@ -115,15 +129,16 @@ class BatchNorm(Layer):
 
     name = "batchnorm"
     param_names = ("gamma", "beta")
+    features: int
+    momentum: float = 0.9
+    eps: float = 1e-5
 
-    def __init__(self, features: int, momentum: float = 0.9, eps: float = 1e-5):
-        self.features = features
-        self.momentum = momentum
-        self.eps = eps
-        self.gamma = Tensor(np.ones(features, dtype=np.float64), requires_grad=True)
-        self.beta = Tensor(np.zeros(features, dtype=np.float64), requires_grad=True)
-        self.running_mean = np.zeros(features, dtype=np.float64)
-        self.running_var = np.ones(features, dtype=np.float64)
+    def __post_init__(self):
+        super().__post_init__()
+        self.gamma = Tensor(np.ones(self.features, dtype=np.float64), requires_grad=True)
+        self.beta = Tensor(np.zeros(self.features, dtype=np.float64), requires_grad=True)
+        self.running_mean = np.zeros(self.features, dtype=np.float64)
+        self.running_var = np.ones(self.features, dtype=np.float64)
 
     def forward(self, x, training=False, rng=None):
         if x.ndim == 2:
@@ -165,33 +180,32 @@ class BatchNorm(Layer):
         self.running_var = arrays["running_var"].astype(np.float64)
 
 
+@dataclass(eq=False)
 class Activation(Layer):
     name = "activation"
+    kind: str
 
-    def __init__(self, kind: str):
-        if kind not in ACTIVATIONS:
-            raise ContractError(f"unknown activation {kind!r}")
-        self.kind = kind
+    def __post_init__(self):
+        if self.kind not in ACTIVATIONS:
+            raise SettingError(f"unknown activation {self.kind!r}")
 
     def forward(self, x, training=False, rng=None):
         return ACTIVATIONS[self.kind](x)
 
 
+@dataclass(eq=False)
 class MaxPool(Layer):
     name = "maxpool"
-
-    def __init__(self, width: int = 2):
-        self.width = width
+    width: int = 2
 
     def forward(self, x, training=False, rng=None):
         return maxpool1d(x, self.width)
 
 
+@dataclass(eq=False)
 class Upsample(Layer):
     name = "upsample"
-
-    def __init__(self, factor: int = 2):
-        self.factor = factor
+    factor: int = 2
 
     def forward(self, x, training=False, rng=None):
         return upsample1d(x, self.factor)
@@ -204,21 +218,27 @@ class Flatten(Layer):
         return flatten(x)
 
 
+@dataclass(eq=False)
 class Reshape(Layer):
     name = "reshape"
+    shape: tuple[int, ...]
 
-    def __init__(self, shape: tuple[int, ...]):
-        self.shape = tuple(int(n) for n in shape)
+    def __post_init__(self):
+        if any(n < 1 for n in self.shape):
+            raise SettingError(f"reshape shape entries must be at least 1, got {list(self.shape)}")
 
     def forward(self, x, training=False, rng=None):
         return reshape(x, (x.shape[0],) + self.shape)
 
 
+@dataclass(eq=False)
 class Dropout(Layer):
     name = "dropout"
+    rate: float
 
-    def __init__(self, rate: float):
-        self.rate = rate
+    def __post_init__(self):
+        if not 0.0 <= self.rate < 1.0:
+            raise SettingError(f"dropout rate must be in [0, 1), got {self.rate}")
 
     def forward(self, x, training=False, rng=None):
         if not training or self.rate == 0.0:
@@ -234,39 +254,15 @@ _LAYER_TYPES = {
 }
 
 
-def _whole(lo: int):
-    return lambda v: fits(v, int) and v >= lo
-
-
-# what a saved spec may give each constructor argument
-_ARG_RULES = {
-    **dict.fromkeys(("fin", "fout", "kernel", "cin", "cout", "stride", "features", "width", "factor"),
-                    _whole(1)),
-    "spacing": _whole(0),
-    "momentum": lambda v: fits(v, float),
-    "eps": lambda v: fits(v, float),
-    "rate": lambda v: fits(v, float) and 0.0 <= v < 1.0,
-    "kind": lambda v: isinstance(v, str) and v in ACTIVATIONS,
-    "shape": lambda v: isinstance(v, list) and all(_whole(1)(n) for n in v),
-}
-
-
 def layer_from_spec(spec: dict) -> Layer:
     """Rebuild a layer from its spec; a malformed spec is a ContractError."""
     kind = spec.get("layer") if isinstance(spec, dict) else None
     if not isinstance(kind, str) or kind not in _LAYER_TYPES:
         raise ContractError(f"unknown layer spec {spec!r}")
-    args = {k: v for k, v in spec.items() if k != "layer"}
     try:
-        inspect.signature(_LAYER_TYPES[kind]).bind(**args)
-    except TypeError as exc:
+        return _LAYER_TYPES[kind].from_dict({k: v for k, v in spec.items() if k != "layer"})
+    except SettingError as exc:  # a fault of the checkpoint, not a refused setting
         raise ContractError(f"{kind} layer spec {spec}: {exc}") from None
-    bad = [k for k, v in args.items() if k not in _ARG_RULES or not _ARG_RULES[k](v)]
-    if bad:
-        raise ContractError(f"{kind} layer spec {spec}: invalid {', '.join(bad)}")
-    if kind == "reshape":
-        args["shape"] = tuple(args["shape"])
-    return _LAYER_TYPES[kind](**args)
 
 
 class Sequential:

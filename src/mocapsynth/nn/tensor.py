@@ -23,34 +23,25 @@ _KEEP: list[set[int] | None] = [None]
 
 
 @contextmanager
+def _pushed(stack: list, value):
+    """`value` on top of `stack` for the duration of the block."""
+    stack.append(value)
+    try:
+        yield
+    finally:
+        stack.pop()
+
+
 def no_grad():
-    _GRAD_MODE.append(False)
-    try:
-        yield
-    finally:
-        _GRAD_MODE.pop()
+    return _pushed(_GRAD_MODE, False)
 
 
-@contextmanager
 def enable_grad():
-    _GRAD_MODE.append(True)
-    try:
-        yield
-    finally:
-        _GRAD_MODE.pop()
+    return _pushed(_GRAD_MODE, True)
 
 
 def grad_enabled() -> bool:
     return _GRAD_MODE[-1]
-
-
-@contextmanager
-def _keeping(keep: set[int] | None):
-    _KEEP.append(keep)
-    try:
-        yield
-    finally:
-        _KEEP.pop()
 
 
 def needs_grad(t: "Tensor") -> bool:
@@ -206,7 +197,7 @@ def backward_pass(
     mode = enable_grad if create_graph else no_grad
     grads: dict[int, Tensor] = {id(root): seed}
     result: dict[Tensor, Tensor] = {}
-    with mode(), _keeping(keep):
+    with mode(), _pushed(_KEEP, keep):
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:

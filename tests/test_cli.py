@@ -560,6 +560,20 @@ def test_train_and_eval_classifier(archive, tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_eval_classifier_refuses_a_normalized_archive(corpus_dir, gan_dir, tmp_path, capsys):
+    # ingest --normalize z-scores with stats fitted to its own trials, not the model's training set
+    ingest_input(corpus_dir, tmp_path / "trials")
+    assert main(["ingest", "--input", str(tmp_path / "trials"), "--out", str(tmp_path / "in"), "--normalize"]) == 0
+    model = tmp_path / "classifier.model"
+    HierarchicalClassifier(HierarchicalNetSpec(n_classes=2)).save(model, {"task": "weight"})
+    capsys.readouterr()
+    rc = main(["eval-classifier", "--input", str(tmp_path / "in" / "sequences.bin"), "--model", str(model),
+               "--stats", str(gan_dir / "norm-stats.bin"), "--out", str(tmp_path / "o")])
+    assert rc == 1
+    assert "world-space" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
+
+
 # sha256 of each train-classifier and eval-classifier output, taken when the
 # task filters still walked lists of sequences; 1 and 2 BLAS threads agree
 CLASSIFIER_DIGESTS = {
@@ -773,6 +787,8 @@ def _rewritten_generator(gan_dir, path, case):
         del arrays["layer000.weight"]
     elif case == "wrong-shape":
         arrays["layer000.weight"] = arrays["layer000.weight"][:-1]
+    elif case == "spec-kernel-0":  # the spec's layers refuse it as they are built
+        meta["extra"]["spec"]["kernel"] = 0
     write_container(path, "model", meta, arrays)
 
 
@@ -784,6 +800,7 @@ def _rewritten_generator(gan_dir, path, case):
         ("generate", "dense-without-fout"),
         ("generate", "missing-array"),
         ("generate", "wrong-shape"),
+        ("generate", "spec-kernel-0"),
         ("eval-classifier", "generator"),
         ("eval-classifier", "string-kernel"),
     ],

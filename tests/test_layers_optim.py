@@ -150,6 +150,60 @@ def test_checkpoint_architecture_mismatch(tmp_path):
             load_model(path)
 
 
+CONV = {"layer": "conv1d", "kernel": 3, "cin": 2, "cout": 4}
+DENSE = {"layer": "dense", "fin": 4, "fout": 2}
+REFUSED_SPECS = {
+    "stride-0": {**CONV, "stride": 0},
+    "spacing-negative": {**CONV, "spacing": -1},
+    "kernel-0": {**CONV, "kernel": 0},
+    "kernel-float": {**CONV, "kernel": 3.0},
+    "fin-bool": {**DENSE, "fin": True},
+    "dense-without-fout": {"layer": "dense", "fin": 4},
+    "unknown-key": {**DENSE, "units": 2},
+    "rng-key": {**DENSE, "rng": 0},
+    "rate-1": {"layer": "dropout", "rate": 1.0},
+    "rate-negative": {"layer": "dropout", "rate": -0.1},
+    "rate-string": {"layer": "dropout", "rate": "0.1"},
+    "kind-unknown": {"layer": "activation", "kind": "swish"},
+    "kind-number": {"layer": "activation", "kind": 3},
+    "shape-0": {"layer": "reshape", "shape": [0, 4]},
+    "shape-bool": {"layer": "reshape", "shape": [2, True]},
+    "shape-scalar": {"layer": "reshape", "shape": 4},
+    "momentum-string": {"layer": "batchnorm", "features": 4, "momentum": "0.9"},
+    "eps-bool": {"layer": "batchnorm", "features": 4, "eps": True},
+    "width-0": {"layer": "maxpool", "width": 0},
+    "factor-0": {"layer": "upsample", "factor": 0},
+    "flatten-with-key": {"layer": "flatten", "width": 2},
+}
+# each accepted spec with the arrays its layer holds
+ACCEPTED_SPECS = {
+    "reshape": ({"layer": "reshape", "shape": [4, 384]}, {}),
+    "batchnorm-whole-floats": (
+        {"layer": "batchnorm", "features": 4, "momentum": 1, "eps": 0},
+        {k: np.ones(4) for k in ("gamma", "beta", "running_mean", "running_var")},
+    ),
+    "conv1d-strided-spaced": ({**CONV, "stride": 2, "spacing": 1}, {"weight": np.ones((3, 2, 4)), "bias": np.ones(4)}),
+    "dropout-0": ({"layer": "dropout", "rate": 0}, {}),
+}
+
+
+@pytest.mark.parametrize("case", REFUSED_SPECS)
+def test_checkpoint_refuses_a_malformed_layer_spec(tmp_path, case):
+    path = tmp_path / "model.bin"
+    write_container(path, "model", {"architecture": [REFUSED_SPECS[case]], "extra": {}}, {})
+    with pytest.raises(ContractError, match="layer spec"):
+        load_model(path)
+
+
+@pytest.mark.parametrize("case", ACCEPTED_SPECS)
+def test_checkpoint_accepts_a_valid_layer_spec(tmp_path, case):
+    spec, arrays = ACCEPTED_SPECS[case]
+    path = tmp_path / "model.bin"
+    write_container(path, "model", {"architecture": [spec], "extra": {}}, {f"layer000.{k}": v for k, v in arrays.items()})
+    loaded, _ = load_model(path)
+    assert loaded.architecture() == [spec]
+
+
 # -- Adam ----------------------------------------------------------------------
 
 
