@@ -22,7 +22,7 @@ import numpy as np
 from ..container import JsonRecord
 from ..dataset.preprocess import SequenceSet, invert_zscore
 from ..errors import ContractError, DataError, LabelError, NumericalError, SettingError, ShapeError, StateError
-from ..nn import Adam, Tensor, no_grad
+from ..nn import Adam, Tensor, fork, no_grad
 from ..nn.checkpoint import save_model
 from ..seeding import derive_rng
 from .conditioning import N_CONDITIONS, condition_channels, condition_concat, onehot_batch
@@ -140,6 +140,12 @@ def _check_shapes(spec: GanTrainSpec, data, gen_spec, critic_spec):
         )
     if n < spec.batch:
         raise DataError(f"{n} sequences cannot fill one batch of {spec.batch}")
+    if spec.wasserstein and n // spec.batch < spec.critic_steps:
+        raise SettingError(
+            f"{n} sequences give {n // spec.batch} full batches of {spec.batch} per epoch, fewer than"
+            f" the {spec.critic_steps} critic steps of one generator step, so no generator step would run",
+            "critic_steps",
+        )
 
 
 def _finite(value: float, what: str, step: int) -> float:
@@ -165,6 +171,7 @@ class _Run:
 
         self.generator = build_generator(gen_spec, seed=spec.seed)
         self.critic = build_critic(critic_spec, seed=spec.seed)
+        self.critic_size = self.critic.num_parameters()
         lr, b1, b2 = spec.adam_settings()
         self.gen_opt = Adam(self.generator.parameters(), lr=lr, beta1=b1, beta2=b2)
         self.critic_opt = Adam(self.critic.parameters(), lr=lr, beta1=b1, beta2=b2)
@@ -202,11 +209,25 @@ def _critic_update(run: _Run, idx: np.ndarray, step: int) -> dict[str, float]:
     spec = run.spec
     real = run.data[idx]
     hot = run.onehots[idx] if run.onehots is not None else None
-    fake = run.generate(len(idx), hot, with_grad=False).data
-
+    # The halves of each pair share no mutable state: only the generator's
+    # own batch norm moves in the first, the second pairs critic forwards
+    # only for a WGAN critic, which has none, and each random stream is
+    # drawn on one side only. One critic forward takes at least
+    # batch x parameters multiply-adds.
+    work = len(idx) * run.critic_size
     run.critic_opt.zero_grad()
-    c_real = run.critic_score(Tensor(real), hot)
-    c_fake = run.critic_score(Tensor(fake), hot)
+    fake, c_real = fork(
+        work,
+        lambda: run.generate(len(idx), hot, with_grad=False).data,
+        lambda: run.critic_score(Tensor(real), hot),
+    )
+    c_fake, gp = fork(
+        work,
+        lambda: run.critic_score(Tensor(fake), hot),
+        (lambda: gradient_penalty(lambda x: run.critic_score(x, hot), real, fake, run.gp_rng))
+        if spec.wasserstein and spec.gp_lambda > 0.0
+        else None,
+    )
     # each loss is checked before backward so a diverged run names its step
     if not spec.wasserstein:
         loss = discriminator_logloss(c_real, c_fake, real_label=spec.real_label)
@@ -214,8 +235,7 @@ def _critic_update(run: _Run, idx: np.ndarray, step: int) -> dict[str, float]:
     else:
         loss = critic_wloss(c_real, c_fake)
         penalty = 0.0
-        if spec.gp_lambda > 0.0:
-            gp = gradient_penalty(lambda x: run.critic_score(x, hot), real, fake, run.gp_rng)
+        if gp is not None:
             loss = loss + gp * spec.gp_lambda
             penalty = float(gp.data)
         record = {

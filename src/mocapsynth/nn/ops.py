@@ -19,6 +19,7 @@ from .tensor import (
     Tensor,
     _make,
     _unbroadcast,
+    fork,
     matmul,
     mul_const,
     needs_grad,
@@ -97,8 +98,11 @@ def conv1d(
         out += bias.data
 
     def vjp(g: Tensor):
-        gx = conv1d_input_grad(g, weight, t, stride, spacing) if needs_grad(x) else None
-        gw = conv1d_weight_grad(x, g, k, stride, spacing, cols) if needs_grad(weight) else None
+        gx, gw = fork(
+            g.size * k * c_in,
+            (lambda: conv1d_input_grad(g, weight, t, stride, spacing)) if needs_grad(x) else None,
+            (lambda: conv1d_weight_grad(x, g, k, stride, spacing, cols)) if needs_grad(weight) else None,
+        )
         if bias is None:
             return gx, gw
         return gx, gw, (tsum(g, axis=(0, 1)) if needs_grad(bias) else None)
@@ -126,9 +130,11 @@ def conv1d_input_grad(g: Tensor, weight: Tensor, length: int, stride: int = 1, s
         padded[:, start : start + span : stride] += taps[:, :, j]
 
     def vjp(gg: Tensor):
-        dg = conv1d(gg, weight, stride=stride, spacing=spacing) if needs_grad(g) else None
-        dw = conv1d_weight_grad(gg, g, k, stride, spacing) if needs_grad(weight) else None
-        return dg, dw
+        return fork(
+            g.size * k * c_in,
+            (lambda: conv1d(gg, weight, stride=stride, spacing=spacing)) if needs_grad(g) else None,
+            (lambda: conv1d_weight_grad(gg, g, k, stride, spacing)) if needs_grad(weight) else None,
+        )
 
     data = np.ascontiguousarray(padded[:, left : left + length])
     return _make(data, (g, weight), vjp, "conv1d_input_grad")
@@ -155,9 +161,11 @@ def conv1d_weight_grad(
     data = (cols.T @ g.data.reshape(-1, c_out)).reshape(kernel, c_in, c_out)
 
     def vjp(gw: Tensor):
-        dx = conv1d_input_grad(g, gw, t, stride, spacing) if needs_grad(x) else None
-        dg = conv1d(x, gw, stride=stride, spacing=spacing) if needs_grad(g) else None
-        return dx, dg
+        return fork(
+            g.size * kernel * c_in,
+            (lambda: conv1d_input_grad(g, gw, t, stride, spacing)) if needs_grad(x) else None,
+            (lambda: conv1d(x, gw, stride=stride, spacing=spacing)) if needs_grad(g) else None,
+        )
 
     return _make(data, (x, g), vjp, "conv1d_weight_grad")
 

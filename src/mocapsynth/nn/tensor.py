@@ -5,11 +5,21 @@ a vector-Jacobian product; the vjp is itself written with Tensor
 operations, so running a backward pass with ``create_graph=True`` yields
 gradients that can be differentiated again (needed for the
 gradient-penalty term of the WGAN critic loss).
+
+Grad mode is per thread, so `fork` can run two independent halves of
+large work, such as a convolution's input and weight gradients, on two
+threads with the same bits as one.
 """
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import os
+import platform
+import threading
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -17,37 +27,159 @@ import numpy as np
 
 from ..errors import ContractError, NumericalError, ShapeError
 
-_GRAD_MODE = [True]
-# ids of the nodes the running backward pass carries gradients to; None means all
-_KEEP: list[set[int] | None] = [None]
+
+class _AutodiffState(threading.local):
+    """Each thread's grad mode, the ids of the nodes its running backward
+    pass carries gradients to (None means all), and whether it is fork's worker."""
+
+    def __init__(self):
+        self.grad_mode = True
+        self.keep: set[int] | None = None
+        self.on_worker = False
+
+
+_STATE = _AutodiffState()
 
 
 @contextmanager
-def _pushed(stack: list, value):
-    """`value` on top of `stack` for the duration of the block."""
-    stack.append(value)
+def _set(name: str, value):
+    """This thread's autodiff state `name` is `value` for the duration of the block."""
+    saved = getattr(_STATE, name)
+    setattr(_STATE, name, value)
     try:
         yield
     finally:
-        stack.pop()
+        setattr(_STATE, name, saved)
 
 
 def no_grad():
-    return _pushed(_GRAD_MODE, False)
+    return _set("grad_mode", False)
 
 
 def enable_grad():
-    return _pushed(_GRAD_MODE, True)
+    return _set("grad_mode", True)
 
 
 def grad_enabled() -> bool:
-    return _GRAD_MODE[-1]
+    return _STATE.grad_mode
 
 
 def needs_grad(t: "Tensor") -> bool:
     """Whether the running backward pass wants a gradient for `t`; costly vjps skip the rest."""
-    keep = _KEEP[-1]
+    keep = _STATE.keep
     return t.requires_grad and (keep is None or id(t) in keep)
+
+
+# -- two independent halves on two threads -------------------------------------
+
+# multiply-adds below which handing a half to the worker thread costs more
+# than it saves. Two bare matmul halves break even near 1 million on a
+# 2-vCPU AVX-512 machine; the margin covers the Python around each half.
+# Small shapes are bound by Python, and two threads then only take turns
+# at the interpreter lock.
+FORK_MIN_WORK = 4_000_000
+M_ARENA_MAX = -8  # glibc's mallopt parameter
+# OpenBLAS's thread-count getter as scipy-openblas, the older numpy wheels and plain builds name it
+_BLAS_THREAD_GETTERS = ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_", "openblas_get_num_threads")
+
+_pool: ThreadPoolExecutor | None = None
+_pool_lock = threading.Lock()
+
+
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
+
+
+@functools.cache
+def _blas_thread_getter() -> Callable[[], int] | None:
+    """The loaded OpenBLAS's thread-count getter, or None for another BLAS or no /proc."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        lib = ctypes.CDLL(path)  # already loaded: the same handle
+        for name in _BLAS_THREAD_GETTERS:
+            getter = getattr(lib, name, None)
+            if getter is not None:
+                getter.argtypes, getter.restype = (), ctypes.c_int
+                return getter
+    return None
+
+
+def _blas_threads() -> int | None:
+    """Threads BLAS runs each call on now, or None when that cannot be asked."""
+    getter = _blas_thread_getter()
+    return None if getter is None else getter()
+
+
+def _one_malloc_arena() -> None:
+    """Have glibc serve every thread from the one heap.
+
+    A thread's first malloc otherwise opens a second arena, whose freed
+    pages stay mapped: a paper-size train-gan then peaked at 202-205 MB,
+    against about 184 MB on one thread.
+    """
+    if platform.libc_ver()[0] == "glibc":
+        mallopt = ctypes.CDLL(None).mallopt
+        mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+        mallopt.restype = ctypes.c_int
+        mallopt(M_ARENA_MAX, 1)
+
+
+def _mark_worker() -> None:
+    _STATE.on_worker = True
+
+
+def _worker() -> ThreadPoolExecutor:
+    global _pool
+    with _pool_lock:
+        if _pool is None:
+            _one_malloc_arena()
+            _pool = ThreadPoolExecutor(max_workers=1, thread_name_prefix="mocapsynth-fork", initializer=_mark_worker)
+    return _pool
+
+
+def _as_caller(thunk: Callable, grad_mode: bool, keep: set[int] | None):
+    """Run `thunk` with the caller's grad mode and keep set, then restore this thread's own."""
+    with _set("grad_mode", grad_mode), _set("keep", keep):
+        return thunk()
+
+
+def fork(work: int, first: Callable | None, second: Callable | None) -> tuple:
+    """(first(), second()), with `first` on the worker thread while `second` runs here.
+
+    `work` estimates the multiply-adds at stake. Both halves run here, in
+    order, when it is below FORK_MIN_WORK, when the process may use one
+    CPU only, when BLAS is not known to run each call on one thread (a
+    BLAS call that already uses every CPU leaves the worker none to use),
+    when a half is None (it gives None), or when called on the worker
+    itself, which would otherwise wait on its own queue for good. The
+    halves must share no mutable state and draw from no common random
+    stream; then the result is the same, bit for bit. Both run to the
+    end, and an error comes out in serial order: first's, else second's.
+    """
+    if (
+        first is None
+        or second is None
+        or work < FORK_MIN_WORK
+        or _STATE.on_worker
+        or _usable_cpus() < 2
+        or _blas_threads() != 1
+    ):
+        a = None if first is None else first()
+        return a, None if second is None else second()
+    future = _worker().submit(_as_caller, first, _STATE.grad_mode, _STATE.keep)
+    try:
+        b = second()
+    except BaseException:
+        future.result()  # first's error, if it raised, goes before second's
+        raise
+    return future.result(), b
 
 
 class Tensor:
@@ -197,7 +329,7 @@ def backward_pass(
     mode = enable_grad if create_graph else no_grad
     grads: dict[int, Tensor] = {id(root): seed}
     result: dict[Tensor, Tensor] = {}
-    with mode(), _pushed(_KEEP, keep):
+    with mode(), _set("keep", keep):
         for node in reversed(order):
             g = grads.pop(id(node), None)
             if g is None:

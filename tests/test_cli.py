@@ -682,6 +682,18 @@ def test_classifier_task_sizes_are_checked(archive, tmp_path, capsys, sizes):
     assert "validation size" in one_error_line(capsys)
 
 
+def test_train_gan_refuses_more_critic_steps_than_an_epoch_has_batches(augmented, tmp_path, capsys):
+    # 36 sequences give 4 full batches of 8: a group of 15 critic steps never fills
+    out = tmp_path / "o"
+    rc = main(["train-gan", "--input", str(augmented), "--out", str(out), "--epochs", "1", "--batch", "8",
+               "--critic-steps", "15"])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert err.startswith("error: --critic-steps: 36 sequences give 4 full batches of 8"), err
+    assert len(err.splitlines()) == 1
+    assert not out.exists()
+
+
 def test_train_gan_artifacts(gan_dir):
     for name in ("generator.model", "critic.model", "norm-stats.bin", "history.json"):
         assert (gan_dir / name).exists()

@@ -1,6 +1,10 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -44,7 +48,8 @@ from mocapsynth.gan import (
     validate_wgan_critic,
     wasserstein_estimate,
 )
-from mocapsynth.nn import Sequential, Tensor, load_model
+import mocapsynth
+from mocapsynth.nn import Sequential, Tensor, load_model, tensor
 from mocapsynth.nn.layers import Dense
 from mocapsynth.seeding import derive_rng
 
@@ -515,17 +520,18 @@ PINNED_RUNS = {
 }
 
 
-def _toy_run_digest(kind: str) -> str:
+def _toy_run_digest(kind: str, epochs: int = 1, gen_batchnorm: bool = False) -> str:
     data, _ = _toy(n=96, seed=3)
     cond = 6 if kind == "cond_wgan_gp" else 0
     labels = np.arange(96) % 6 if cond else None
-    gs = GeneratorSpec(noise_dim=8, cond_dim=cond, base_steps=4, base_channels=16, conv_filters=(8, 8, 4))
+    gs = GeneratorSpec(noise_dim=8, cond_dim=cond, base_steps=4, base_channels=16, conv_filters=(8, 8, 4),
+                       batchnorm=gen_batchnorm)
     cs = CriticSpec(in_steps=32, in_channels=4, cond_channels=cond, conv_filters=(8, 16, 32),
                     head="sigmoid" if kind == "dcgan" else "linear")
     # dcgan: 3 batches of 32; Wasserstein kinds: 3 groups of 2 batches of 16
-    spec = GanTrainSpec(kind=kind, epochs=1, batch=32 if kind == "dcgan" else 16, critic_steps=2, seed=11)
+    spec = GanTrainSpec(kind=kind, epochs=epochs, batch=32 if kind == "dcgan" else 16, critic_steps=2, seed=11)
     gen, crit, hist = train_gan(spec, data, labels=labels, gen_spec=gs, critic_spec=cs)
-    assert hist.gen_updates == 3
+    assert hist.gen_updates == 3 * epochs
     digest = hashlib.sha256(json.dumps(hist.to_dict(), sort_keys=True).encode())
     for model in (gen, crit):
         for key, arr in sorted(model.state_arrays().items()):
@@ -537,6 +543,41 @@ def _toy_run_digest(kind: str) -> str:
 @pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
 def test_training_bytes_are_pinned(kind):
     assert _toy_run_digest(kind) == PINNED_RUNS[kind]
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
+def test_forked_and_serial_runs_give_the_same_bytes(kind, monkeypatch):
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 1)
+    serial = _toy_run_digest(kind, epochs=2, gen_batchnorm=True)
+    # toy shapes sit below the gate: at 0 every fork site hands its first half to the worker
+    handoffs = [0]
+    worker = tensor._worker
+
+    def counted():
+        handoffs[0] += 1
+        return worker()
+
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
+    monkeypatch.setattr(tensor, "FORK_MIN_WORK", 0)
+    monkeypatch.setattr(tensor, "_worker", counted)
+    assert _toy_run_digest(kind, epochs=2, gen_batchnorm=True) == serial
+    assert handoffs[0] > 0
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks on this platform")
+def test_one_cpu_starts_no_thread_and_gives_the_same_bytes():
+    child = (
+        "import os, sys, threading\n"
+        f"os.sched_setaffinity(0, {{{min(os.sched_getaffinity(0))}}})\n"
+        f"sys.path[:0] = [{str(Path(__file__).parent)!r}, {str(Path(mocapsynth.__file__).parents[1])!r}]\n"
+        "from mocapsynth.nn import tensor\n"
+        "tensor.FORK_MIN_WORK = 0\n"
+        "from test_gan import _toy_run_digest\n"
+        "print(_toy_run_digest('wgan_gp', epochs=2), tensor._pool is None, threading.active_count())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=120, check=True)
+    assert out.stdout.split() == [_toy_run_digest("wgan_gp", epochs=2), "True", "1"]
 
 
 def test_generate_sequences_denormalizes():

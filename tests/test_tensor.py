@@ -1,7 +1,13 @@
 """Engine tests: forward values, graph mechanics, gradients vs finite differences."""
 
 import gc
+import os
+import subprocess
+import sys
+import threading
+import time
 import weakref
+from pathlib import Path
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -10,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import mocapsynth
 from mocapsynth.errors import ContractError, NumericalError, ShapeError
 from mocapsynth.nn import (
     Tensor,
@@ -45,7 +52,7 @@ from mocapsynth.nn import (
     upsample1d,
 )
 
-from mocapsynth.nn import ops
+from mocapsynth.nn import fork, grad_enabled, ops, tensor
 from mocapsynth.nn.ops import _pool_windows, select, spread, winner_mask
 
 from gradcheck import check_gradients, numeric_gradient, relative_error
@@ -557,3 +564,186 @@ def test_graph_node_counts_do_not_grow(monkeypatch):
     _, _, hist = train_gan(spec, data, gen_spec=toy_generator_spec(), critic_spec=toy_critic_spec())
     assert hist.gen_updates == 1
     assert made[0] <= 2355, made[0]  # one generator step of 15 critic steps; 2,541 before
+
+
+# -- two threads ------------------------------------------------------------------
+
+
+@pytest.fixture
+def always_fork(monkeypatch):
+    """Every fork hands its first half to the worker thread, whatever the machine, BLAS and the work."""
+    monkeypatch.setattr(tensor, "FORK_MIN_WORK", 0)
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
+
+
+def test_no_grad_on_one_thread_leaves_another_recording():
+    entered, done = threading.Event(), threading.Event()
+
+    def elsewhere():
+        with no_grad():
+            entered.set()
+            done.wait(10)
+
+    other = threading.Thread(target=elsewhere)
+    other.start()
+    try:
+        assert entered.wait(10)
+        assert mul_const(Tensor(np.ones(3), requires_grad=True), 2.0).requires_grad
+    finally:
+        done.set()
+        other.join(10)
+    assert not other.is_alive()
+
+
+def test_a_forked_half_sees_the_callers_grad_mode_and_keep_set(always_fork):
+    def seen():
+        return threading.current_thread(), grad_enabled(), tensor._STATE.keep
+
+    keep = {1, 2}
+    with no_grad(), tensor._set("keep", keep):
+        (where, mode, kept), _ = fork(0, seen, lambda: None)
+    assert where is not threading.current_thread()
+    assert mode is False and kept is keep
+    # the worker's own state is back once a half ends
+    (_, mode, kept), _ = fork(0, seen, lambda: None)
+    assert mode is True and kept is None
+
+
+def test_a_fork_inside_a_forked_half_runs_inline():
+    # in a child process: a worker that waits on its own queue would also hang the interpreter's exit
+    child = (
+        "import sys, threading\n"
+        f"sys.path.insert(0, {str(Path(mocapsynth.__file__).parents[1])!r})\n"
+        "from mocapsynth.nn import fork, tensor\n"
+        "tensor.FORK_MIN_WORK, tensor._usable_cpus, tensor._blas_threads = 0, lambda: 2, lambda: 1\n"
+        "inner = lambda: fork(0, threading.current_thread, threading.current_thread)\n"
+        "(first, second), caller = fork(0, inner, threading.current_thread)\n"
+        "print(first is second, first is not caller, caller is threading.main_thread())\n"
+    )
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60, check=True)
+    assert out.stdout.split() == ["True", "True", "True"]
+
+
+class _FirstError(Exception):
+    pass
+
+
+class _SecondError(Exception):
+    pass
+
+
+def test_the_first_halfs_error_comes_out_and_the_worker_stays_usable(always_fork):
+    ran = []
+
+    def first():
+        ran.append("first")
+        raise _FirstError
+
+    def second():
+        ran.append("second")
+        raise _SecondError
+
+    with pytest.raises(_FirstError):
+        fork(0, first, second)
+    assert sorted(ran) == ["first", "second"]
+    with pytest.raises(_SecondError):
+        fork(0, lambda: ran.append("both run to the end"), second)
+    assert "both run to the end" in ran
+    where, value = fork(0, threading.current_thread, lambda: 7)
+    assert value == 7 and where is not threading.current_thread()
+
+
+def test_forks_from_many_threads_share_one_worker_and_keep_their_own_state(always_fork, monkeypatch):
+    monkeypatch.setattr(tensor, "_pool", None)  # made afresh, with every caller racing to make it
+    made = []
+    executor = tensor.ThreadPoolExecutor
+
+    def counted(*args, **kwargs):
+        made.append(executor(*args, **kwargs))
+        return made[-1]
+
+    monkeypatch.setattr(tensor, "ThreadPoolExecutor", counted)
+    monkeypatch.setattr(tensor, "_one_malloc_arena", lambda: time.sleep(0.01))  # widens the race to make the pool
+    wrong = []
+
+    def caller(i):
+        for j in range(50):
+            mode = (i + j) % 2 == 0
+            with tensor._set("grad_mode", mode):
+                got, own = fork(0, lambda: (grad_enabled(), (i, j)), grad_enabled)
+            if got != (mode, (i, j)) or own != mode:
+                wrong.append((i, j))
+
+    callers = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(8)]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(30)
+    finally:
+        sys.setswitchinterval(switch)
+        for pool in made:
+            pool.shutdown()
+    assert not any(t.is_alive() for t in callers)
+    assert len(made) == 1 and not wrong
+
+
+def test_small_shapes_stay_on_one_thread(monkeypatch):
+    # a classifier batch and a toy WGAN-GP step are bound by Python: two threads would only take turns
+    from mocapsynth.classifier.network import BRANCH_WIDTHS, HierarchicalClassifier, HierarchicalNetSpec
+    from mocapsynth.gan import GanTrainSpec, train_gan
+
+    from toys import toy_critic_spec, toy_generator_spec, two_mode_sequences
+
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
+    handoffs = [0]
+    worker = tensor._worker
+
+    def counted():
+        handoffs[0] += 1
+        return worker()
+
+    monkeypatch.setattr(tensor, "_worker", counted)
+    rng = np.random.default_rng(28)
+    model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=2), seed=0)
+    views = tuple(Tensor(rng.normal(size=(32, 32, w))) for w in BRANCH_WIDTHS)
+    onehot = np.eye(2)[rng.integers(0, 2, size=32)]
+    cross_entropy(model.forward(views, training=True, rng=rng), onehot).backward()
+    assert handoffs[0] == 0
+
+    data, _ = two_mode_sequences(480, seed=7)
+    spec = GanTrainSpec(kind="wgan_gp", epochs=1, batch=32, critic_steps=15, seed=0)
+    _, _, hist = train_gan(spec, data, gen_spec=toy_generator_spec(), critic_spec=toy_critic_spec())
+    assert hist.gen_updates == 1
+    assert handoffs[0] == 0
+
+
+@pytest.mark.parametrize("blas_threads", [2, None])
+def test_blas_on_every_cpu_or_unknown_keeps_work_on_one_thread(blas_threads, monkeypatch):
+    # a BLAS call that already spreads over every CPU leaves the worker none; unknown BLAS counts as that
+    monkeypatch.setattr(tensor, "FORK_MIN_WORK", 0)
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: blas_threads)
+    where, _ = fork(0, threading.current_thread, lambda: None)
+    assert where is threading.current_thread()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_blas_threads_reads_the_loaded_blas(threads):
+    # OpenBLAS reads its thread count when loaded, so each setting needs a fresh process
+    child = (
+        "import os, sys\n"
+        f"sys.path.insert(0, {str(Path(mocapsynth.__file__).parents[1])!r})\n"
+        "from mocapsynth.nn import tensor\n"
+        "print(tensor._blas_threads(), len(os.sched_getaffinity(0)) if hasattr(os, 'sched_getaffinity') else 1)\n"
+    )
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": threads}
+    out = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True, timeout=60, check=True, env=env)
+    got, cpus = out.stdout.split()
+    if got == "None":
+        pytest.skip("the loaded BLAS is not OpenBLAS, or this platform has no /proc")
+    assert int(got) == min(int(threads), int(cpus))
