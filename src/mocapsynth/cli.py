@@ -42,6 +42,7 @@ from .dataset import (
     CENTER_STRIDE,
     DEFAULT_HOLD_FRAMES,
     DEFAULT_SPEED_THRESHOLD,
+    ArchiveRows,
     MotionSequence,
     SequenceStream,
     apply_zscore,
@@ -434,29 +435,29 @@ def cmd_train_gan(resolved: dict) -> int:
         seed=resolved["seed"],
     )
 
-    sequences, stats, _ = load_sequences(resolved["input"])
-    if sequences.normalized:
-        if stats is None:
-            raise StateError("normalized archive lacks its normalization stats")
-    else:
-        stats = fit_normalizer(sequences)
-        sequences = apply_zscore(sequences, stats, out=sequences.data)  # the loaded block is this command's own
-
-    labels = None
-    if kind == "cond_wgan_gp":
-        unlabelled = [name for name, meta in zip(sequences.names, sequences.labels) if meta is None]
-        if unlabelled:
-            raise LabelError(f"sequence {unlabelled[0]!r} has no label; conditional training needs one per sequence")
-        labels = np.array([ConditionLabel.from_meta(m).index for m in sequences.labels])
     cond = N_CONDITIONS if kind == "cond_wgan_gp" else 0
     gen_spec = GeneratorSpec(cond_dim=cond, batchnorm=resolved["gen_batchnorm"] == "on")
     critic_spec = CriticSpec(
         cond_channels=cond, head="sigmoid" if kind == "dcgan" else "linear"
     )
-    log.info("training %s for %d epochs on %d sequences", kind, spec.epochs, len(sequences))
-    generator, critic, history = train_gan(
-        spec, sequences, labels=labels, gen_spec=gen_spec, critic_spec=critic_spec
-    )
+
+    # the run holds the archive's header, labels and stats, and reads each batch's rows from the open file
+    with ArchiveRows(resolved["input"]) as sequences:
+        if not sequences.normalized:
+            sequences.zscore_on_read(fit_normalizer(sequences))
+        elif sequences.stats is None:
+            raise StateError("normalized archive lacks its normalization stats")
+        stats = sequences.stats
+        labels = None
+        if kind == "cond_wgan_gp":
+            unlabelled = [name for name, meta in zip(sequences.names, sequences.labels) if meta is None]
+            if unlabelled:
+                raise LabelError(f"sequence {unlabelled[0]!r} has no label; conditional training needs one per sequence")
+            labels = np.array([ConditionLabel.from_meta(m).index for m in sequences.labels])
+        log.info("training %s for %d epochs on %d sequences", kind, spec.epochs, len(sequences))
+        generator, critic, history = train_gan(
+            spec, sequences, labels=labels, gen_spec=gen_spec, critic_spec=critic_spec
+        )
 
     _snapshot(out_dir, "train-gan", resolved)
     save_gan(out_dir, generator, critic, gen_spec, critic_spec, spec)

@@ -176,45 +176,76 @@ def write_container(path: str | Path, kind: str, meta: dict, arrays: dict[str, n
         raise
 
 
+@dataclass(frozen=True)
+class ArrayEntry:
+    """Where one array's bytes start in its container, and the array they make."""
+
+    dtype: np.dtype
+    shape: tuple[int, ...]
+    offset: int
+
+    @property
+    def nbytes(self) -> int:
+        return math.prod(self.shape) * self.dtype.itemsize
+
+
+def read_header(fh, path: Path, expect_kind: str | None = None) -> tuple[dict, dict[str, ArrayEntry]]:
+    """The meta and the array entries by name of the container open at its start in `fh`.
+
+    Every check of the file's structure is made here, before any array is
+    read: each entry is well formed and its bytes lie inside the file.
+    """
+    size = os.fstat(fh.fileno()).st_size
+    magic = fh.read(len(MAGIC))
+    if magic != MAGIC:
+        raise TrialFormatError(f"{path}: bad magic {magic!r}")
+    length_field = fh.read(8)
+    if len(length_field) != 8:
+        raise TrialFormatError(f"{path}: truncated header length")
+    (hlen,) = struct.unpack("<Q", length_field)
+    if hlen > size - fh.tell():
+        raise TrialFormatError(f"{path}: header length {hlen} exceeds the file size {size}")
+    try:
+        header = json.loads(fh.read(hlen).decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise TrialFormatError(f"{path}: unreadable header: {exc}") from None
+    if not isinstance(header, dict) or not {"arrays", "meta", "version"} <= header.keys():
+        raise TrialFormatError(f"{path}: header lacks arrays, meta or version")
+    if not isinstance(header["arrays"], list):
+        raise TrialFormatError(f"{path}: header arrays must be a list")
+    if header["version"] != VERSION:
+        raise TrialFormatError(f"{path}: unsupported container version {header['version']}")
+    if expect_kind is not None and header.get("kind") != expect_kind:
+        raise TrialFormatError(f"{path}: expected kind {expect_kind!r}, found {header.get('kind')!r}")
+    entries: dict[str, ArrayEntry] = {}
+    offset = fh.tell()
+    for entry in header["arrays"]:
+        try:
+            name, dt, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
+        except (KeyError, TypeError, ValueError) as exc:
+            raise TrialFormatError(f"{path}: malformed array entry {entry!r}: {exc}") from None
+        valid_shape = all(type(n) is int and n >= 0 for n in shape)
+        if not isinstance(name, str) or dt.kind not in "fiub" or not valid_shape:
+            raise TrialFormatError(f"{path}: malformed array entry {entry!r}")
+        entries[name] = ArrayEntry(dt, shape, offset)
+        offset += entries[name].nbytes
+        if offset > size:
+            raise TrialFormatError(f"{path}: truncated array {name!r}")
+    return header["meta"], entries
+
+
+def read_into(fh, path: Path, name: str, out: np.ndarray, offset: int) -> np.ndarray:
+    """`out` filled with the bytes of array `name` from `offset` on in the container open in `fh`."""
+    # the file's bytes land in the array itself: one copy, no bytes object
+    fh.seek(offset)
+    if fh.readinto(out.reshape(-1).view(np.uint8)) != out.nbytes:
+        raise TrialFormatError(f"{path}: truncated array {name!r}")
+    return out
+
+
 def read_container(path: str | Path, expect_kind: str | None = None) -> tuple[dict, dict[str, np.ndarray]]:
     path = Path(path)
     with open(path, "rb") as fh:
-        size = os.fstat(fh.fileno()).st_size
-        magic = fh.read(len(MAGIC))
-        if magic != MAGIC:
-            raise TrialFormatError(f"{path}: bad magic {magic!r}")
-        length_field = fh.read(8)
-        if len(length_field) != 8:
-            raise TrialFormatError(f"{path}: truncated header length")
-        (hlen,) = struct.unpack("<Q", length_field)
-        if hlen > size - fh.tell():
-            raise TrialFormatError(f"{path}: header length {hlen} exceeds the file size {size}")
-        try:
-            header = json.loads(fh.read(hlen).decode("utf-8"))
-        except (UnicodeDecodeError, json.JSONDecodeError) as exc:
-            raise TrialFormatError(f"{path}: unreadable header: {exc}") from None
-        if not isinstance(header, dict) or not {"arrays", "meta", "version"} <= header.keys():
-            raise TrialFormatError(f"{path}: header lacks arrays, meta or version")
-        if not isinstance(header["arrays"], list):
-            raise TrialFormatError(f"{path}: header arrays must be a list")
-        if header["version"] != VERSION:
-            raise TrialFormatError(f"{path}: unsupported container version {header['version']}")
-        if expect_kind is not None and header.get("kind") != expect_kind:
-            raise TrialFormatError(f"{path}: expected kind {expect_kind!r}, found {header.get('kind')!r}")
-        arrays: dict[str, np.ndarray] = {}
-        for entry in header["arrays"]:
-            try:
-                name, dt, shape = entry["name"], np.dtype(entry["dtype"]), tuple(entry["shape"])
-            except (KeyError, TypeError, ValueError) as exc:
-                raise TrialFormatError(f"{path}: malformed array entry {entry!r}: {exc}") from None
-            valid_shape = all(type(n) is int and n >= 0 for n in shape)
-            if not isinstance(name, str) or dt.kind not in "fiub" or not valid_shape:
-                raise TrialFormatError(f"{path}: malformed array entry {entry!r}")
-            if math.prod(shape) * dt.itemsize > size - fh.tell():
-                raise TrialFormatError(f"{path}: truncated array {name!r}")
-            # the file's bytes land in the array itself: one copy, no bytes object
-            arr = np.empty(shape, dtype=dt)
-            if fh.readinto(arr.reshape(-1).view(np.uint8)) != arr.nbytes:
-                raise TrialFormatError(f"{path}: truncated array {name!r}")
-            arrays[name] = arr
-    return header["meta"], arrays
+        meta, entries = read_header(fh, path, expect_kind)
+        return meta, {name: read_into(fh, path, name, np.empty(entry.shape, entry.dtype), entry.offset)
+                      for name, entry in entries.items()}

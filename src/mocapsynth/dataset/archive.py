@@ -8,10 +8,11 @@ from pathlib import Path
 
 import numpy as np
 
-from ..container import ArrayStream, read_container, write_container
-from ..errors import ContractError, ShapeError, TrialFormatError
+# read_container stays importable here, where profilers wrap it, though the archive reads go through read_header
+from ..container import ArrayStream, read_container, read_header, read_into, write_container  # noqa: F401
+from ..errors import ContractError, StateError, TrialFormatError
 from ..markers import N_FEATURES
-from .preprocess import SEQUENCE_LENGTH, NormStats, SequenceSet
+from .preprocess import SEQUENCE_LENGTH, NormStats, SequenceSet, apply_zscore
 from .trials import TrialMeta
 
 KIND = "sequences"
@@ -64,20 +65,102 @@ def save_sequences(
     write_container(path, KIND, meta, arrays)
 
 
+class ArchiveRows:
+    """A sequence archive held as its header, labels and norm stats, with its rows read from the file on demand.
+
+    rows[idx] reads the rows that idx names, in that order, into a new
+    (len(idx), 32, 48) block, one read per row; frame_chunks reads every
+    frame in row order, a chunk at a time. After zscore_on_read(stats),
+    each block read comes out as apply_zscore makes it. Every check of the
+    file is made when it is opened. The file stays open until close(): the
+    package's writers replace a file by rename, so rewriting the archive
+    does not change what an open one reads.
+    """
+
+    def __init__(self, path: str | Path):
+        self.path = Path(path)
+        self._fh = open(self.path, "rb")
+        try:
+            self._read_header()
+        except BaseException:
+            self._fh.close()
+            raise
+
+    def _read_header(self) -> None:
+        path = self.path
+        meta, entries = read_header(self._fh, path, expect_kind=KIND)
+        if "data" not in entries or not isinstance(meta, dict) or not {"normalized", "names", "labels"} <= meta.keys():
+            raise TrialFormatError(f"{path}: a sequence archive needs data, normalized, names and labels")
+        names, labels, normalized, extra = meta["names"], meta["labels"], meta["normalized"], meta.get("extra", {})
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names) and type(normalized) is bool
+                and isinstance(labels, list) and all(m is None or isinstance(m, dict) for m in labels)
+                and isinstance(extra, dict)):
+            raise TrialFormatError(f"{path}: names must be strings, labels objects or nulls, normalized a boolean, extra an object")
+        data = entries["data"]
+        if data.dtype != np.float64 or data.shape[1:] != (SEQUENCE_LENGTH, N_FEATURES):
+            raise TrialFormatError(f"{path}: data must be a <f8 array of (n, {SEQUENCE_LENGTH}, {N_FEATURES}),"
+                                   f" got {data.dtype.str} {list(data.shape)}")
+        if not len(names) == len(labels) == data.shape[0]:
+            raise TrialFormatError(f"{path}: {data.shape[0]} sequences, {len(names)} names and {len(labels)} labels")
+        seen = {}  # one TrialMeta per distinct label dict, built once: augmented copies share their source's
+        self.labels = [seen.get(key := repr(d)) or seen.setdefault(key, TrialMeta.from_dict(d)) if d else None
+                       for d in labels]
+        arrays = {name: read_into(self._fh, path, name, np.empty(e.shape, e.dtype), e.offset)
+                  for name, e in entries.items() if name in ("norm_mean", "norm_std")}
+        try:
+            self.stats = NormStats.from_arrays(arrays) if "norm_mean" in arrays else None
+        except ContractError as exc:
+            raise TrialFormatError(f"{path}: {exc}") from None
+        self.names, self.normalized, self.extra = names, normalized, extra
+        self.shape = data.shape
+        self._offset = data.offset
+        self._zscore: NormStats | None = None
+
+    def __len__(self) -> int:
+        return self.shape[0]
+
+    def __enter__(self) -> "ArchiveRows":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        self._fh.close()
+
+    def _read(self, out: np.ndarray, frame: int) -> np.ndarray:
+        return read_into(self._fh, self.path, "data", out, self._offset + frame * (N_FEATURES * 8))
+
+    def read_block(self) -> np.ndarray:
+        """Every row, as stored, in one (n, 32, 48) block."""
+        return self._read(np.empty(self.shape), 0)
+
+    def frame_chunks(self, frames: int):
+        """Every row's frames as stored, in order, in (k, 48) blocks of up to `frames` frames."""
+        total = len(self) * SEQUENCE_LENGTH
+        for lo in range(0, total, frames):
+            yield self._read(np.empty((min(frames, total - lo), N_FEATURES)), lo)
+
+    def zscore_on_read(self, stats: NormStats) -> None:
+        """From now on, z-score each block read by `stats`; the rows are then normalized under them."""
+        if self.normalized:
+            raise StateError("the sequence set is already normalized")
+        self.normalized, self.stats, self._zscore = True, stats, stats
+
+    def __getitem__(self, idx) -> np.ndarray:
+        rows = np.asarray(idx, dtype=np.intp).tolist()
+        if rows and not 0 <= min(rows) <= max(rows) < len(self):
+            raise IndexError(f"rows {min(rows)}..{max(rows)} of an archive of {len(self)}")
+        out = np.empty((len(rows), SEQUENCE_LENGTH, N_FEATURES))
+        for row, i in zip(out, rows):
+            self._read(row, i * SEQUENCE_LENGTH)
+        if self._zscore is not None:
+            picked = SequenceSet(out, [self.names[i] for i in rows], [self.labels[i] for i in rows])
+            apply_zscore(picked, self._zscore, out=out)
+        return out
+
+
 def load_sequences(path: str | Path) -> tuple[SequenceSet, NormStats | None, dict]:
-    meta, arrays = read_container(path, expect_kind=KIND)
-    if "data" not in arrays or not isinstance(meta, dict) or not {"normalized", "names", "labels"} <= meta.keys():
-        raise TrialFormatError(f"{path}: a sequence archive needs data, normalized, names and labels")
-    names, labels, normalized, extra = meta["names"], meta["labels"], meta["normalized"], meta.get("extra", {})
-    if not (isinstance(names, list) and all(isinstance(n, str) for n in names) and type(normalized) is bool
-            and isinstance(labels, list) and all(m is None or isinstance(m, dict) for m in labels)
-            and isinstance(extra, dict)):
-        raise TrialFormatError(f"{path}: names must be strings, labels objects or nulls, normalized a boolean, extra an object")
-    seen = {}  # one TrialMeta per distinct label dict, built once: augmented copies share their source's
-    try:
-        metas = [seen.get(key := repr(d)) or seen.setdefault(key, TrialMeta.from_dict(d)) if d else None for d in labels]
-        sequences = SequenceSet(arrays["data"], names, metas, normalized)
-        stats = NormStats.from_arrays(arrays) if "norm_mean" in arrays else None
-    except (ContractError, ShapeError) as exc:
-        raise TrialFormatError(f"{path}: {exc}") from None
-    return sequences, stats, extra
+    with ArchiveRows(path) as rows:
+        data = rows.read_block()
+    return SequenceSet(data, rows.names, rows.labels, rows.normalized), rows.stats, rows.extra

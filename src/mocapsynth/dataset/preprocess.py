@@ -75,6 +75,11 @@ class SequenceSet:
         return SequenceSet(self.data[rows], [self.names[i] for i in picked],
                            [self.labels[i] for i in picked], self.normalized)
 
+    def frame_chunks(self, frames: int):
+        """Every row's frames in order, as views of up to `frames` (k, 48) frames each."""
+        flat = self.data.reshape(-1, N_FEATURES)
+        return (flat[lo : lo + frames] for lo in range(0, len(flat), frames))
+
     def __getitem__(self, i: int) -> MotionSequence:
         # iteration goes through here too, and stops at the IndexError past the last row
         return MotionSequence(self.data[i], self.normalized, self.labels[i], self.names[i])
@@ -188,31 +193,41 @@ def resample_uniform(trial: Trial) -> MotionSequence:
     return MotionSequence(trial.coords[idx], normalized=False, meta=trial.meta, name=trial.name)
 
 
-# fit_normalizer reduces the squared deviations this many frames at a time (1.5 MB)
+# fit_normalizer reduces the frames this many at a time (1.5 MB)
 NORMALIZE_CHUNK_FRAMES = 4096
 
 
-def fit_normalizer(train) -> NormStats:
-    """Per-feature mean/std over every frame of every training sequence (a SequenceSet or a list).
+def _column_sum(chunks) -> np.ndarray:
+    """np.add.reduce(axis=0) of the (k, 48) chunks stacked, bit for bit.
 
-    The std is frames.std(axis=0), bit for bit, without its full-size
-    temporary. NumPy reduces axis 0 of a C-ordered block one row after
-    another from the first, so carrying the running sum as the first row
-    of each chunk's reduce adds the same numbers in the same order.
+    NumPy reduces axis 0 of a C-ordered block one row after another from
+    the first, so carrying the running sum as the first row of each
+    chunk's reduce adds the same numbers in the same order.
     """
-    train = SequenceSet.of(train)
+    acc = np.empty((0, N_FEATURES))
+    for chunk in chunks:
+        acc = np.add.reduce(np.concatenate([acc, chunk]), axis=0)[None]
+    return acc[0]
+
+
+def fit_normalizer(train) -> NormStats:
+    """Per-feature mean/std over every frame of every training sequence.
+
+    train is a SequenceSet, a list of MotionSequence, or an ArchiveRows,
+    whose frames are read from its file. The results are frames.mean(axis=0)
+    and frames.std(axis=0) of the (N*32, 48) frames, bit for bit, but the
+    frames are walked twice, a chunk at a time, and never held whole.
+    """
+    if not hasattr(train, "frame_chunks"):
+        train = SequenceSet.of(train)
     if not len(train):
         raise StateError("cannot fit a normalizer on an empty training set")
     if train.normalized:
         raise StateError("normalizer must be fit on unnormalized sequences")
-    frames = train.data.reshape(-1, N_FEATURES)  # a view: the (N*32, 48) rows, in order
-    mean = frames.mean(axis=0)
-    acc = np.empty((0, N_FEATURES))
-    for lo in range(0, len(frames), NORMALIZE_CHUNK_FRAMES):
-        d = np.subtract(frames[lo : lo + NORMALIZE_CHUNK_FRAMES], mean)
-        d *= d
-        acc = np.add.reduce(np.concatenate([acc, d]), axis=0)[None]
-    std = np.sqrt(acc[0] / len(frames))  # population std: every frame is data, not a sample
+    n_frames = len(train) * SEQUENCE_LENGTH
+    mean = _column_sum(train.frame_chunks(NORMALIZE_CHUNK_FRAMES)) / n_frames
+    squares = _column_sum(np.square(c - mean) for c in train.frame_chunks(NORMALIZE_CHUNK_FRAMES))
+    std = np.sqrt(squares / n_frames)  # population std: every frame is data, not a sample
     bad = np.where(std <= 1e-12 * np.maximum(1.0, np.abs(mean)))[0]
     if bad.size:
         raise DegenerateFeatureError(int(bad[0]))

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..container import JsonRecord
+from ..dataset.archive import ArchiveRows
 from ..dataset.preprocess import SequenceSet, invert_zscore
 from ..errors import ContractError, DataError, LabelError, NumericalError, SettingError, ShapeError, StateError
 from ..nn import Adam, Tensor, fork, no_grad
@@ -111,12 +112,12 @@ class GanHistory(JsonRecord):
     gen_updates: int = 0
 
 
-def _as_array(data) -> np.ndarray:
-    """The (n, T, C) block of a raw array or of a z-scored SequenceSet; float64 data is not copied."""
-    if isinstance(data, SequenceSet):
+def _as_array(data) -> np.ndarray | ArchiveRows:
+    """The (n, T, C) rows of a raw array or of a z-scored SequenceSet or ArchiveRows; float64 data is not copied."""
+    if isinstance(data, SequenceSet | ArchiveRows):
         if not data.normalized:
             raise StateError("train on z-scored sequences; fit and apply a normalizer first")
-        return data.data
+        return data if isinstance(data, ArchiveRows) else data.data
     data = np.asarray(data, dtype=np.float64)
     if data.ndim != 3:
         raise ShapeError(f"training data must be (n, steps, channels), got {data.shape}")
@@ -301,9 +302,10 @@ def train_gan(
 ):
     """Train a generator/critic pair; returns (generator, critic, history).
 
-    data is either a (n, steps, channels) array or a z-scored
-    SequenceSet; it is read, never written. labels (condition indices, 0..5) are required for
-    the conditional kind and ignored otherwise.
+    data is a (n, steps, channels) array, a z-scored SequenceSet, or a
+    z-scored ArchiveRows, whose rows are read from its file a batch at a
+    time; it is read, never written. labels (condition indices, 0..5) are
+    required for the conditional kind and ignored otherwise.
     """
     data = _as_array(data)
     cond = N_CONDITIONS if spec.conditional else 0

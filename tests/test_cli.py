@@ -350,8 +350,8 @@ def test_train_classifier_holds_about_one_copy_of_its_training_block(archive, tm
 
 
 def test_train_gan_set_up_holds_about_one_copy_of_the_archive(tmp_path, monkeypatch, capsys):
-    # the loaded block is z-scored in place, and its std is reduced a chunk of
-    # frames at a time: a full-size (x - mean) or a z-scored copy would double the peak
+    # the stats are fitted a chunk of frames at a time and no block is loaded:
+    # a full-size (x - mean) or a z-scored copy would double the peak
     n = 2000
     src = source_archive(tmp_path / "src.bin", n)
     block_bytes = n * 32 * 48 * 8
@@ -375,6 +375,58 @@ def test_train_gan_set_up_holds_about_one_copy_of_the_archive(tmp_path, monkeypa
         tracemalloc.stop()
     # the chunk, its join with the running sum, and the archive header's names and labels
     assert peaks[0] <= block_bytes + 4 * chunk_bytes, f"peak {peaks[0] / block_bytes:.2f}x the loaded block"
+
+
+def test_train_gan_memory_grows_by_the_labels_not_the_rows(tmp_path, capsys):
+    # tracemalloc sees numpy's buffers. The run holds the archive's names,
+    # labels and stats and reads each batch's rows from the file, so 5x the
+    # rows may add a few dozen bytes of names and labels per row, not the
+    # rows' 12,288 bytes each
+    peaks = {}
+    for n in (40, 200):
+        src = source_archive(tmp_path / f"src{n}.bin", n)
+        tracemalloc.start()
+        try:
+            rc = main(["train-gan", "--input", str(src), "--out", str(tmp_path / f"gan{n}"), "--epochs", "1",
+                       "--batch", "8", "--critic-steps", "5"])
+            _, peaks[n] = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert rc == 0
+    row_bytes = 32 * 48 * 8
+    assert peaks[200] - peaks[40] <= 160 * 1024, f"grew {(peaks[200] - peaks[40]) / (160 * row_bytes):.2f}x the rows"
+
+
+def _hostile_archive(path, src, case):
+    """A copy of the sequence archive at src with one fault in its data array."""
+    if case in ("float32", "row-shape"):
+        sequences, _, extra = load_sequences(src)
+        data = sequences.data.astype(np.float32) if case == "float32" else sequences.data[:, :, :47]
+        meta = {"normalized": False, "names": sequences.names, "extra": extra,
+                "labels": [m.to_dict() if m else None for m in sequences.labels]}
+        write_container(path, "sequences", meta, {"data": data})
+        return
+    raw = src.read_bytes()
+    end = 16 + int.from_bytes(raw[8:16], "little")
+    if case == "cut-in-data":
+        path.write_bytes(raw[: end + 3 * 32 * 48 * 8 + 100])
+    else:  # a header whose data runs past the end of the file
+        header = json.loads(raw[16:end])
+        header["arrays"][0]["shape"][0] += 1
+        text = json.dumps(header).encode()
+        path.write_bytes(raw[:8] + len(text).to_bytes(8, "little") + text + raw[end:])
+
+
+@pytest.mark.parametrize("case", ["float32", "row-shape", "cut-in-data", "data-past-the-end"])
+def test_train_gan_refuses_a_hostile_archive_before_training(augmented, tmp_path, capsys, case):
+    bad = tmp_path / "bad.bin"
+    _hostile_archive(bad, augmented, case)
+    out = tmp_path / "o"
+    rc = main(["train-gan", "--input", str(bad), "--out", str(out), "--epochs", "1", "--batch", "4",
+               "--critic-steps", "2"])
+    assert rc == 1
+    assert str(bad) in one_error_line(capsys)
+    assert not out.exists()
 
 
 def test_config_file_precedence(archive, tmp_path, capsys):
@@ -633,7 +685,8 @@ def ingest_input(corpus_dir, directory, rejects=False):
 
 # sha256 of ingest's archive in each resampling mode, taken while ingest still
 # held every parsed trial, and of the outputs of the commands that z-score an
-# archive they own, taken before the z-scoring moved in place
+# archive they own, taken before the z-scoring moved in place; train-gan on an
+# ingest --normalize archive was pinned while train-gan still loaded the block
 PINNED_DIGESTS = {
     "ingest-centered": {
         "sequences.bin": "ff4bfb98173773fc13d85bf6a7a48f0139e1fbed60d0a9fec81dd97629f67f20",
@@ -650,6 +703,12 @@ PINNED_DIGESTS = {
         "history.json": "1841f6b005a4e96ad4691da67477e6d89b2d8e81dc09d71f9a9e8161015c4a04",
         "norm-stats.bin": "57cd0eaf99833803cd9ccd8d1e808adc40360a9ddf79776a3d962b9fbd12503f",
     },
+    "train-gan-normalized": {
+        "generator.model": "6f52f05f450677c832a8481e5bb163a3fe450df8b17584b1b902de72d4c265b6",
+        "critic.model": "2613f8a42e05af608cb6db3f0fe1a38e10b6375cab8bc183af1f6692f6855fbc",
+        "history.json": "1d468889b2bc113de49a7f54e2f66767728b0c0f213be5d7e13f6328f56a4792",
+        "norm-stats.bin": "f9116f9eef16d0b4967a519dec2e514333335e0e187d22671093c39101797234",
+    },
 }
 
 
@@ -661,6 +720,12 @@ def test_normalizing_outputs_are_pinned(corpus_dir, augmented, tmp_path, monkeyp
         monkeypatch.chdir(tmp_path)
         mode = {"ingest-uniform": ["--resample", "uniform"], "ingest-normalize": ["--normalize"]}.get(case, [])
         argv = ["ingest", "--input", "trials", "--out", "o", "--seed", "1", *mode]
+    elif case == "train-gan-normalized":
+        # the archive's rows are used as stored, and its own stats are saved beside the models
+        ingest_input(corpus_dir, tmp_path / "trials")
+        assert main(["ingest", "--input", str(tmp_path / "trials"), "--out", str(tmp_path / "in"), "--normalize"]) == 0
+        argv = ["train-gan", "--input", str(tmp_path / "in" / "sequences.bin"), "--out", str(tmp_path / "o"),
+                "--kind", "wgan-gp", "--epochs", "2", "--batch", "4", "--critic-steps", "2", "--seed", "6"]
     else:
         argv = ["train-gan", "--input", str(augmented), "--out", str(tmp_path / "o"), "--kind", "wgan-gp",
                 "--epochs", "1", "--batch", "4", "--critic-steps", "2", "--seed", "6"]

@@ -16,7 +16,8 @@ from hypothesis import strategies as st
 
 import mocapsynth.container as container
 from mocapsynth.container import MAGIC, ArrayStream, read_container, write_container
-from mocapsynth.dataset import MotionSequence, NormStats, TrialMeta, load_sequences, save_sequences
+from mocapsynth.dataset import (ArchiveRows, MotionSequence, NormStats, TrialMeta, apply_zscore, fit_normalizer,
+                                load_sequences, save_sequences)
 from mocapsynth.errors import ContractError, MocapError, StateError, TrialFormatError
 from mocapsynth.gan import build_generator
 from mocapsynth.nn import load_model
@@ -289,3 +290,70 @@ def test_any_single_bit_flip_loads_or_raises_a_package_error(tmp_path_factory, t
         loaders[target](flipped)
     except MocapError:
         pass
+
+
+def _rows_archive(path, n=10, normalized=False):
+    rng = np.random.default_rng(n)
+    labels = [TrialMeta("p01", "small", 640, "balanced", "facing", "ABC"[i % 3]) for i in range(n)]
+    seqs = [MotionSequence(rng.normal(3.0, 2.0, size=(32, 48)), normalized, labels[i], f"s{i}") for i in range(n)]
+    stats = NormStats(np.full(48, 0.5), np.full(48, 2.0)) if normalized else None
+    save_sequences(path, seqs, stats=stats, extra={"k": 1})
+    return path
+
+
+def test_archive_rows_read_the_rows_asked_for_in_order(tmp_path):
+    path = _rows_archive(tmp_path / "a.bin")
+    block, stats, extra = load_sequences(path)
+    with ArchiveRows(path) as rows:
+        assert rows.shape == block.data.shape and len(rows) == 10
+        assert rows.names == block.names and rows.labels == block.labels
+        assert not rows.normalized and rows.stats is None and rows.extra == extra == {"k": 1}
+        assert len({id(m) for m in rows.labels}) == 3  # one TrialMeta per distinct label
+        for idx in ([7, 2, 2, 9, 0], np.array([3]), []):
+            npt.assert_array_equal(rows[idx], block.data[np.asarray(idx, dtype=np.intp)])
+        with pytest.raises(IndexError):
+            rows[[0, 10]]
+        with pytest.raises(IndexError):
+            rows[[-1]]
+        chunks = list(rows.frame_chunks(100))
+        assert [len(c) for c in chunks] == [100, 100, 100, 20]
+        npt.assert_array_equal(np.concatenate(chunks), block.data.reshape(-1, 48))
+
+
+def test_archive_rows_z_scored_on_read_are_apply_zscores_rows_bit_for_bit(tmp_path):
+    path = _rows_archive(tmp_path / "a.bin")
+    block, _, _ = load_sequences(path)
+    stats = fit_normalizer(block)
+    want = apply_zscore(block, stats).data
+    with ArchiveRows(path) as rows:
+        fitted = fit_normalizer(rows)
+        npt.assert_array_equal(fitted.mean.view(np.uint64), stats.mean.view(np.uint64))
+        npt.assert_array_equal(fitted.std.view(np.uint64), stats.std.view(np.uint64))
+        rows.zscore_on_read(fitted)
+        assert rows.normalized and rows.stats is fitted
+        idx = [4, 1, 8]
+        npt.assert_array_equal(rows[idx].view(np.uint64), want[idx].view(np.uint64))
+        with pytest.raises(StateError, match="already normalized"):
+            rows.zscore_on_read(fitted)
+        with pytest.raises(StateError, match="unnormalized"):
+            fit_normalizer(rows)
+
+
+def test_archive_rows_of_a_normalized_archive_are_read_as_stored_with_its_stats(tmp_path):
+    path = _rows_archive(tmp_path / "a.bin", normalized=True)
+    block, stats, _ = load_sequences(path)
+    with ArchiveRows(path) as rows:
+        assert rows.normalized
+        npt.assert_array_equal(rows.stats.std, stats.std)
+        npt.assert_array_equal(rows[[5, 0]], block.data[[5, 0]])
+
+
+def test_open_archive_rows_read_on_when_the_archive_is_rewritten(tmp_path):
+    # the package's writers replace a file by rename, so the open file keeps its bytes
+    path = _rows_archive(tmp_path / "a.bin", n=10)
+    want = load_sequences(path)[0].data
+    with ArchiveRows(path) as rows:
+        _rows_archive(path, n=4)
+        assert len(load_sequences(path)[0]) == 4
+        npt.assert_array_equal(rows[[9, 3]], want[[9, 3]])
+    assert rows._fh.closed

@@ -14,6 +14,7 @@ from oracles import csv_bytes_per_value, csv_rows_per_value
 
 from mocapsynth.classifier import BRANCH_COLUMNS, cluster_views
 from mocapsynth.dataset import (
+    ArchiveRows,
     MotionSequence,
     SequenceSet,
     NormStats,
@@ -28,6 +29,7 @@ from mocapsynth.dataset import (
     read_sequence_csv,
     resample_centered,
     resample_uniform,
+    save_sequences,
     save_trial,
     trim_to_motion,
     uniform_indices,
@@ -500,7 +502,7 @@ def float_bits(a: np.ndarray) -> np.ndarray:
     constant=st.none() | st.integers(0, N_FEATURES - 1),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_fit_normalizer_is_numpys_mean_and_std_bit_for_bit(n, scale_exp, offset, constant, seed):
+def test_fit_normalizer_is_numpys_mean_and_std_bit_for_bit(tmp_path_factory, n, scale_exp, offset, constant, seed):
     rng = np.random.default_rng(seed)
     scales = 10.0 ** (scale_exp + rng.uniform(-1, 1, size=N_FEATURES))
     data = offset * rng.uniform(0.5, 1.0, size=N_FEATURES) + scales * rng.normal(size=(n, 32, N_FEATURES))
@@ -510,14 +512,18 @@ def test_fit_normalizer_is_numpys_mean_and_std_bit_for_bit(n, scale_exp, offset,
     mean, std = frames.mean(axis=0), frames.std(axis=0)
     degenerate = np.flatnonzero(std <= 1e-12 * np.maximum(1.0, np.abs(mean)))
     seqs = SequenceSet(data, [f"s{i}" for i in range(n)], [None] * n)
-    if degenerate.size:
-        with pytest.raises(DegenerateFeatureError) as exc:
-            fit_normalizer(seqs)
-        assert exc.value.feature_index == degenerate[0]
-    else:
-        stats = fit_normalizer(seqs)
-        npt.assert_array_equal(float_bits(stats.mean), float_bits(mean))
-        npt.assert_array_equal(float_bits(stats.std), float_bits(std))
+    path = tmp_path_factory.getbasetemp() / "fit.bin"
+    save_sequences(path, seqs)
+    with ArchiveRows(path) as rows:  # the same frames, read from the file a chunk at a time
+        for train in (seqs, rows):
+            if degenerate.size:
+                with pytest.raises(DegenerateFeatureError) as exc:
+                    fit_normalizer(train)
+                assert exc.value.feature_index == degenerate[0]
+            else:
+                stats = fit_normalizer(train)
+                npt.assert_array_equal(float_bits(stats.mean), float_bits(mean))
+                npt.assert_array_equal(float_bits(stats.std), float_bits(std))
 
 
 def standardish_set(n: int, seed: int) -> SequenceSet:

@@ -20,7 +20,9 @@ from mocapsynth.errors import (
     NumericalError,
     SettingError,
     ShapeError,
+    StateError,
 )
+from mocapsynth.dataset import ArchiveRows, SequenceSet, apply_zscore, fit_normalizer, save_sequences
 from mocapsynth.dataset.preprocess import NormStats
 from mocapsynth.gan import (
     CONDITION_CLASSES,
@@ -484,6 +486,23 @@ def test_training_validation_errors():
         GanTrainSpec(kind="vae")
     with pytest.raises(ContractError):
         GanTrainSpec(gp_lambda=-1.0)
+
+
+def test_training_on_archive_rows_is_training_on_the_z_scored_block(tmp_path):
+    rng = np.random.default_rng(3)
+    seqs = SequenceSet(rng.normal(2.0, 3.0, size=(24, 32, 48)), [f"s{i}" for i in range(24)], [None] * 24)
+    save_sequences(tmp_path / "a.bin", seqs)
+    spec = GanTrainSpec(kind="wgan_gp", epochs=2, batch=4, critic_steps=2, seed=5)
+    nets = dict(gen_spec=toy_generator_spec(channels=48), critic_spec=toy_critic_spec(channels=48))
+    gen, critic, history = train_gan(spec, apply_zscore(seqs, fit_normalizer(seqs)), **nets)
+    with ArchiveRows(tmp_path / "a.bin") as rows:
+        with pytest.raises(StateError, match="z-scored"):
+            train_gan(spec, rows, **nets)
+        rows.zscore_on_read(fit_normalizer(rows))
+        gen2, critic2, history2 = train_gan(spec, rows, **nets)
+    assert history2.to_dict() == history.to_dict() and history.gen_updates == 6
+    for a, b in zip(gen.parameters() + critic.parameters(), gen2.parameters() + critic2.parameters()):
+        assert np.array_equal(a.data, b.data)
 
 
 def test_unstable_run_raises_numerical_error():
