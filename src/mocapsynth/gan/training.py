@@ -205,26 +205,47 @@ class _Run:
             yield perm[start : start + b]
 
 
-def _critic_update(run: _Run, idx: np.ndarray, step: int) -> dict[str, float]:
-    """One critic step; returns the history series it fills, by name."""
+def _critic_update(
+    run: _Run, idx: np.ndarray, step: int, fake: np.ndarray | None, next_idx: np.ndarray | None
+) -> tuple[dict[str, float], np.ndarray | None]:
+    """One critic step on batch `idx` and its fake batch, made here when `fake` is None.
+
+    Returns the history series it fills, by name, and the fake batch for
+    `next_idx`, made beside this step's penalty, or None without a next batch.
+    """
     spec = run.spec
     real = run.data[idx]
     hot = run.onehots[idx] if run.onehots is not None else None
+    next_hot = run.onehots[next_idx] if run.onehots is not None and next_idx is not None else None
     # The halves of each pair share no mutable state: only the generator's
-    # own batch norm moves in the first, the second pairs critic forwards
-    # only for a WGAN critic, which has none, and each random stream is
-    # drawn on one side only. One critic forward takes at least
-    # batch x parameters multiply-adds.
+    # own batch norm moves, on one side, the critic is paired with itself
+    # only within a group of Wasserstein steps, whose critic has none, and
+    # each random stream is drawn on one side only, in the serial order.
+    # One critic forward takes at least batch x parameters multiply-adds.
     work = len(idx) * run.critic_size
     run.critic_opt.zero_grad()
-    fake, c_real = fork(
+    c_fake = None
+    if fake is None:
+        fake, c_real = fork(
+            work,
+            lambda: run.generate(len(idx), hot, with_grad=False).data,
+            lambda: run.critic_score(Tensor(real), hot),
+        )
+    else:
+        c_real, c_fake = fork(
+            work, lambda: run.critic_score(Tensor(real), hot), lambda: run.critic_score(Tensor(fake), hot)
+        )
+
+    def beside_penalty():
+        """This step's fake score if it is still due, then the next step's fake batch."""
+        score = run.critic_score(Tensor(fake), hot) if c_fake is None else c_fake
+        if next_idx is None:
+            return score, None
+        return score, run.generate(len(next_idx), next_hot, with_grad=False).data
+
+    (c_fake, next_fake), gp = fork(
         work,
-        lambda: run.generate(len(idx), hot, with_grad=False).data,
-        lambda: run.critic_score(Tensor(real), hot),
-    )
-    c_fake, gp = fork(
-        work,
-        lambda: run.critic_score(Tensor(fake), hot),
+        beside_penalty,
         (lambda: gradient_penalty(lambda x: run.critic_score(x, hot), real, fake, run.gp_rng))
         if spec.wasserstein and spec.gp_lambda > 0.0
         else None,
@@ -247,7 +268,7 @@ def _critic_update(run: _Run, idx: np.ndarray, step: int) -> dict[str, float]:
     loss.backward()
     run.critic_opt.step()
     run.history.critic_updates += 1
-    return record
+    return record, next_fake
 
 
 def _generator_update(run: _Run, step: int) -> float:
@@ -282,8 +303,10 @@ def _train(run: _Run):
             if len(group) < group_size:
                 continue
             step = h.gen_updates
-            for bidx in group:
-                record = _critic_update(run, bidx, step)
+            # each step but the last makes the next one's fake batch: the generator holds still in a group
+            fake = None
+            for bidx, next_idx in zip(group, group[1:] + [None]):
+                record, fake = _critic_update(run, bidx, step, fake, next_idx)
             h.gen_loss.append(_generator_update(run, step))
             # the Wasserstein series keep the group's last critic step
             for series, value in record.items():

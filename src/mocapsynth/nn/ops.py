@@ -20,6 +20,7 @@ from .tensor import (
     _make,
     _unbroadcast,
     fork,
+    fork_leaf_grad,
     matmul,
     mul_const,
     needs_grad,
@@ -75,11 +76,13 @@ def conv1d(
     bias: Tensor | None = None,
     stride: int = 1,
     spacing: int = 0,
+    cols: np.ndarray | None = None,
 ) -> Tensor:
     """Same-padded 1-d convolution over the time axis.
 
     x: (B, T, Cin); weight: (K, Cin, Cout); bias: (Cout,) or None.
-    Returns (B, ceil(T / stride), Cout).
+    Returns (B, ceil(T / stride), Cout). `cols` is x's window matrix when
+    the caller already has it.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d expects (B, T, C), got shape {x.shape}")
@@ -92,16 +95,18 @@ def conv1d(
         raise ContractError(f"invalid stride={stride} spacing={spacing}")
 
     b, t, _ = x.shape
-    cols = _window_cols(x.data, k, stride, spacing)
+    if cols is None:
+        cols = _window_cols(x.data, k, stride, spacing)
     out = cols @ weight.data.reshape(k * c_in, c_out)
     if bias is not None:
         out += bias.data
 
     def vjp(g: Tensor):
-        gx, gw = fork(
+        gx, gw = fork_leaf_grad(
             g.size * k * c_in,
             (lambda: conv1d_input_grad(g, weight, t, stride, spacing)) if needs_grad(x) else None,
             (lambda: conv1d_weight_grad(x, g, k, stride, spacing, cols)) if needs_grad(weight) else None,
+            weight,
         )
         if bias is None:
             return gx, gw
@@ -130,10 +135,13 @@ def conv1d_input_grad(g: Tensor, weight: Tensor, length: int, stride: int = 1, s
         padded[:, start : start + span : stride] += taps[:, :, j]
 
     def vjp(gg: Tensor):
-        return fork(
+        # one window matrix of gg serves both halves
+        cols = _window_cols(gg.data, k, stride, spacing)
+        return fork_leaf_grad(
             g.size * k * c_in,
-            (lambda: conv1d(gg, weight, stride=stride, spacing=spacing)) if needs_grad(g) else None,
-            (lambda: conv1d_weight_grad(gg, g, k, stride, spacing)) if needs_grad(weight) else None,
+            (lambda: conv1d(gg, weight, stride=stride, spacing=spacing, cols=cols)) if needs_grad(g) else None,
+            (lambda: conv1d_weight_grad(gg, g, k, stride, spacing, cols)) if needs_grad(weight) else None,
+            weight,
         )
 
     data = np.ascontiguousarray(padded[:, left : left + length])

@@ -8,7 +8,9 @@ gradient-penalty term of the WGAN critic loss).
 
 Grad mode is per thread, so `fork` can run two independent halves of
 large work, such as a convolution's input and weight gradients, on two
-threads with the same bits as one.
+threads with the same bits as one. A backward pass without create_graph
+also hands a leaf's large gradient contributions to the other thread,
+which sums them in the order they arrive, as the pass would.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import os
 import platform
 import threading
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Iterable, Sequence
 
@@ -30,11 +32,14 @@ from ..errors import ContractError, NumericalError, ShapeError
 
 class _AutodiffState(threading.local):
     """Each thread's grad mode, the ids of the nodes its running backward
-    pass carries gradients to (None means all), and whether it is fork's worker."""
+    pass carries gradients to (None means all), how many leaf gradient
+    terms that pass handed to fork's worker (None when it may hand none),
+    and whether it is fork's worker."""
 
     def __init__(self):
         self.grad_mode = True
         self.keep: set[int] | None = None
+        self.handed_off: int | None = None
         self.on_worker = False
 
 
@@ -150,27 +155,28 @@ def _as_caller(thunk: Callable, grad_mode: bool, keep: set[int] | None):
         return thunk()
 
 
+def forks(work: int) -> bool:
+    """Whether `work` multiply-adds are worth a half on the worker thread.
+
+    No when `work` is below FORK_MIN_WORK, when the process may use one
+    CPU only, when BLAS is not known to run each call on one thread (a
+    BLAS call that already uses every CPU leaves the worker none to use),
+    or when called on the worker itself, which would otherwise wait on
+    its own queue for good.
+    """
+    return work >= FORK_MIN_WORK and not _STATE.on_worker and _usable_cpus() >= 2 and _blas_threads() == 1
+
+
 def fork(work: int, first: Callable | None, second: Callable | None) -> tuple:
     """(first(), second()), with `first` on the worker thread while `second` runs here.
 
     `work` estimates the multiply-adds at stake. Both halves run here, in
-    order, when it is below FORK_MIN_WORK, when the process may use one
-    CPU only, when BLAS is not known to run each call on one thread (a
-    BLAS call that already uses every CPU leaves the worker none to use),
-    when a half is None (it gives None), or when called on the worker
-    itself, which would otherwise wait on its own queue for good. The
-    halves must share no mutable state and draw from no common random
-    stream; then the result is the same, bit for bit. Both run to the
-    end, and an error comes out in serial order: first's, else second's.
+    order, when `forks(work)` says no or when a half is None (it gives
+    None). The halves must share no mutable state and draw from no common
+    random stream; then the result is the same, bit for bit. Both run to
+    the end, and an error comes out in serial order: first's, else second's.
     """
-    if (
-        first is None
-        or second is None
-        or work < FORK_MIN_WORK
-        or _STATE.on_worker
-        or _usable_cpus() < 2
-        or _blas_threads() != 1
-    ):
+    if first is None or second is None or not forks(work):
         a = None if first is None else first()
         return a, None if second is None else second()
     future = _worker().submit(_as_caller, first, _STATE.grad_mode, _STATE.keep)
@@ -180,6 +186,30 @@ def fork(work: int, first: Callable | None, second: Callable | None) -> tuple:
         future.result()  # first's error, if it raised, goes before second's
         raise
     return future.result(), b
+
+
+def _defer(thunk: Callable) -> Future:
+    """thunk() on the worker, with this thread's grad mode and keep set, as one of the running pass's hand-offs."""
+    _STATE.handed_off += 1
+    return _worker().submit(_as_caller, thunk, _STATE.grad_mode, _STATE.keep)
+
+
+def _formed(g: Tensor | Future) -> Tensor:
+    return g.result() if type(g) is Future else g
+
+
+def fork_leaf_grad(work: int, first: Callable | None, second: Callable | None, leaf: Tensor) -> tuple:
+    """fork(work, first, second) for a vjp whose `second` forms the gradient of `leaf`.
+
+    In a backward pass without create_graph, when `leaf` is a leaf tensor
+    and `forks(work)` says yes, `second` goes to the worker, and its future
+    stands for the gradient, while `first` runs here at once: the pass
+    carries on down its chain without waiting.
+    """
+    if second is None or _STATE.handed_off is None or leaf._vjp is not None or not forks(work):
+        return fork(work, first, second)
+    future = _defer(second)
+    return (None if first is None else first()), future
 
 
 class Tensor:
@@ -327,24 +357,44 @@ def backward_pass(
                 keep.add(id(node))
         order = [node for node in order if id(node) in keep]
     mode = enable_grad if create_graph else no_grad
-    grads: dict[int, Tensor] = {id(root): seed}
+    grads: dict[int, Tensor | Future] = {id(root): seed}
     result: dict[Tensor, Tensor] = {}
-    with mode(), _set("keep", keep):
-        for node in reversed(order):
-            g = grads.pop(id(node), None)
-            if g is None:
-                continue
-            if not np.isfinite(g.data).all():
-                raise NumericalError(f"non-finite gradient at node {node.op!r}")
-            result[node] = g
-            if node._vjp is None:
-                continue
-            input_grads = node._vjp(g)
-            for inp, gi in zip(node._prev, input_grads):
-                if gi is None or not inp.requires_grad or (keep is not None and id(inp) not in keep):
+    pending: list[tuple[Tensor, Future]] = []
+    with mode(), _set("keep", keep), _set("handed_off", None if create_graph else 0):
+        try:
+            for node in reversed(order):
+                g = grads.pop(id(node), None)
+                if g is None:
                     continue
-                prev = grads.get(id(inp))
-                grads[id(inp)] = gi if prev is None else add(prev, gi)
+                if type(g) is Future:  # a leaf whose gradient is still forming on the worker
+                    pending.append((node, g))
+                    continue
+                if not np.isfinite(g.data).all():
+                    raise NumericalError(f"non-finite gradient at node {node.op!r}")
+                result[node] = g
+                if node._vjp is None:
+                    continue
+                input_grads = node._vjp(g)
+                for inp, gi in zip(node._prev, input_grads):
+                    if gi is None or not inp.requires_grad or (keep is not None and id(inp) not in keep):
+                        continue
+                    prev = grads.get(id(inp))
+                    if prev is None:
+                        grads[id(inp)] = gi
+                    elif type(prev) is Future or type(gi) is Future:
+                        # the worker runs its queue in order: both terms are formed when this sum starts
+                        grads[id(inp)] = _defer(lambda a=prev, b=gi: add(_formed(a), _formed(b)))
+                    else:
+                        grads[id(inp)] = add(prev, gi)
+            for node, g in pending:
+                g = g.result()
+                if not np.isfinite(g.data).all():
+                    raise NumericalError(f"non-finite gradient at node {node.op!r}")
+                result[node] = g
+        except BaseException:
+            if _STATE.handed_off:  # let every hand-off end before the error goes out: the queue runs in order
+                _worker().submit(lambda: None).result()
+            raise
     return result
 
 

@@ -51,7 +51,8 @@ from mocapsynth.gan import (
     wasserstein_estimate,
 )
 import mocapsynth
-from mocapsynth.nn import Sequential, Tensor, load_model, tensor
+import mocapsynth.gan.training as gan_training
+from mocapsynth.nn import Adam, Sequential, Tensor, load_model, ops, tensor
 from mocapsynth.nn.layers import Dense
 from mocapsynth.seeding import derive_rng
 
@@ -569,19 +570,54 @@ def test_forked_and_serial_runs_give_the_same_bytes(kind, monkeypatch):
     monkeypatch.setattr(tensor, "_usable_cpus", lambda: 1)
     serial = _toy_run_digest(kind, epochs=2, gen_batchnorm=True)
     # toy shapes sit below the gate: at 0 every fork site hands its first half to the worker
-    handoffs = [0]
-    worker = tensor._worker
+    real_rows = {row.tobytes() for row in _toy(n=96, seed=3)[0]}
+    on_worker = set()
 
-    def counted():
-        handoffs[0] += 1
-        return worker()
+    def seen(owner, name, what):
+        original = getattr(owner, name)
 
+        def wrapped(*args, **kwargs):
+            if tensor._STATE.on_worker:
+                on_worker.add(what(sys._getframe(1).f_code.co_name, *args))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    seen(ops, "conv1d_weight_grad", lambda caller, *args: "weight gradient")
+    seen(Adam, "_update", lambda caller, *args: "Adam half")
+    seen(gan_training._Run, "generate", lambda caller, *args: "next fake" if caller == "beside_penalty" else "own fake")
+    seen(gan_training._Run, "critic_score",
+         lambda caller, run, x, hot: "real score" if x.data[0].tobytes() in real_rows else "fake score")
     monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
     monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
     monkeypatch.setattr(tensor, "FORK_MIN_WORK", 0)
-    monkeypatch.setattr(tensor, "_worker", counted)
     assert _toy_run_digest(kind, epochs=2, gen_batchnorm=True) == serial
-    assert handoffs[0] > 0
+    handed_off = {"weight gradient", "Adam half", "own fake"}
+    if kind != "dcgan":  # a group of critic steps: the scores pair up, and each fake batch but the first is made ahead
+        handed_off |= {"real score", "fake score", "next fake"}
+    assert on_worker == handed_off
+
+
+@pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
+def test_each_generator_step_makes_one_fake_batch_per_critic_step_and_one_with_grad(kind, monkeypatch):
+    made = []
+    generate = gan_training._Run.generate
+
+    def counted(run, n, hot, with_grad):
+        made.append(with_grad)
+        return generate(run, n, hot, with_grad)
+
+    monkeypatch.setattr(gan_training._Run, "generate", counted)
+    data, _ = _toy(n=96, seed=3)
+    cond = 6 if kind == "cond_wgan_gp" else 0
+    gs = GeneratorSpec(noise_dim=8, cond_dim=cond, base_steps=4, base_channels=16, conv_filters=(8, 8, 4))
+    cs = CriticSpec(in_steps=32, in_channels=4, cond_channels=cond, conv_filters=(8, 16, 32),
+                    head="sigmoid" if kind == "dcgan" else "linear")
+    spec = GanTrainSpec(kind=kind, epochs=2, batch=8, critic_steps=4, seed=5)
+    _, _, hist = train_gan(spec, data, labels=np.arange(96) % 6 if cond else None, gen_spec=gs, critic_spec=cs)
+    group = 1 if kind == "dcgan" else 4
+    assert hist.gen_updates == 2 * 12 // group
+    assert made == ([False] * group + [True]) * hist.gen_updates
 
 
 @pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity masks on this platform")

@@ -691,7 +691,143 @@ def test_forks_from_many_threads_share_one_worker_and_keep_their_own_state(alway
     assert len(made) == 1 and not wrong
 
 
-def test_small_shapes_stay_on_one_thread(monkeypatch):
+@pytest.fixture
+def deferrals(monkeypatch):
+    """Counts the conv weight gradients formed on the worker: a weight gradient gets there only by deferral."""
+    count = [0]
+    weight_grad = ops.conv1d_weight_grad
+
+    def counted(*args, **kwargs):
+        count[0] += tensor._STATE.on_worker
+        return weight_grad(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv1d_weight_grad", counted)
+    return count
+
+
+def _mixed_contributions_loss(x_big, x_small, w, b):
+    # w gets five gradient terms: two from the product, one from each
+    # convolution, large or small (deferred or not by the gate)
+    big = conv1d(x_big, w, spacing=1)
+    small = conv1d(x_small, w)
+    return tsum(mul(w, w)) + tsum(big * big) + tsum(small) + tsum(conv1d(x_big, w, b, stride=2))
+
+
+def test_deferred_and_direct_contributions_to_a_leaf_add_up_in_serial_order(monkeypatch, deferrals):
+    rng = np.random.default_rng(31)
+    x_big, x_small = Tensor(rng.normal(size=(6, 9, 3)), requires_grad=True), Tensor(rng.normal(size=(1, 5, 3)))
+    w, b = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True), Tensor(rng.normal(size=4), requires_grad=True)
+
+    def grads():
+        for t in (x_big, w, b):
+            t.zero_grad()
+        _mixed_contributions_loss(x_big, x_small, w, b).backward()
+        return [t.grad.tobytes() for t in (x_big, w, b)]
+
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 1)
+    serial = grads()
+    assert deferrals[0] == 0
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
+    monkeypatch.setattr(tensor, "_blas_threads", lambda: 1)
+    # the big convolutions' weight gradients pass the gate (6 * 9 * 4 * 3 * 3 = 1,944 multiply-adds
+    # for stride 1, 972 for stride 2), the small one's (1 * 5 * 4 * 3 * 3 = 180) does not
+    monkeypatch.setattr(tensor, "FORK_MIN_WORK", 900)
+    assert grads() == serial
+    assert deferrals[0] == 2
+    monkeypatch.setattr(tensor, "FORK_MIN_WORK", 0)
+    assert grads() == serial
+    assert deferrals[0] == 2 + 3
+
+
+class _DeferredError(Exception):
+    pass
+
+
+def test_an_error_in_a_deferred_gradient_comes_out_of_backward(always_fork, monkeypatch):
+    rng = np.random.default_rng(32)
+    x = Tensor(rng.normal(size=(4, 6, 2)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 2, 5)), requires_grad=True)
+    weight_grad = ops.conv1d_weight_grad
+
+    def failing(*args, **kwargs):
+        if tensor._STATE.on_worker:
+            raise _DeferredError
+        return weight_grad(*args, **kwargs)
+
+    monkeypatch.setattr(ops, "conv1d_weight_grad", failing)
+    with pytest.raises(_DeferredError):
+        tsum(conv1d(x, w)).backward()
+    assert w.grad is None
+    monkeypatch.setattr(ops, "conv1d_weight_grad", weight_grad)
+    where, value = fork(0, threading.current_thread, lambda: 7)
+    assert value == 7 and where is not threading.current_thread()
+    x.zero_grad()
+    tsum(conv1d(x, w)).backward()
+    assert np.isfinite(w.grad).all() and w.grad.shape == w.shape
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")  # raised on the worker, outside this thread's errstate
+def test_a_non_finite_deferred_contribution_raises(always_fork, deferrals):
+    # each weight gradient entry sums at least 36 terms of 1e307: past the largest double
+    x = Tensor(np.full((4, 12, 2), 1e307))
+    w = Tensor(np.full((3, 2, 5), 1e-300), requires_grad=True)
+    with pytest.raises(NumericalError, match="non-finite gradient"):
+        tsum(conv1d(x, w)).backward()
+    assert deferrals[0] == 1 and w.grad is None
+
+
+def test_a_create_graph_pass_never_defers(always_fork, deferrals):
+    rng = np.random.default_rng(33)
+    x = Tensor(rng.normal(size=(4, 8, 3)), requires_grad=True)
+    w = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True)
+    (gx,) = grad(tsum(leaky_relu(conv1d(x, w))), [x], create_graph=True)
+    gw, gx2 = grad(tsum(gx * gx), [w, x], create_graph=True)
+    assert deferrals[0] == 0
+    # the same pass without create_graph defers, and gives the same bits
+    gw_plain, gx2_plain = grad(tsum(gx * gx), [w, x])
+    assert deferrals[0] > 0
+    assert gw.data.tobytes() == gw_plain.data.tobytes() and gx2.data.tobytes() == gx2_plain.data.tobytes()
+
+
+def test_backward_passes_from_many_threads_defer_to_one_worker_and_keep_their_bits(always_fork, deferrals, monkeypatch):
+    rng = np.random.default_rng(34)
+    cases = []
+    for _ in range(8):
+        x_big, x_small = Tensor(rng.normal(size=(6, 9, 3)), requires_grad=True), Tensor(rng.normal(size=(1, 5, 3)))
+        w, b = Tensor(rng.normal(size=(3, 3, 4)), requires_grad=True), Tensor(rng.normal(size=4), requires_grad=True)
+        cases.append((x_big, x_small, w, b))
+
+    def grads(case):
+        x_big, x_small, w, b = case
+        found = grad(_mixed_contributions_loss(*case), [x_big, w, b])
+        return [g.data.tobytes() for g in found]
+
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 1)
+    serial = [grads(case) for case in cases]
+    monkeypatch.setattr(tensor, "_usable_cpus", lambda: 2)
+    assert deferrals[0] == 0
+    wrong = []
+
+    def caller(i):
+        for _ in range(20):
+            if grads(cases[i]) != serial[i]:
+                wrong.append(i)
+
+    callers = [threading.Thread(target=caller, args=(i,), daemon=True) for i in range(len(cases))]
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(t.is_alive() for t in callers)
+    assert not wrong and deferrals[0] == 8 * 20 * 3
+
+
+def test_small_shapes_stay_on_one_thread(monkeypatch, deferrals):
     # a classifier batch and a toy WGAN-GP step are bound by Python: two threads would only take turns
     from mocapsynth.classifier.network import BRANCH_WIDTHS, HierarchicalClassifier, HierarchicalNetSpec
     from mocapsynth.gan import GanTrainSpec, train_gan
@@ -713,13 +849,13 @@ def test_small_shapes_stay_on_one_thread(monkeypatch):
     views = tuple(Tensor(rng.normal(size=(32, 32, w))) for w in BRANCH_WIDTHS)
     onehot = np.eye(2)[rng.integers(0, 2, size=32)]
     cross_entropy(model.forward(views, training=True, rng=rng), onehot).backward()
-    assert handoffs[0] == 0
+    assert handoffs[0] == 0 and deferrals[0] == 0
 
     data, _ = two_mode_sequences(480, seed=7)
     spec = GanTrainSpec(kind="wgan_gp", epochs=1, batch=32, critic_steps=15, seed=0)
     _, _, hist = train_gan(spec, data, gen_spec=toy_generator_spec(), critic_spec=toy_critic_spec())
     assert hist.gen_updates == 1
-    assert handoffs[0] == 0
+    assert handoffs[0] == 0 and deferrals[0] == 0
 
 
 @pytest.mark.parametrize("blas_threads", [2, None])
