@@ -20,7 +20,7 @@ from ..dataset.preprocess import SEQUENCE_LENGTH
 from ..errors import ContractError, SettingError, ShapeError
 from ..nn import Sequential, Tensor, concat
 from ..nn.checkpoint import load_model, save_model
-from ..nn.layers import Activation, Conv1D, Dense, Dropout, Flatten, MaxPool
+from ..nn.layers import Activation, Conv1D, Dense, Dropout, Flatten, MaxPool, Model
 from ..seeding import derive_rng
 from .tasks import BRANCH_COLUMNS
 
@@ -53,7 +53,7 @@ class HierarchicalNetSpec(JsonRecord):
             )
 
 
-class HierarchicalClassifier:
+class HierarchicalClassifier(Model):
     """Three parallel conv branches -> concat -> dense head -> logits."""
 
     def __init__(self, spec: HierarchicalNetSpec, seed: int = 0):
@@ -105,23 +105,9 @@ class HierarchicalClassifier:
 
     __call__ = forward
 
-    def _parts(self) -> dict[str, Sequential]:
+    def parts(self) -> dict[str, Sequential]:
         """The branches and the head, keyed by the prefix of their saved arrays."""
         return {**{f"branch{b}": branch for b, branch in enumerate(self.branches)}, "head": self.head}
-
-    def parameters(self) -> list[Tensor]:
-        return [p for part in self._parts().values() for p in part.parameters()]
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        return {f"{name}.{key}": arr for name, part in self._parts().items()
-                for key, arr in part.state_arrays().items()}
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        for name, part in self._parts().items():
-            part.load_state({k[len(name) + 1:]: v for k, v in arrays.items() if k.startswith(name + ".")})
 
     def architecture(self) -> dict:
         return {"hierarchical": self.spec.to_dict()}

@@ -546,8 +546,8 @@ def cmd_stats(resolved: dict) -> int:
         result = load_trials(src, keep=lambda trial: trial.meta)  # labels only, never every trial's coordinates
         metas, skipped = result.trials, result.skipped_missing_c7
     else:
-        sequences, _, _ = load_sequences(src)
-        metas = [m for m in sequences.labels if m is not None]
+        with ArchiveRows(src) as rows:  # the labels are in the header: no row is read
+            metas = [m for m in rows.labels if m is not None]
         skipped = 0
     if not metas:
         raise DataError(f"no labeled records in {src}")

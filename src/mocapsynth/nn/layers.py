@@ -265,8 +265,38 @@ def layer_from_spec(spec: dict) -> Layer:
         raise ContractError(f"{kind} layer spec {spec}: {exc}") from None
 
 
-class Sequential:
-    """A forward chain of layers with shared parameter bookkeeping."""
+class Model:
+    """Parameters and saved arrays of named parts, layers or models: part `name`'s array `key` saves as `name.key`."""
+
+    def parts(self) -> dict[str, "Layer | Model"]:
+        raise NotImplementedError
+
+    def parameters(self) -> list[Tensor]:
+        return [p for part in self.parts().values() for p in part.parameters()]
+
+    def num_parameters(self) -> int:
+        return sum(p.size for p in self.parameters())
+
+    def state_arrays(self) -> dict[str, np.ndarray]:
+        return {f"{name}.{key}": arr for name, part in self.parts().items()
+                for key, arr in part.state_arrays().items()}
+
+    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
+        """Install saved arrays: exactly the ones the parts hold, each with its shape."""
+        expected = self.state_arrays()
+        for what, keys in (("missing", expected.keys() - arrays.keys()),
+                           ("unknown", arrays.keys() - expected.keys())):
+            if keys:
+                raise ContractError(f"{what} saved arrays {sorted(keys)}")
+        for key, arr in expected.items():
+            if arrays[key].shape != arr.shape:
+                raise ContractError(f"saved array {key} has shape {arrays[key].shape}, not {arr.shape}")
+        for name, part in self.parts().items():
+            part.load_state({k[len(name) + 1:]: v for k, v in arrays.items() if k.startswith(name + ".")})
+
+
+class Sequential(Model):
+    """A forward chain of layers."""
 
     def __init__(self, layers: list[Layer]):
         self.layers = list(layers)
@@ -278,14 +308,8 @@ class Sequential:
 
     __call__ = forward
 
-    def parameters(self) -> list[Tensor]:
-        out: list[Tensor] = []
-        for layer in self.layers:
-            out.extend(layer.parameters())
-        return out
-
-    def num_parameters(self) -> int:
-        return sum(p.size for p in self.parameters())
+    def parts(self) -> dict[str, Layer]:
+        return {f"layer{i:03d}": layer for i, layer in enumerate(self.layers)}
 
     def architecture(self) -> list[dict]:
         """The layer specs, as a checkpoint records them."""
@@ -296,24 +320,3 @@ class Sequential:
         if not isinstance(specs, list):
             raise ContractError(f"a Sequential architecture is a list of layers, not {type(specs).__name__}")
         return cls([layer_from_spec(s) for s in specs])
-
-    def state_arrays(self) -> dict[str, np.ndarray]:
-        out = {}
-        for i, layer in enumerate(self.layers):
-            for key, arr in layer.state_arrays().items():
-                out[f"layer{i:03d}.{key}"] = arr
-        return out
-
-    def load_state(self, arrays: dict[str, np.ndarray]) -> None:
-        """Install saved arrays: exactly the ones the layers hold, each with its shape."""
-        expected = self.state_arrays()
-        for what, keys in (("missing", expected.keys() - arrays.keys()),
-                           ("unknown", arrays.keys() - expected.keys())):
-            if keys:
-                raise ContractError(f"{what} saved arrays {sorted(keys)}")
-        for key, arr in expected.items():
-            if arrays[key].shape != arr.shape:
-                raise ContractError(f"saved array {key} has shape {arrays[key].shape}, not {arr.shape}")
-        for i, layer in enumerate(self.layers):
-            prefix = f"layer{i:03d}."
-            layer.load_state({k[len(prefix):]: v for k, v in arrays.items() if k.startswith(prefix)})

@@ -19,8 +19,7 @@ from .tensor import (
     Tensor,
     _make,
     _unbroadcast,
-    fork,
-    fork_leaf_grad,
+    leaf_grad,
     matmul,
     mul_const,
     needs_grad,
@@ -102,12 +101,8 @@ def conv1d(
         out += bias.data
 
     def vjp(g: Tensor):
-        gx, gw = fork_leaf_grad(
-            g.size * k * c_in,
-            (lambda: conv1d_input_grad(g, weight, t, stride, spacing)) if needs_grad(x) else None,
-            (lambda: conv1d_weight_grad(x, g, k, stride, spacing, cols)) if needs_grad(weight) else None,
-            weight,
-        )
+        gw = leaf_grad(g.size * k * c_in, lambda: conv1d_weight_grad(x, g, k, stride, spacing, cols), weight)
+        gx = conv1d_input_grad(g, weight, t, stride, spacing) if needs_grad(x) else None
         if bias is None:
             return gx, gw
         return gx, gw, (tsum(g, axis=(0, 1)) if needs_grad(bias) else None)
@@ -137,12 +132,8 @@ def conv1d_input_grad(g: Tensor, weight: Tensor, length: int, stride: int = 1, s
     def vjp(gg: Tensor):
         # one window matrix of gg serves both halves
         cols = _window_cols(gg.data, k, stride, spacing)
-        return fork_leaf_grad(
-            g.size * k * c_in,
-            (lambda: conv1d(gg, weight, stride=stride, spacing=spacing, cols=cols)) if needs_grad(g) else None,
-            (lambda: conv1d_weight_grad(gg, g, k, stride, spacing, cols)) if needs_grad(weight) else None,
-            weight,
-        )
+        gw = leaf_grad(g.size * k * c_in, lambda: conv1d_weight_grad(gg, g, k, stride, spacing, cols), weight)
+        return (conv1d(gg, weight, stride=stride, spacing=spacing, cols=cols) if needs_grad(g) else None), gw
 
     data = np.ascontiguousarray(padded[:, left : left + length])
     return _make(data, (g, weight), vjp, "conv1d_input_grad")
@@ -169,11 +160,8 @@ def conv1d_weight_grad(
     data = (cols.T @ g.data.reshape(-1, c_out)).reshape(kernel, c_in, c_out)
 
     def vjp(gw: Tensor):
-        return fork(
-            g.size * kernel * c_in,
-            (lambda: conv1d_input_grad(g, gw, t, stride, spacing)) if needs_grad(x) else None,
-            (lambda: conv1d(x, gw, stride=stride, spacing=spacing)) if needs_grad(g) else None,
-        )
+        gx = conv1d_input_grad(g, gw, t, stride, spacing) if needs_grad(x) else None
+        return gx, (conv1d(x, gw, stride=stride, spacing=spacing) if needs_grad(g) else None)
 
     return _make(data, (x, g), vjp, "conv1d_weight_grad")
 

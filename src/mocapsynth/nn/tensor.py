@@ -7,10 +7,11 @@ gradients that can be differentiated again (needed for the
 gradient-penalty term of the WGAN critic loss).
 
 Grad mode is per thread, so `fork` can run two independent halves of
-large work, such as a convolution's input and weight gradients, on two
-threads with the same bits as one. A backward pass without create_graph
-also hands a leaf's large gradient contributions to the other thread,
-which sums them in the order they arrive, as the pass would.
+large work, such as two critic forwards, on two threads with the same
+bits as one. A backward pass without create_graph also hands a leaf's
+large gradient contributions to the other thread, which sums them in the
+order they arrive, as the pass would. No vjp forks, so a backward pass
+never waits on the other thread.
 """
 
 from __future__ import annotations
@@ -167,18 +168,20 @@ def forks(work: int) -> bool:
     return work >= FORK_MIN_WORK and not _STATE.on_worker and _usable_cpus() >= 2 and _blas_threads() == 1
 
 
-def fork(work: int, first: Callable | None, second: Callable | None) -> tuple:
+def fork(work: int, first: Callable, second: Callable | None) -> tuple:
     """(first(), second()), with `first` on the worker thread while `second` runs here.
 
     `work` estimates the multiply-adds at stake. Both halves run here, in
-    order, when `forks(work)` says no or when a half is None (it gives
+    order, when `forks(work)` says no or when `second` is None (it gives
     None). The halves must share no mutable state and draw from no common
     random stream; then the result is the same, bit for bit. Both run to
     the end, and an error comes out in serial order: first's, else second's.
+
+    A critic step's pairs and Adam's halves call it. With `leaf_grad` and
+    backward_pass's deferred sums, they make every hand-off to the worker.
     """
-    if first is None or second is None or not forks(work):
-        a = None if first is None else first()
-        return a, None if second is None else second()
+    if second is None or not forks(work):
+        return first(), None if second is None else second()
     future = _worker().submit(_as_caller, first, _STATE.grad_mode, _STATE.keep)
     try:
         b = second()
@@ -198,18 +201,19 @@ def _formed(g: Tensor | Future) -> Tensor:
     return g.result() if type(g) is Future else g
 
 
-def fork_leaf_grad(work: int, first: Callable | None, second: Callable | None, leaf: Tensor) -> tuple:
-    """fork(work, first, second) for a vjp whose `second` forms the gradient of `leaf`.
+def leaf_grad(work: int, thunk: Callable, leaf: Tensor) -> Tensor | Future | None:
+    """thunk(), a vjp's term of the gradient of `leaf`, or None when the running pass wants none.
 
     In a backward pass without create_graph, when `leaf` is a leaf tensor
-    and `forks(work)` says yes, `second` goes to the worker, and its future
-    stands for the gradient, while `first` runs here at once: the pass
-    carries on down its chain without waiting.
+    and `forks(work)` says yes, the thunk goes to the worker and its
+    future stands for the term: the pass carries on down its chain
+    without waiting.
     """
-    if second is None or _STATE.handed_off is None or leaf._vjp is not None or not forks(work):
-        return fork(work, first, second)
-    future = _defer(second)
-    return (None if first is None else first()), future
+    if not needs_grad(leaf):
+        return None
+    if _STATE.handed_off is not None and leaf._vjp is None and forks(work):
+        return _defer(thunk)
+    return thunk()
 
 
 class Tensor:

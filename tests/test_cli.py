@@ -24,8 +24,8 @@ from mocapsynth.classifier import TASKS, HierarchicalClassifier, HierarchicalNet
 from mocapsynth import cli
 from mocapsynth.cli import AUGMENT_CHUNK_ROWS, COMMANDS, UsageError, _resolve, build_parser, main
 from mocapsynth.container import read_container, write_container
-from mocapsynth.dataset import (MotionSequence, NormStats, load_sequences, load_trials, read_sequence_csv,
-                                save_sequences, write_sequence_csv)
+from mocapsynth.dataset import (ArchiveRows, MotionSequence, NormStats, load_sequences, load_trials,
+                                read_sequence_csv, save_sequences, write_sequence_csv)
 from mocapsynth.dataset.preprocess import NORMALIZE_CHUNK_FRAMES
 from mocapsynth.dataset.synthetic import make_trial
 from mocapsynth.dataset.trials import Trial, TrialMeta, _write_csv_rows, save_trial
@@ -216,6 +216,15 @@ def test_stats_json_on_archive(archive, tmp_path, capsys):
     assert doc["records"] == 12
     assert doc["weight"] == {"heavy": 4, "heavier": 4, "heaviest": 4}
     assert doc["strategy"] == {"A": 4, "B": 4, "C": 4}
+
+
+def test_stats_reads_no_row_of_an_archive(archive, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("stats read a row")
+
+    monkeypatch.setattr(ArchiveRows, "_read", refuse)  # every row read goes through it
+    assert main(["stats", "--input", str(archive)]) == 0
+    assert "records: 12" in capsys.readouterr().out
 
 
 def test_augment_expands_and_keeps_labels(augmented):
@@ -880,6 +889,7 @@ def _rewritten_generator(gan_dir, path, case):
         ("generate", "spec-kernel-0"),
         ("eval-classifier", "generator"),
         ("eval-classifier", "string-kernel"),
+        ("eval-classifier", "unknown-array"),
     ],
 )
 def test_hostile_checkpoints_exit_1(archive, gan_dir, tmp_path, capsys, command, case):
@@ -890,6 +900,10 @@ def test_hostile_checkpoints_exit_1(archive, gan_dir, tmp_path, capsys, command,
         model = gan_dir / "generator.model"
     elif case == "string-kernel":
         write_container(model, "model", {"architecture": {"hierarchical": {"n_classes": 2, "kernel": "3"}}}, {})
+    elif case == "unknown-array":
+        HierarchicalClassifier(HierarchicalNetSpec(n_classes=2)).save(model, {"task": "weight"})
+        meta, arrays = read_container(model)
+        write_container(model, "model", meta, {**arrays, "junk.extra": np.zeros(3)})
     else:
         _rewritten_generator(gan_dir, model, case)
     argv = [command, "--model", str(model), "--stats", str(gan_dir / "norm-stats.bin"), "--out", str(tmp_path / "o")]

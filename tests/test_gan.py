@@ -566,7 +566,7 @@ def test_training_bytes_are_pinned(kind):
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
-def test_forked_and_serial_runs_give_the_same_bytes(kind, monkeypatch):
+def test_forked_and_serial_runs_give_the_same_bytes(kind, monkeypatch, handoffs):
     monkeypatch.setattr(tensor, "_usable_cpus", lambda: 1)
     serial = _toy_run_digest(kind, epochs=2, gen_batchnorm=True)
     # toy shapes sit below the gate: at 0 every fork site hands its first half to the worker
@@ -596,6 +596,7 @@ def test_forked_and_serial_runs_give_the_same_bytes(kind, monkeypatch):
     if kind != "dcgan":  # a group of critic steps: the scores pair up, and each fake batch but the first is made ahead
         handed_off |= {"real score", "fake score", "next fake"}
     assert on_worker == handed_off
+    assert handoffs["gradient"] and handoffs["fork"] and not handoffs["fork in backward"]
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
