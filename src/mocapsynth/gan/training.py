@@ -281,12 +281,12 @@ def _generator_update(run: _Run, step: int) -> float:
     c_fake = run.critic_score(fake, hot)
     gen_loss = generator_wloss(c_fake) if spec.wasserstein else generator_logloss(c_fake)
     value = _finite(float(gen_loss.data), "generator loss", step)
-    run.gen_opt.zero_grad()
     # the critic stays frozen: its last gradients are released before this
     # step's graph peaks, and no new ones are formed
     run.critic_opt.zero_grad()
     gen_loss.backward(wrt=run.gen_opt.params)
     run.gen_opt.step()
+    run.gen_opt.zero_grad()  # spent: held on, they would sit in every critic step's peak until the next generator step
     run.history.gen_updates += 1
     return value
 

@@ -12,7 +12,6 @@ pooling (`select`, `spread`) and `dense` are single nodes the same way.
 from __future__ import annotations
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from ..errors import ContractError, ShapeError
 from .tensor import (
@@ -60,12 +59,8 @@ def _window_cols(x: np.ndarray, kernel: int, stride: int, spacing: int) -> np.nd
     padded = np.zeros((b, left + t + right, c), dtype=x.dtype)
     padded[:, left : left + t] = x
     sb, st, sc = padded.strides
-    windows = as_strided(
-        padded,
-        shape=(b, t_out, kernel, c),
-        strides=(sb, stride * st, (1 + spacing) * st, sc),
-        writeable=False,
-    )
+    # the bare constructor: as_strided's checks and wrapping cost a few microseconds a call
+    windows = np.ndarray((b, t_out, kernel, c), padded.dtype, padded, 0, (sb, stride * st, (1 + spacing) * st, sc))
     return windows.reshape(b * t_out, kernel * c)
 
 
@@ -81,7 +76,9 @@ def conv1d(
 
     x: (B, T, Cin); weight: (K, Cin, Cout); bias: (Cout,) or None.
     Returns (B, ceil(T / stride), Cout). `cols` is x's window matrix when
-    the caller already has it.
+    the caller already has it. The node keeps that matrix for the weight
+    gradient only when x is data, which needs no gradient; over an
+    activation it holds x, and the weight gradient rebuilds the windows.
     """
     if x.ndim != 3:
         raise ShapeError(f"conv1d expects (B, T, C), got shape {x.shape}")
@@ -99,9 +96,10 @@ def conv1d(
     out = cols @ weight.data.reshape(k * c_in, c_out)
     if bias is not None:
         out += bias.data
+    held = None if x.requires_grad else cols
 
     def vjp(g: Tensor):
-        gw = leaf_grad(g.size * k * c_in, lambda: conv1d_weight_grad(x, g, k, stride, spacing, cols), weight)
+        gw = leaf_grad(g.size * k * c_in, lambda: conv1d_weight_grad(x, g, k, stride, spacing, held), weight)
         gx = conv1d_input_grad(g, weight, t, stride, spacing) if needs_grad(x) else None
         if bias is None:
             return gx, gw

@@ -1,6 +1,9 @@
 import sys
+import tracemalloc
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -36,3 +39,26 @@ def handoffs(monkeypatch):
 
     monkeypatch.setattr(tensor, "_worker", spied)
     return counts
+
+
+@pytest.fixture
+def traced_peak():
+    """A context manager that traces allocations in its block.
+
+    What it yields has, after the block, `held` (bytes still traced at its
+    end) and `peak` (the most traced at once). tracemalloc sees numpy's
+    buffers, so a bound counts copies of the data and does not depend on
+    the machine, where a process's RSS moves between levels by megabytes.
+    """
+
+    @contextmanager
+    def traced():
+        memory = SimpleNamespace(held=0, peak=0)
+        tracemalloc.start()
+        try:
+            yield memory
+        finally:
+            memory.held, memory.peak = tracemalloc.get_traced_memory()
+            tracemalloc.stop()
+
+    return traced

@@ -2,7 +2,6 @@
 
 import hashlib
 import math
-import tracemalloc
 
 import numpy as np
 import numpy.testing as npt
@@ -311,24 +310,20 @@ def test_out_blocks_that_cannot_take_the_copies_are_refused(make_out):
         augment_dataset(seqs, AugmentSpec(factor=2), range(1, 3), out=make_out())
 
 
-def test_augment_and_save_hold_about_one_copy_of_the_output(tmp_path):
+def test_augment_and_save_hold_about_one_copy_of_the_output(tmp_path, traced_peak):
     # tracemalloc sees numpy's buffers, so the bound counts copies of the data
     # and does not depend on the machine; a list of views plus a stacked copy
     # for the write would peak near 2x
     rng = np.random.default_rng(20)
     seqs = [world_sequence(rng) for _ in range(40)]
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         out = augment_dataset(seqs, AugmentSpec(factor=9, seed=2))
         save_sequences(tmp_path / "augmented.bin", out)
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert len(out) == 360
-    assert peak <= 1.5 * out.data.nbytes, f"peak {peak / out.data.nbytes:.2f}x the output block"
+    assert traced.peak <= 1.5 * out.data.nbytes, f"peak {traced.peak / out.data.nbytes:.2f}x the output block"
 
 
-def test_a_loaded_augmented_archive_holds_one_label_per_source(tmp_path):
+def test_a_loaded_augmented_archive_holds_one_label_per_source(tmp_path, traced_peak):
     # the archive lists a label per row; loaded, the copies of a source share
     # one TrialMeta, so beyond its block the set holds little but the names
     # (about 90 B a row, where a TrialMeta per row adds about 400 B)
@@ -337,12 +332,9 @@ def test_a_loaded_augmented_archive_holds_one_label_per_source(tmp_path):
     seqs = [MotionSequence(rng.uniform(-2, 2, size=(32, 48)), meta=meta(participant=f"p{i:02d}"), name=f"s{i:02d}")
             for i in range(n)]
     save_sequences(tmp_path / "augmented.bin", augment_dataset(seqs, AugmentSpec(factor=factor, seed=2)))
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         loaded, _, _ = load_sequences(tmp_path / "augmented.bin")
-        held, _ = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
+    held = traced.held
     assert len(loaded) == n * factor and len({id(m) for m in loaded.labels}) == n
     assert held - loaded.data.nbytes <= 200 * len(loaded), f"{(held - loaded.data.nbytes) / len(loaded):.0f} B a row"
 

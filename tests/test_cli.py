@@ -11,7 +11,6 @@ import io
 import json
 import math
 import tempfile
-import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -155,7 +154,7 @@ def test_ingest_checks_its_trim_settings_before_reading_a_trial(corpus_dir, tmp_
         assert not (tmp_path / "o").exists()
 
 
-def test_ingest_holds_one_parsed_trial_at_a_time(tmp_path, capsys):
+def test_ingest_holds_one_parsed_trial_at_a_time(tmp_path, capsys, traced_peak):
     # tracemalloc sees numpy's buffers. Each trial has 640 frames (240 KB of
     # coordinates), of which ingest keeps one 32-frame row (12 KB) in a block
     # of a row per file, so its peak grows by the rows, not by the trials
@@ -164,12 +163,9 @@ def test_ingest_holds_one_parsed_trial_at_a_time(tmp_path, capsys):
     for n in (8, 40):
         for i in range(n):
             save_trial(tmp_path / str(n), make_trial(f"t{i:03d}", meta, derive_rng(4, "long", i), carry=600))
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             rc = main(["ingest", "--input", str(tmp_path / str(n)), "--out", str(tmp_path / f"o{n}")])
-            _, peaks[n] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peaks[n] = traced.peak
         assert rc == 0
     rows_bytes = (40 - 8) * 32 * 48 * 8
     assert peaks[40] - peaks[8] <= 1.5 * rows_bytes + 64 * 1024, f"grew {(peaks[40] - peaks[8]) / rows_bytes:.2f}x the rows"
@@ -307,7 +303,7 @@ def test_augment_refuses_a_normalized_archive(tmp_path, capsys, factor):
     assert not list((tmp_path / "o").glob("*.bin")) and not list((tmp_path / "o").glob("*.tmp"))
 
 
-def test_augment_memory_does_not_grow_with_the_factor(tmp_path, capsys):
+def test_augment_memory_does_not_grow_with_the_factor(tmp_path, capsys, traced_peak):
     # tracemalloc sees numpy's buffers. Held whole, the factor-27 output
     # would be 27 source blocks; streamed, the run holds the source, one
     # chunk buffer of about 3 MB and the header, whose names and labels
@@ -317,12 +313,9 @@ def test_augment_memory_does_not_grow_with_the_factor(tmp_path, capsys):
     source_bytes = n * 32 * 48 * 8
     peaks = {}
     for factor in (3, 27):
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             rc = main(["augment", "--input", str(src), "--out", str(tmp_path / str(factor)), "--factor", str(factor)])
-            _, peaks[factor] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peaks[factor] = traced.peak
         assert rc == 0
     buffer_bytes = sources_per_chunk(27) * 27 * 32 * 48 * 8
     assert peaks[27] <= peaks[3] + buffer_bytes, peaks
@@ -337,7 +330,7 @@ def test_augment_past_any_memory_is_a_runtime_error(archive, tmp_path, capsys):
     assert not (tmp_path / "o").exists()
 
 
-def test_train_classifier_holds_about_one_copy_of_its_training_block(archive, tmp_path, capsys, caplog):
+def test_train_classifier_holds_about_one_copy_of_its_training_block(archive, tmp_path, capsys, caplog, traced_peak):
     # tracemalloc sees numpy's buffers. The weight task trains on 6 of the 12
     # sequences, so at factor 400 the augmented block is 2,400 rows (29.5 MB).
     # Z-scored in place, with each batch's branch views cut as it is drawn,
@@ -346,47 +339,37 @@ def test_train_classifier_holds_about_one_copy_of_its_training_block(archive, tm
     factor = 400
     block_bytes = 6 * factor * 32 * 48 * 8
     caplog.set_level("INFO")
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         rc = main(["train-classifier", "--input", str(archive), "--out", str(tmp_path / "clf"), "--task", "weight",
                    "--epochs", "1", "--val-size", "2", "--augment-factor", str(factor), "--seed", "3"])
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     assert rc == 0
     assert "training on 2400 sequences" in caplog.text
-    assert peak <= 1.5 * block_bytes, f"peak {peak / block_bytes:.2f}x the training block"
+    assert traced.peak <= 1.5 * block_bytes, f"peak {traced.peak / block_bytes:.2f}x the training block"
 
 
-def test_train_gan_set_up_holds_about_one_copy_of_the_archive(tmp_path, monkeypatch, capsys):
+def test_train_gan_set_up_holds_about_one_copy_of_the_archive(tmp_path, monkeypatch, capsys, traced_peak):
     # the stats are fitted a chunk of frames at a time and no block is loaded:
     # a full-size (x - mean) or a z-scored copy would double the peak
     n = 2000
     src = source_archive(tmp_path / "src.bin", n)
     block_bytes = n * 32 * 48 * 8
     chunk_bytes = NORMALIZE_CHUNK_FRAMES * 48 * 8
-    peaks = []
 
     class Stop(Exception):
         pass
 
     def stop_before_training(spec, sequences, **kwargs):
-        peaks.append(tracemalloc.get_traced_memory()[1])
         assert sequences.normalized and len(sequences) == n
         raise Stop
 
     monkeypatch.setattr(cli, "train_gan", stop_before_training)
-    tracemalloc.start()
-    try:
-        with pytest.raises(Stop):
-            main(["train-gan", "--input", str(src), "--out", str(tmp_path / "gan")])
-    finally:
-        tracemalloc.stop()
+    with traced_peak() as traced, pytest.raises(Stop):
+        main(["train-gan", "--input", str(src), "--out", str(tmp_path / "gan")])
     # the chunk, its join with the running sum, and the archive header's names and labels
-    assert peaks[0] <= block_bytes + 4 * chunk_bytes, f"peak {peaks[0] / block_bytes:.2f}x the loaded block"
+    assert traced.peak <= block_bytes + 4 * chunk_bytes, f"peak {traced.peak / block_bytes:.2f}x the loaded block"
 
 
-def test_train_gan_memory_grows_by_the_labels_not_the_rows(tmp_path, capsys):
+def test_train_gan_memory_grows_by_the_labels_not_the_rows(tmp_path, capsys, traced_peak):
     # tracemalloc sees numpy's buffers. The run holds the archive's names,
     # labels and stats and reads each batch's rows from the file, so 5x the
     # rows may add a few dozen bytes of names and labels per row, not the
@@ -394,13 +377,10 @@ def test_train_gan_memory_grows_by_the_labels_not_the_rows(tmp_path, capsys):
     peaks = {}
     for n in (40, 200):
         src = source_archive(tmp_path / f"src{n}.bin", n)
-        tracemalloc.start()
-        try:
+        with traced_peak() as traced:
             rc = main(["train-gan", "--input", str(src), "--out", str(tmp_path / f"gan{n}"), "--epochs", "1",
                        "--batch", "8", "--critic-steps", "5"])
-            _, peaks[n] = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+        peaks[n] = traced.peak
         assert rc == 0
     row_bytes = 32 * 48 * 8
     assert peaks[200] - peaks[40] <= 160 * 1024, f"grew {(peaks[200] - peaks[40]) / (160 * row_bytes):.2f}x the rows"

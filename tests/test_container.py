@@ -5,7 +5,6 @@ import os
 import struct
 import sys
 import threading
-import tracemalloc
 
 import hypothesis.extra.numpy as hnp
 import numpy as np
@@ -103,7 +102,7 @@ def test_the_header_pieces_join_to_one_dump(value, slice_items):
         assert "".join(container._header_pieces(value)) == json.dumps(value, sort_keys=True, separators=(",", ":"))
 
 
-def test_a_header_heavy_container_is_written_without_a_whole_copy_of_its_header(tmp_path):
+def test_a_header_heavy_container_is_written_without_a_whole_copy_of_its_header(tmp_path, traced_peak):
     # tracemalloc sees every string. 40,000 names and labels make a header of
     # 2.3 MB; json.dumps of it whole peaks at twice that, where a slice of the
     # long lists at a time holds about 0.1 MB
@@ -111,17 +110,13 @@ def test_a_header_heavy_container_is_written_without_a_whole_copy_of_its_header(
     meta = {"names": [f"sequence{i:06d}+a{i % 27}" for i in range(n)],
             "labels": [{"participant": f"p{i % 20:02d}", "strategy": "ABC"[i % 3]} for i in range(n)]}
     path = tmp_path / "c.bin"
-    tracemalloc.start()
-    try:
+    with traced_peak() as traced:
         write_container(path, "test", meta, {"a": np.zeros(3)})
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
     header = {"arrays": [{"dtype": "<f8", "name": "a", "shape": [3]}], "kind": "test", "meta": meta,
               "version": container.VERSION}
     header_bytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode("utf-8")
     assert path.read_bytes() == MAGIC + struct.pack("<Q", len(header_bytes)) + header_bytes + bytes(24)
-    assert peak <= len(header_bytes) / 4, f"peak {peak / len(header_bytes):.2f}x the header"
+    assert traced.peak <= len(header_bytes) / 4, f"peak {traced.peak / len(header_bytes):.2f}x the header"
 
 
 def test_concurrent_writers_never_mix_or_leave_temp_files(tmp_path):

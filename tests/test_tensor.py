@@ -21,6 +21,7 @@ from mocapsynth.errors import ContractError, NumericalError, ShapeError
 from mocapsynth.nn import (
     Tensor,
     add,
+    backward_pass,
     clip,
     concat,
     conv1d,
@@ -175,6 +176,19 @@ def test_functional_grad_leaves_dotgrad_alone():
     assert x.grad is None
 
 
+def test_a_backward_pass_returns_only_the_leaves_and_wrt_tensors():
+    # an intermediate gradient is dropped once its vjp has run
+    rng = np.random.default_rng(29)
+    x = Tensor(rng.normal(size=(3, 4)), requires_grad=True)
+    w = Tensor(rng.normal(size=(4, 2)), requires_grad=True)
+    h = tanh(matmul(x, w))
+    y = tsum(h * h)
+    for create_graph in (False, True):
+        seed = Tensor(np.ones(()))
+        assert {id(t) for t in backward_pass(y, seed, create_graph)} == {id(x), id(w)}
+        assert {id(t) for t in backward_pass(y, seed, create_graph, wrt=[h, w])} == {id(h), id(w)}
+
+
 def test_shape_errors():
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
@@ -302,6 +316,32 @@ def test_conv1d_is_one_graph_node():
     out = conv1d(x, w, b, stride=2, spacing=1)
     assert out.op == "conv1d"
     assert out._prev == (x, w, b)
+
+
+def test_a_conv_over_an_activation_holds_no_window_matrix(traced_peak):
+    # the window matrix is K copies of x; over an activation, which the node
+    # holds anyway, the weight gradient rebuilds it, to the same bits
+    rng = np.random.default_rng(30)
+    k = 5
+    x = leaky_relu(Tensor(rng.normal(size=(16, 32, 24)), requires_grad=True))
+    w = Tensor(rng.normal(size=(k, 24, 24)), requires_grad=True)
+    with traced_peak() as traced:
+        out = conv1d(x, w, spacing=1)
+    assert traced.held < k * x.data.nbytes, f"held {traced.held / x.data.nbytes:.2f}x x"
+    g = rng.normal(size=out.shape)
+    tsum(mul_const(out, g)).backward(wrt=[w])
+    rebuilt, w.grad = w.grad, None
+    tsum(mul_const(conv1d(Tensor(x.data), w, spacing=1), g)).backward()
+    assert rebuilt.tobytes() == w.grad.tobytes()
+
+
+def test_a_leaky_relu_holds_its_sign_as_a_byte(traced_peak):
+    x = Tensor(np.random.default_rng(31).normal(size=(64, 256)), requires_grad=True)
+    with traced_peak() as traced:
+        y = leaky_relu(x)
+    assert traced.held <= 1.25 * x.data.nbytes, f"held {traced.held / x.data.nbytes:.2f}x x"
+    (g,) = grad(tsum(y), [x])
+    assert g.data.tobytes() == np.where(x.data > 0, 1.0, 0.2).tobytes()
 
 
 @pytest.mark.parametrize("stride", [1, 2, 3])
