@@ -116,6 +116,7 @@ def train_classifier(
             opt.step()
             losses.append(loss.item())
             correct += int((logits.data.argmax(axis=1) == train_labels[sel]).sum())
+            del logits, loss  # the step's graph goes before the next forward builds one
         report.train_loss.append(float(np.mean(losses)))
         report.train_acc.append(correct / n)
 

@@ -327,18 +327,17 @@ def cmd_train_classifier(resolved: dict) -> int:
         augment_factor=resolved["augment_factor"],
     )
     net_spec = _net_spec(resolved["spec"], task.n_classes)
-    sequences, _, _ = load_sequences(resolved["input"])
-    if sequences.normalized:
-        raise StateError("train-classifier wants world-space sequences; it normalizes internally")
+    # the run reads only its task's rows from the file; every block from here on is its own, so it is z-scored in place
+    with ArchiveRows(resolved["input"]) as sequences:
+        if sequences.normalized:
+            raise StateError("train-classifier wants world-space sequences; it normalizes internally")
+        labels = task.labels(sequences.labels)
+        pool = balance_classes(labels, seed) if task.task == "weight" else np.flatnonzero(labels >= 0)
+        log.info("task %s: %d usable sequences", task.task, len(pool))
+        train_rows, val_rows = validation_split(len(pool), task.n_validation, seed)
+        val_seqs, train_seqs = sequences.take(pool[val_rows]), sequences.take(pool[train_rows])
 
-    labels = task.labels(sequences.labels)
-    pool = balance_classes(labels, seed) if task.task == "weight" else np.flatnonzero(labels >= 0)
-    log.info("task %s: %d usable sequences", task.task, len(pool))
-    train_rows, val_rows = validation_split(len(pool), task.n_validation, seed)
-    train_seqs, val_seqs = sequences.take(pool[train_rows]), sequences.take(pool[val_rows])
-    del sequences  # every block from here on is the command's own, so it is z-scored in place
-
-    if task.augment_factor > 1:
+    if task.augment_factor > 1:  # the training block replaces the rows it was made from
         train_seqs = augment_dataset(
             train_seqs, AugmentSpec(factor=task.augment_factor, seed=seed)
         )
@@ -386,15 +385,14 @@ def cmd_eval_classifier(resolved: dict) -> int:
     stats = _load_stats(resolved)
     task = TaskSpec(extra.get("task"))
 
-    sequences, _, _ = load_sequences(resolved["input"])
-    if sequences.normalized:
-        raise StateError("eval-classifier wants world-space sequences; it normalizes with the model's stats")
-    labels = task.labels(sequences.labels)
-    rows = np.flatnonzero(labels >= 0)
-    if not len(rows):
-        raise DataError(f"no sequences usable for task {task.task!r}")
-    pool = sequences.take(rows)
-    del sequences
+    with ArchiveRows(resolved["input"]) as sequences:  # only the task's labelled rows are read
+        if sequences.normalized:
+            raise StateError("eval-classifier wants world-space sequences; it normalizes with the model's stats")
+        labels = task.labels(sequences.labels)
+        rows = np.flatnonzero(labels >= 0)
+        if not len(rows):
+            raise DataError(f"no sequences usable for task {task.task!r}")
+        pool = sequences.take(rows)
     pool = apply_zscore(pool, stats, out=pool.data)
     accuracy, confusion = evaluate(model, pool.data, labels[rows])
 

@@ -69,12 +69,13 @@ class ArchiveRows:
     """A sequence archive held as its header, labels and norm stats, with its rows read from the file on demand.
 
     rows[idx] reads the rows that idx names, in that order, into a new
-    (len(idx), 32, 48) block, one read per row; frame_chunks reads every
-    frame in row order, a chunk at a time. After zscore_on_read(stats),
-    each block read comes out as apply_zscore makes it. Every check of the
-    file is made when it is opened. The file stays open until close(): the
-    package's writers replace a file by rename, so rewriting the archive
-    does not change what an open one reads.
+    (len(idx), 32, 48) block, one read per row, and take(idx) makes a
+    SequenceSet of them; frame_chunks reads every frame in row order, a
+    chunk at a time. After zscore_on_read(stats), each block read comes
+    out as apply_zscore makes it. Every check of the file is made when it
+    is opened. The file stays open until close(): the package's writers
+    replace a file by rename, so rewriting the archive does not change
+    what an open one reads.
     """
 
     def __init__(self, path: str | Path):
@@ -146,6 +147,12 @@ class ArchiveRows:
         if self.normalized:
             raise StateError("the sequence set is already normalized")
         self.normalized, self.stats, self._zscore = True, stats, stats
+
+    def take(self, idx) -> SequenceSet:
+        """A new set of the rows that idx names, in that order."""
+        picked = np.asarray(idx, dtype=np.intp).tolist()
+        return SequenceSet(self[picked], [self.names[i] for i in picked], [self.labels[i] for i in picked],
+                           self.normalized)
 
     def __getitem__(self, idx) -> np.ndarray:
         rows = np.asarray(idx, dtype=np.intp).tolist()

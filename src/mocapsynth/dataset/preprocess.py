@@ -38,7 +38,7 @@ class SequenceSet:
     """N sequences as one C-ordered float64 (N, 32, 48) block, with a name and label per row.
 
     len() counts the rows; indexing or iterating gives MotionSequence
-    views of them, so nothing is copied. take() copies chosen rows.
+    views of them, so nothing is copied.
     """
 
     data: np.ndarray  # (N, 32, 48)
@@ -67,13 +67,6 @@ class SequenceSet:
 
     def __len__(self) -> int:
         return len(self.data)
-
-    def take(self, rows) -> "SequenceSet":
-        """A new set of the given rows, in the given order."""
-        rows = np.asarray(rows, dtype=np.intp)
-        picked = rows.tolist()
-        return SequenceSet(self.data[rows], [self.names[i] for i in picked],
-                           [self.labels[i] for i in picked], self.normalized)
 
     def frame_chunks(self, frames: int):
         """Every row's frames in order, as views of up to `frames` (k, 48) frames each."""

@@ -107,8 +107,8 @@ def _usable_cpus() -> int:
 
 
 @functools.cache
-def _blas_thread_getter() -> Callable[[], int] | None:
-    """The loaded OpenBLAS's thread-count getter, or None for another BLAS or no /proc."""
+def _openblas_getter(names: tuple[str, ...], restype) -> Callable[[], object] | None:
+    """The first of `names` that the loaded OpenBLAS exports, returning `restype`; None for another BLAS or no /proc."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})
@@ -116,17 +116,17 @@ def _blas_thread_getter() -> Callable[[], int] | None:
         return None
     for path in paths:
         lib = ctypes.CDLL(path)  # already loaded: the same handle
-        for name in _BLAS_THREAD_GETTERS:
+        for name in names:
             getter = getattr(lib, name, None)
             if getter is not None:
-                getter.argtypes, getter.restype = (), ctypes.c_int
+                getter.argtypes, getter.restype = (), restype
                 return getter
     return None
 
 
 def _blas_threads() -> int | None:
     """Threads BLAS runs each call on now, or None when that cannot be asked."""
-    getter = _blas_thread_getter()
+    getter = _openblas_getter(_BLAS_THREAD_GETTERS, ctypes.c_int)
     return None if getter is None else getter()
 
 
@@ -549,8 +549,8 @@ def sigmoid(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = _ensure(a)
-    mask = (a.data > 0).astype(a.data.dtype)
-    return _make(a.data * mask, (a,), lambda g: (mul_const(g, mask),), "relu")
+    positive = a.data > 0
+    return _masked(a, a.data * positive, positive, "relu")
 
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
@@ -567,10 +567,18 @@ def _scale_by_sign(a: Tensor, positive: np.ndarray, table: np.ndarray) -> Tensor
     return _make(a.data * table.take(positive), (a,), lambda g: (_scale_by_sign(g, positive, table),), "leaky_relu")
 
 
+def _masked(a: Tensor, data: np.ndarray, keep: np.ndarray, op: str) -> Tensor:
+    """`data` as an `op` node whose vjp, a mul_const node of the same kind, is g times the bool array `keep`.
+
+    The node holds a byte an element. numpy multiplies by a bool as by 0.0 or 1.0: a float mask's
+    bits, at about its cost, where a `_scale_by_sign` table lookup costs several times that.
+    """
+    return _make(data, (a,), lambda g: (_masked(g, g.data * keep, keep, "mul_const"),), op)
+
+
 def clip(a, lo: float, hi: float) -> Tensor:
     a = _ensure(a)
-    mask = ((a.data >= lo) & (a.data <= hi)).astype(a.data.dtype)
-    return _make(np.clip(a.data, lo, hi), (a,), lambda g: (mul_const(g, mask),), "clip")
+    return _masked(a, np.clip(a.data, lo, hi), (a.data >= lo) & (a.data <= hi), "clip")
 
 
 # -- reductions and shape ops -------------------------------------------------

@@ -10,6 +10,15 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 
+def pytest_report_header(config):
+    from pins import blas_core
+
+    from mocapsynth.nn import tensor
+
+    threads = tensor._blas_threads()
+    return f"OpenBLAS core: {blas_core()}, threads: {'unknown' if threads is None else threads}"
+
+
 @pytest.fixture
 def handoffs(monkeypatch):
     """Counts the hand-offs to the worker thread, by kind.

@@ -143,9 +143,13 @@ def test_02_dataset_arithmetic():
     assert len(balanced) == 436
     train, val = validation_split(len(balanced), task.n_validation, seed=0)
     assert (len(train), len(val)) == (386, 50)
-    assert len(augment_dataset(corpus.take(balanced[train]), AugmentSpec(factor=10, seed=0))) == 3860
 
-    usable = corpus.take(np.arange(795))
+    def take(rows):
+        return SequenceSet(corpus.data[rows], [corpus.names[i] for i in rows], [corpus.labels[i] for i in rows])
+
+    assert len(augment_dataset(take(balanced[train]), AugmentSpec(factor=10, seed=0))) == 3860
+
+    usable = take(np.arange(795))
     assert len(augment_dataset(usable, AugmentSpec(factor=27, seed=0))) == 21465
     _ok(2, "dataset arithmetic", "386->3860, 795->21465, weight task 436/50")
 

@@ -1,5 +1,8 @@
 """Hierarchical classifier: architecture, tasks, training harness."""
 
+import gc
+import weakref
+
 import numpy as np
 import numpy.testing as npt
 import pytest
@@ -287,6 +290,30 @@ def test_training_is_deterministic():
     assert r1.val_acc == r2.val_acc
     for p1, p2 in zip(m1.parameters(), m2.parameters()):
         npt.assert_array_equal(p1.data, p2.data)
+
+
+def test_a_training_step_releases_its_graph_before_the_next_forward(monkeypatch):
+    # the loop drops each step's logits and loss, so a step's graph is freed
+    # by reference counting, not held while the next forward builds its own
+    train_x, train_y, val_x, val_y = separable_sequences(n_train=30, n_val=12, seed=16)
+    model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=3, branch_filters=(2, 2, 2), dense_width=8), seed=16)
+    forward = HierarchicalClassifier.forward
+    previous, alive = [], []
+
+    def spied(self, *args, **kwargs):
+        alive.append(bool(previous) and previous[-1]() is not None)
+        logits = forward(self, *args, **kwargs)
+        previous.append(weakref.ref(logits))
+        return logits
+
+    monkeypatch.setattr(HierarchicalClassifier, "forward", spied)
+    gc.disable()  # the cyclic collector must not be what frees a graph
+    try:
+        train_classifier(model, train_x, train_y, val_x, val_y, epochs=2, batch=8, seed=16)
+    finally:
+        gc.enable()
+    assert len(alive) == 2 * (4 + 1) + 1  # 4 steps and a validation pass an epoch, and the final evaluation
+    assert not any(alive), alive
 
 
 def test_training_rejects_empty_and_bad_labels():

@@ -31,6 +31,8 @@ from mocapsynth.dataset.trials import Trial, TrialMeta, _write_csv_rows, save_tr
 from mocapsynth.markers import CSV_COLUMNS_NO_C7
 from mocapsynth.seeding import derive_rng
 
+from pins import pinned_on
+
 WEIGHTS = (640, 1140, 1640)
 
 
@@ -202,7 +204,8 @@ def test_stats_table_matches_corpus(corpus_dir, tmp_path, capsys):
     assert "balanced: 6" in out
     assert "participants: 3" in out
     # taken while stats still held every parsed trial
-    assert hashlib.sha256((tmp_path / "stats.json").read_bytes()).hexdigest() == "4f4f3cd0d84b519beb43ace1218ae11262733c4dc7b83bec089e23c181be1dfc"
+    digest = hashlib.sha256((tmp_path / "stats.json").read_bytes()).hexdigest()
+    assert digest == "4f4f3cd0d84b519beb43ace1218ae11262733c4dc7b83bec089e23c181be1dfc", pinned_on()
 
 
 def test_stats_json_on_archive(archive, tmp_path, capsys):
@@ -344,6 +347,26 @@ def test_train_classifier_holds_about_one_copy_of_its_training_block(archive, tm
                    "--epochs", "1", "--val-size", "2", "--augment-factor", str(factor), "--seed", "3"])
     assert rc == 0
     assert "training on 2400 sequences" in caplog.text
+    assert traced.peak <= 1.5 * block_bytes, f"peak {traced.peak / block_bytes:.2f}x the training block"
+
+
+def test_train_classifier_reads_only_its_task_rows(archive, tmp_path, capsys, caplog, traced_peak):
+    # tracemalloc sees numpy's buffers. A x300 copy of the 12-sequence archive
+    # has 3,600 rows, of which the weight task's two classes use 2,400: at
+    # --augment-factor 1 and --val-size 2 the training block is those rows
+    # less 2 (29.5 MB). Read from the file, they are all the run holds of the
+    # archive, beside a few chunks of the normalizer fit; a loaded archive and
+    # copies of its task's rows come to 2.5 blocks
+    big = tmp_path / "x300.bin"
+    assert main(["augment", "--input", str(archive), "--out", str(tmp_path / "aug"), "--factor", "300", "--seed", "2"]) == 0
+    (tmp_path / "aug" / "sequences.bin").rename(big)
+    block_bytes = 2398 * 32 * 48 * 8
+    caplog.set_level("INFO")
+    with traced_peak() as traced:
+        rc = main(["train-classifier", "--input", str(big), "--out", str(tmp_path / "clf"), "--task", "weight",
+                   "--epochs", "1", "--val-size", "2", "--augment-factor", "1", "--seed", "3"])
+    assert rc == 0
+    assert "training on 2398 sequences" in caplog.text
     assert traced.peak <= 1.5 * block_bytes, f"peak {traced.peak / block_bytes:.2f}x the training block"
 
 
@@ -650,7 +673,7 @@ def test_classifier_outputs_are_pinned(archive, tmp_path, capsys, task):
     assert main(["eval-classifier", "--input", str(archive), "--model", str(clf / "classifier.model"),
                  "--out", str(ev)]) == 0
     files = [clf / "classifier.model", clf / "report.json", clf / "curves.csv", clf / "norm-stats.bin", ev / "eval.json"]
-    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == CLASSIFIER_DIGESTS[task]
+    assert {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in files} == CLASSIFIER_DIGESTS[task], pinned_on()
     capsys.readouterr()
 
 
@@ -723,7 +746,7 @@ def test_normalizing_outputs_are_pinned(corpus_dir, augmented, tmp_path, monkeyp
         extra = load_sequences(tmp_path / "o" / "sequences.bin")[2]
         assert [extra[f"skipped_{why}"] for why in ("missing_c7", "no_motion", "too_short")] == [1, 1, 1]
     want = PINNED_DIGESTS[case]
-    assert {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() for name in want} == want
+    assert {name: hashlib.sha256((tmp_path / "o" / name).read_bytes()).hexdigest() for name in want} == want, pinned_on()
     capsys.readouterr()
 
 

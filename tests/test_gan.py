@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from oracles import pairwise_distances
+from pins import pinned_on
 from toys import mode_fractions, toy_critic_spec, toy_generator_spec, two_mode_centers, two_mode_sequences
 
 from mocapsynth.dataset.trials import TrialMeta
@@ -562,7 +563,7 @@ def _toy_run_digest(kind: str, epochs: int = 1, gen_batchnorm: bool = False) -> 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_RUNS))
 def test_training_bytes_are_pinned(kind):
-    assert _toy_run_digest(kind) == PINNED_RUNS[kind]
+    assert _toy_run_digest(kind) == PINNED_RUNS[kind], pinned_on()
 
 
 @pytest.mark.parametrize("kind", sorted(PINNED_RUNS))

@@ -24,6 +24,7 @@ from mocapsynth.render import (
 )
 from mocapsynth.seeding import derive_rng
 
+from pins import pinned_on
 from toys import demo_sequence
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -240,7 +241,7 @@ def test_golden_fixtures_are_reproduced(tmp_path):
     """Byte-identical regeneration of checked-in exports of the demo pose."""
     frames = build_geometry(demo_sequence())
     jsonl = export_jsonl(frames, tmp_path / "demo.jsonl")
-    assert jsonl.read_bytes() == (GOLDEN / "demo.jsonl").read_bytes()
+    assert jsonl.read_bytes() == (GOLDEN / "demo.jsonl").read_bytes(), pinned_on()
     svgs = export_svg_ortho(frames, tmp_path / "svg")
-    assert svgs[0].read_bytes() == (GOLDEN / "frame_000.svg").read_bytes()
-    assert svgs[17].read_bytes() == (GOLDEN / "frame_017.svg").read_bytes()
+    assert svgs[0].read_bytes() == (GOLDEN / "frame_000.svg").read_bytes(), pinned_on()
+    assert svgs[17].read_bytes() == (GOLDEN / "frame_017.svg").read_bytes(), pinned_on()

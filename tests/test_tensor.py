@@ -344,6 +344,22 @@ def test_a_leaky_relu_holds_its_sign_as_a_byte(traced_peak):
     assert g.data.tobytes() == np.where(x.data > 0, 1.0, 0.2).tobytes()
 
 
+@pytest.mark.parametrize("op", ["relu", "clip"])
+def test_relu_and_clip_hold_their_masks_as_bytes(traced_peak, op):
+    f = {"relu": relu, "clip": lambda t: clip(t, -1.0, 1.0)}[op]
+    x = Tensor(np.random.default_rng(32).normal(size=(64, 16, 96)), requires_grad=True)
+    with traced_peak() as traced:
+        y = f(x)
+    assert traced.held <= 1.25 * x.data.nbytes, f"held {traced.held / x.data.nbytes:.2f}x x"  # 2.00x with float masks
+    assert y.op == op
+    keep = x.data > 0 if op == "relu" else (x.data >= -1.0) & (x.data <= 1.0)
+    w = Tensor(np.random.default_rng(33).normal(size=x.shape), requires_grad=True)
+    (g,) = grad(tsum(mul(y, w)), [x], create_graph=True)
+    assert g.data.tobytes() == (w.data * keep.astype(float)).tobytes()
+    (gg,) = grad(tsum(mul(g, g)), [w])
+    assert gg.data.tobytes() == (2.0 * g.data * keep.astype(float)).tobytes()
+
+
 @pytest.mark.parametrize("stride", [1, 2, 3])
 @pytest.mark.parametrize("spacing", [0, 1, 2])
 @pytest.mark.parametrize("k", [1, 2, 3, 5])
