@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 
@@ -46,50 +47,61 @@ class AugmentSpec(JsonRecord):
             raise SettingError(f"factor must be >= 1, got {self.factor}", "factor")
 
 
-# The kernels take points shaped (..., 32, 16, 3) and per-copy parameters
-# that broadcast against one coordinate plane (..., 32, 16): one source's
-# points with (n, 1, 1) parameters give an (n, 32, 16, 3) block. The
-# arithmetic is elementwise, so a block equals its copies made one at a
-# time, bit for bit. (The in-place updates only swap the operands of +
-# and *, which IEEE arithmetic does not see.)
+# The kernels work on coordinate planes, shaped (3, ..., 32, 16), so each
+# pass runs over contiguous memory, and per-copy parameters broadcast
+# against one plane: one source with (n, 1, 1) parameters gives n copies.
+# The arithmetic is elementwise, so a block equals its copies made one at a
+# time, bit for bit. (The in-place updates only swap the operands of + and
+# *, which IEEE arithmetic does not see.)
 
 
 def _rotated(pts: np.ndarray, c, s, out: np.ndarray) -> np.ndarray:
-    """pts turned by the angle of cosine c and sine s about the vertical through the frame-0 bowl, into `out`."""
+    """pts (..., 32, 16, 3) turned by cosine c and sine s about the vertical through the frame-0 bowl.
+
+    The planes go into `out` (3, ..., 32, 16), whose z plane holds x's and then y's last term until z is written.
+    """
     pivot_x = pts[..., :1, BOWL : BOWL + 1, 0]
     pivot_y = pts[..., :1, BOWL : BOWL + 1, 1]
     rel_x = pts[..., 0] - pivot_x
     rel_y = pts[..., 1] - pivot_y
-    out[..., 0] = pivot_x + c * rel_x - s * rel_y
-    out[..., 1] = pivot_y + s * rel_x + c * rel_y
-    out[..., 2] = pts[..., 2]
+    x, y, z = out
+    np.multiply(s, rel_y, out=z)
+    np.multiply(c, rel_x, out=x)
+    x += pivot_x
+    x -= z  # pivot_x + c * rel_x - s * rel_y
+    np.multiply(c, rel_y, out=z)
+    np.multiply(s, rel_x, out=y)
+    y += pivot_y
+    y += z  # pivot_y + s * rel_x + c * rel_y
+    z[...] = pts[..., 2]
     return out
 
 
-def _torso_centers(pts: np.ndarray) -> np.ndarray:
-    shoulders = pts[..., SHOULDERS, :].mean(axis=-2)
-    waist = pts[..., WAIST, :].mean(axis=-2)
+def _torso_centers(planes: np.ndarray) -> np.ndarray:
+    """(3, ..., 32): each frame's midpoint of the shoulders' mean and the waist's mean, markers added as np.mean adds them."""
+    shoulders, waist = (reduce(np.add, [planes[..., i] for i in markers]) / len(markers) for markers in (SHOULDERS, WAIST))
     return 0.5 * (shoulders + waist)
 
 
-def _scale(pts: np.ndarray, factor) -> None:
-    """In place: pts scaled about its own per-frame torso centers."""
-    centers = _torso_centers(pts)[..., None, :]
-    pts -= centers
-    pts *= np.expand_dims(factor, -1)
-    pts += centers
+def _scale(planes: np.ndarray, factor) -> None:
+    """In place: planes scaled about their own per-frame torso centers."""
+    centers = np.repeat(_torso_centers(planes)[..., None], planes.shape[-1], axis=-1)
+    planes -= centers
+    planes *= factor
+    planes += centers
 
 
-def _translate(pts: np.ndarray, dx, dy) -> None:
-    """In place: pts shifted by (dx, dy) on the floor plane."""
-    pts[..., 0] += dx
-    pts[..., 1] += dy
+def _translate(planes: np.ndarray, dx, dy) -> None:
+    """In place: planes shifted by (dx, dy) on the floor plane."""
+    planes[0] += dx
+    planes[1] += dy
 
 
-def _cos_sin(angle_deg: float) -> tuple[float, float]:
-    # scalar math, not np.cos: the two may differ in the last bit
-    theta = math.radians(angle_deg % 360.0)
-    return math.cos(theta), math.sin(theta)
+def _cos_sin(angle_deg) -> np.ndarray:
+    """(2, ...): cos and sin of angles in degrees; np.remainder and np.radians have the bits of % 360.0 and math.radians."""
+    theta = np.radians(np.remainder(angle_deg, 360.0))
+    flat = theta.ravel().tolist()  # scalar math, not np.cos: the two may differ in the last bit
+    return np.array([list(map(math.cos, flat)), list(map(math.sin, flat))]).reshape((2,) + theta.shape)
 
 
 def copy_names_and_labels(names, labels, factor: int) -> tuple[list[str], list]:
@@ -108,9 +120,10 @@ def augment_dataset(sequences, spec: AugmentSpec, rows: range | None = None,
     derive_rng(spec.seed, "augment", i, j), so the result is
     deterministic and independent of evaluation order; derive_uniforms
     computes every copy's draws in one pass, with the same bits. The factor - 1
-    copies of one input are rotated straight into their rows of the one
-    preallocated output, then scaled about their rotated torso centers
-    and translated there in place. A factor of 1 returns the input set.
+    copies of one input are rotated into one scratch block of coordinate
+    planes, scaled about their rotated torso centers and translated there
+    in place, and then written into their rows of the one preallocated
+    output. A factor of 1 returns the input set.
 
     `rows`, a range of input rows, copies only those inputs, and `out`
     is a block to fill in place of a new one (its first len(rows) *
@@ -133,14 +146,17 @@ def augment_dataset(sequences, spec: AugmentSpec, rows: range | None = None,
         (-spec.translate_m, spec.translate_m),
         (-spec.translate_m, spec.translate_m),
     ))
-    cos_sin = np.array([_cos_sin(angle) for angle in draws[..., 0].ravel().tolist()]).reshape(n, f - 1, 2)
+    # (n, 5, f - 1): each copy's cosine, sine, scale and shift
+    params = np.concatenate([_cos_sin(draws[..., 0]).transpose(1, 0, 2), draws[..., 1:].transpose(0, 2, 1)], axis=1)
     out = np.empty((n * f,) + src.data.shape[1:]) if out is None else writable_block(out, n * f)
     copies = out.reshape(n, f, SEQUENCE_LENGTH, N_MARKERS, 3)
+    planes = np.empty((3, f - 1, SEQUENCE_LENGTH, N_MARKERS))
     for i, pts in enumerate(src.data[picked].reshape(n, SEQUENCE_LENGTH, N_MARKERS, 3)):
-        c, s = cos_sin[i].T[..., None, None]
-        factor, dx, dy = draws[i, :, 1:].T[..., None, None]
+        c, s, factor, dx, dy = params[i, ..., None, None]
+        _rotated(pts, c, s, out=planes)
+        _scale(planes, factor)
+        _translate(planes, dx, dy)
         copies[i, 0] = pts
-        block = _rotated(pts, c, s, out=copies[i, 1:])
-        _scale(block, factor)
-        _translate(block, dx, dy)
+        for axis, plane in enumerate(planes):
+            copies[i, 1:, ..., axis] = plane
     return SequenceSet(out, *copy_names_and_labels(src.names[picked], src.labels[picked], f))

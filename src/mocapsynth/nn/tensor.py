@@ -555,23 +555,24 @@ def relu(a) -> Tensor:
 
 def leaky_relu(a, slope: float = 0.2) -> Tensor:
     a = _ensure(a)
-    return _scale_by_sign(a, (a.data > 0).view(np.uint8), np.array([slope, 1.0], a.data.dtype))
+    return _scale_by_sign(a, a.data > 0, a.data.dtype.type(slope))
 
 
-def _scale_by_sign(a: Tensor, positive: np.ndarray, table: np.ndarray) -> Tensor:
-    """a times table[positive], its own adjoint: the node keeps the sign test, a byte an element.
+def _scale_by_sign(a: Tensor, positive: np.ndarray, slope) -> Tensor:
+    """a times 1.0 where `positive` holds and slope elsewhere, its own adjoint: the node keeps the bool sign test.
 
-    Each use looks the mask up again by the sign test, in about half the
-    time of a branchy `np.where` mask, with NaN taking the slope as there.
+    The factor positive + ~positive * slope is exactly 1.0 or slope, so
+    the product has a lookup's bits, at a steady cost where a lookup
+    branches on every sign; NaN takes the slope.
     """
-    return _make(a.data * table.take(positive), (a,), lambda g: (_scale_by_sign(g, positive, table),), "leaky_relu")
+    return _make(a.data * (positive + ~positive * slope), (a,), lambda g: (_scale_by_sign(g, positive, slope),), "leaky_relu")
 
 
 def _masked(a: Tensor, data: np.ndarray, keep: np.ndarray, op: str) -> Tensor:
     """`data` as an `op` node whose vjp, a mul_const node of the same kind, is g times the bool array `keep`.
 
     The node holds a byte an element. numpy multiplies by a bool as by 0.0 or 1.0: a float mask's
-    bits, at about its cost, where a `_scale_by_sign` table lookup costs several times that.
+    bits, at about its cost.
     """
     return _make(data, (a,), lambda g: (_masked(g, g.data * keep, keep, "mul_const"),), op)
 

@@ -9,7 +9,6 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
-
 from ..errors import DataError
 from .geometry import GeometryFrame
 
@@ -25,19 +24,9 @@ BONE_STROKE = "#555555"
 def frame_to_dict(frame: GeometryFrame) -> dict:
     return {
         "frame": frame.frame_index,
-        "spheres": [
-            {"c": [float(v) for v in s.center], "r": s.radius, "tag": s.tag}
-            for s in frame.spheres
-        ],
-        "cylinders": [
-            {
-                "c": [float(v) for v in c.center],
-                "axis": [float(v) for v in c.axis],
-                "len": c.length,
-                "r": c.radius,
-            }
-            for c in frame.cylinders
-        ],
+        "spheres": [{"c": s.center.tolist(), "r": s.radius, "tag": s.tag} for s in frame.spheres],
+        "cylinders": [{"c": c.center.tolist(), "axis": c.axis.tolist(), "len": c.length, "r": c.radius}
+                      for c in frame.cylinders],
     }
 
 

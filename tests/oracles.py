@@ -10,6 +10,7 @@ import math
 
 import numpy as np
 
+from mocapsynth.markers import BOWL, HEAD, MARKER_NAMES, SHOULDERS, WAIST
 from mocapsynth.seeding import derive_rng
 
 
@@ -159,6 +160,51 @@ def rotate_xy_about(points, angle, center):
         out[i, 0] = center[0] + c * dx - s * dy
         out[i, 1] = center[1] + s * dx + c * dy
     return out
+
+
+def same_bits(a, b) -> bool:
+    """True when a and b hold the same float64 bits, signs of zero and NaN payloads included."""
+    return np.array_equal(np.asarray(a, dtype=float).view(np.uint64), np.asarray(b, dtype=float).view(np.uint64))
+
+
+def augmented_copy_by_broadcasting(pts, angle_deg, factor, dx, dy):
+    """One augmented copy of pts (32, 16, 3), formed alone with broadcasting and np.mean.
+
+    These are the per-copy expressions augmentation started from: the
+    turn about the vertical through the frame-0 bowl, the scale about each
+    frame's torso center (the midpoint of the shoulders' and the waist's
+    np.mean), then the floor shift.
+    """
+    theta = math.radians(angle_deg % 360.0)
+    c, s = math.cos(theta), math.sin(theta)
+    pivot_x = pts[:1, BOWL : BOWL + 1, 0]
+    pivot_y = pts[:1, BOWL : BOWL + 1, 1]
+    rel_x = pts[..., 0] - pivot_x
+    rel_y = pts[..., 1] - pivot_y
+    out = np.empty(pts.shape)
+    out[..., 0] = pivot_x + c * rel_x - s * rel_y
+    out[..., 1] = pivot_y + s * rel_x + c * rel_y
+    out[..., 2] = pts[..., 2]
+    centers = 0.5 * (out[..., SHOULDERS, :].mean(axis=-2) + out[..., WAIST, :].mean(axis=-2))[..., None, :]
+    out = (out - centers) * factor + centers
+    out[..., 0] += dx
+    out[..., 1] += dy
+    return out
+
+
+def render_nodes_by_frame(frame_points):
+    """The render nodes of one frame (16, 3) by name: the markers, and the pelvis and head center as np.mean centroids."""
+    nodes = {name: frame_points[i] for i, name in enumerate(MARKER_NAMES)}
+    nodes["pelvis"] = frame_points[list(WAIST)].mean(axis=0)
+    nodes["head_center"] = frame_points[list(HEAD)].mean(axis=0)
+    return nodes
+
+
+def cylinder_by_norm(p1, p2):
+    """Midpoint, unit direction and length of one segment, with np.linalg.norm."""
+    delta = p2 - p1
+    length = float(np.linalg.norm(delta))
+    return (p1 + p2) / 2.0, delta / length, length
 
 
 def pairwise_distances(points):

@@ -10,10 +10,10 @@ import pytest
 from mocapsynth.augment import AugmentSpec, augment_dataset
 from mocapsynth.dataset import MotionSequence, SequenceSet, TrialMeta, load_sequences, save_sequences
 from mocapsynth.errors import ContractError, SettingError, StateError
-from mocapsynth.markers import BOWL
+from mocapsynth.markers import BOWL, SHOULDERS, WAIST
 from mocapsynth.seeding import derive_rng
 
-from oracles import pairwise_distances, rotate_xy_about
+from oracles import augmented_copy_by_broadcasting, pairwise_distances, rotate_xy_about, same_bits
 from pins import pinned_on
 from toys import rotate_about_bowl_start, scale_about_torso, torso_centers, translate_xy
 
@@ -256,6 +256,47 @@ def test_augment_dataset_equals_the_public_transforms_composed(seed):
             got = out[5 * i + j]
             assert np.array_equal(got.data, want.data)
             assert got.name == f"{seq.name}+a{j}"
+
+
+def world_points_with_zeros(rng, n, unit):
+    """n world-space sequences (32, 16, 3) in metres times unit, with exact zeros of both signs.
+
+    The zeros sit in the frame-0 bowl (the pivot), in whole torso
+    columns (so a centre adds -0.0 to -0.0) and at random elsewhere.
+    """
+    pts = rng.uniform(-4.0, 4.0, size=(n, 32, 16, 3)) * unit
+    pts[..., 2] = rng.uniform(0.0, 2.0, size=(n, 32, 16)) * unit
+    pts[0, 0, BOWL, :2] = 0.0
+    pts[1, 0, BOWL, :2] = -0.0
+    pts[0, :, list(SHOULDERS), 0] = -0.0
+    pts[1, :, list(WAIST), 2] = -0.0
+    pts[2, :, list(SHOULDERS) + list(WAIST), 1] = -0.0
+    pts[rng.uniform(size=pts.shape) < 0.05] = -0.0
+    pts[rng.uniform(size=pts.shape) < 0.05] = 0.0
+    return pts
+
+
+@pytest.mark.parametrize("factor", [2, 27])
+@pytest.mark.parametrize("unit", [1.0, 1000.0], ids=["m", "mm"])
+@pytest.mark.parametrize("ranges", [
+    {},
+    dict(rotate_lo_deg=-720.0, rotate_hi_deg=720.0, scale_lo=0.5, scale_hi=2.0, translate_m=3.0),
+    dict(rotate_lo_deg=0.0, rotate_hi_deg=0.0, scale_lo=1.0, scale_hi=1.0, translate_m=0.0),
+], ids=["default", "wide", "identity"])
+def test_the_block_kernels_have_the_bits_of_the_per_copy_oracle(factor, unit, ranges):
+    pts = world_points_with_zeros(np.random.default_rng(23), 4, unit)
+    spec = AugmentSpec(factor=factor, seed=31, **ranges)
+    out = augment_dataset([MotionSequence(p.reshape(32, 48)) for p in pts], spec)
+    for i in range(len(pts)):
+        assert same_bits(out[factor * i].data, pts[i].reshape(32, 48))
+        for j in range(1, factor):
+            draw = derive_rng(spec.seed, "augment", i, j)
+            angle = draw.uniform(spec.rotate_lo_deg, spec.rotate_hi_deg)
+            scale = draw.uniform(spec.scale_lo, spec.scale_hi)
+            dx = draw.uniform(-spec.translate_m, spec.translate_m)
+            dy = draw.uniform(-spec.translate_m, spec.translate_m)
+            want = augmented_copy_by_broadcasting(pts[i], angle, scale, dx, dy)
+            assert same_bits(out[factor * i + j].data, want.reshape(32, 48)), (i, j)
 
 
 def test_augment_dataset_bytes_are_pinned():

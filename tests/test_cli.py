@@ -996,6 +996,22 @@ def test_render_bare_csv_svg(archive, tmp_path, capsys):
     assert text.startswith("<?xml")
 
 
+@pytest.mark.parametrize("fmt", ["jsonl", "svg_ortho"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_render_refuses_a_non_finite_coordinate(archive, tmp_path, capsys, fmt, bad):
+    sequences, _, _ = load_sequences(archive)
+    data = sequences[0].data.copy()
+    data[5, 7] = float(bad)
+    csv = tmp_path / "odd.csv"
+    write_sequence_csv(data, csv)
+    assert bad in csv.read_text()
+    out = tmp_path / "o"
+    rc = main(["render", "--input", str(csv), "--out", str(out), "--format", fmt])
+    assert rc == 1
+    assert "'odd': frame 5 has a non-finite coordinate" in one_error_line(capsys)
+    assert not [p for p in out.rglob("*") if p.suffix in (".jsonl", ".svg")]
+
+
 # settings whose value names a file or directory
 PATH_SETTINGS = {"input", "out", "spec", "model", "stats", "topology"}
 hostile_text = st.text(max_size=8) | st.sampled_from(

@@ -24,6 +24,7 @@ from mocapsynth.render import (
 )
 from mocapsynth.seeding import derive_rng
 
+from oracles import cylinder_by_norm, render_nodes_by_frame, same_bits
 from pins import pinned_on
 from toys import demo_sequence
 
@@ -151,6 +152,52 @@ def test_degenerate_bone_warns_and_skips():
         frames = build_geometry(broken)
     assert len(frames) == 32
     assert all(len(f.cylinders) == len(DEFAULT_BONES) - 1 for f in frames)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_block_geometry_has_the_bits_of_the_per_frame_oracle(seed):
+    rng = derive_rng(seed, "world")
+    data = rng.uniform(-4.0, 4.0, size=(32, N_FEATURES)) * rng.choice([1.0, 1e-3, 1e3])
+    topo = SkeletonTopology(DEFAULT_BONES + (("bowl", "hand_l"), ("pelvis", "head_center")))
+    frames = build_geometry(MotionSequence(data, normalized=False, name="w"), topo)
+    for t, frame in enumerate(frames):
+        nodes = render_nodes_by_frame(data[t].reshape(16, 3))
+        for sphere in frame.spheres:
+            assert same_bits(sphere.center, nodes[sphere.tag]), (t, sphere.tag)
+        assert len(frame.cylinders) == len(topo.bones)
+        for (a, b), cyl in zip(topo.bones, frame.cylinders):
+            center, axis, length = cylinder_by_norm(nodes[a], nodes[b])
+            assert same_bits(cyl.center, center) and same_bits(cyl.axis, axis), (t, a, b)
+            assert type(cyl.length) is float and same_bits(cyl.length, length), (t, a, b)
+
+
+def test_a_topology_without_bones_gives_spheres_only():
+    frames = build_geometry(demo_sequence(), SkeletonTopology.from_json('{"bones": []}'))
+    assert len(frames) == 32
+    assert all(len(f.spheres) == 18 and f.cylinders == [] for f in frames)
+
+
+def test_a_bone_collapsed_in_one_frame_is_skipped_in_that_frame_only():
+    data = demo_sequence().data.copy()
+    data[17, 33:36] = data[17, 12:15]  # hand_l onto shoulder_l in frame 17 alone
+    with pytest.warns(UserWarning) as caught:
+        frames = build_geometry(MotionSequence(data, normalized=False, name="one"))
+    assert [str(w.message) for w in caught] == ["frame 17: bone hand_l-shoulder_l has coincident endpoints, skipped"]
+    whole = build_geometry(demo_sequence())
+    for t, (frame, full) in enumerate(zip(frames, whole)):
+        want = [c for (a, b), c in zip(DEFAULT_BONES, full.cylinders) if t != 17 or (a, b) != ("hand_l", "shoulder_l")]
+        assert len(frame.cylinders) == len(want)
+        for got, cyl in zip(frame.cylinders, want):
+            assert same_bits(got.center, cyl.center) and same_bits(got.axis, cyl.axis) and got.length == cyl.length
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_a_non_finite_coordinate_is_refused_naming_the_frame(bad):
+    data = demo_sequence().data.copy()
+    data[9, 40] = bad
+    data[20, 3] = bad
+    with pytest.raises(DataError, match="'odd': frame 9 "):
+        build_geometry(MotionSequence(data, normalized=False, name="odd"))
 
 
 def test_build_geometry_rejects_normalized_input():

@@ -110,19 +110,19 @@ def _like(seq: MotionSequence, pts: np.ndarray) -> MotionSequence:
 def translate_xy(seq: MotionSequence, dx: float, dy: float) -> MotionSequence:
     """Shift every marker in every frame by (dx, dy) on the floor plane."""
     pts = seq.points().copy()
-    _translate(pts, dx, dy)
+    _translate(np.moveaxis(pts, -1, 0), dx, dy)
     return _like(seq, pts)
 
 
 def torso_centers(seq: MotionSequence) -> np.ndarray:
     """(32, 3) per-frame scaling pivot: midpoint of shoulder mean and waist mean."""
-    return _torso_centers(seq.points())
+    return _torso_centers(np.moveaxis(seq.points(), -1, 0)).T
 
 
 def scale_about_torso(seq: MotionSequence, factor: float) -> MotionSequence:
     """Scale every marker (bowl included) about the per-frame torso center."""
     pts = seq.points().copy()
-    _scale(pts, factor)
+    _scale(np.moveaxis(pts, -1, 0), factor)
     return _like(seq, pts)
 
 
@@ -132,4 +132,5 @@ def rotate_about_bowl_start(seq: MotionSequence, angle_deg: float) -> MotionSequ
     Positive angles turn counter-clockwise seen from above (+Z).
     """
     pts = seq.points()
-    return _like(seq, _rotated(pts, *_cos_sin(angle_deg), out=np.empty(pts.shape)))
+    planes = _rotated(pts, *_cos_sin(angle_deg), out=np.empty((3,) + pts.shape[:-1]))
+    return _like(seq, np.moveaxis(planes, 0, -1))
