@@ -510,12 +510,12 @@ def render_sequence(seq: MotionSequence, fmt: str, out_dir: Path, topo=None) -> 
 
     jsonl writes <name>.jsonl, svg_ortho a directory <name>/ of one SVG per frame.
     """
-    frames = build_geometry(seq, topo)
+    geometry = build_geometry(seq, topo)
     if fmt == "jsonl":
-        export_jsonl(frames, out_dir / f"{seq.name}.jsonl")
+        export_jsonl(geometry, out_dir / f"{seq.name}.jsonl")
         return 1
     if fmt == "svg_ortho":
-        return len(export_svg_ortho(frames, out_dir / seq.name))
+        return len(export_svg_ortho(geometry, out_dir / seq.name))
     raise ContractError(f"unknown export format {fmt!r}; expected one of {EXPORT_FORMATS}")
 
 

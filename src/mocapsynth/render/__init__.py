@@ -10,15 +10,14 @@ from .topology import (
 from .geometry import (
     BOWL_RADIUS,
     CYLINDER_RADIUS,
+    SPHERE_RADII,
     SPHERE_RADIUS,
-    Cylinder,
-    GeometryFrame,
-    Sphere,
+    SPHERE_TAGS,
+    Geometry,
     build_geometry,
     cylinder_between,
 )
 from .export import (
     export_jsonl,
     export_svg_ortho,
-    frame_to_dict,
 )

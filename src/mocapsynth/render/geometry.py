@@ -1,9 +1,9 @@
-"""Per-frame sphere and cylinder geometry for a motion sequence."""
+"""Whole-sequence sphere and cylinder geometry for a motion sequence."""
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,27 +15,26 @@ SPHERE_RADIUS = 0.03
 CYLINDER_RADIUS = 0.015
 BOWL_RADIUS = 0.05
 
-
-@dataclass(frozen=True)
-class Sphere:
-    center: np.ndarray
-    radius: float
-    tag: str
+# the spheres of a frame, in order: the body markers, the inferred nodes, the bowl
+SPHERE_TAGS = tuple(MARKER_NAMES[:N_BODY_MARKERS]) + (PELVIS, HEAD_CENTER, MARKER_NAMES[BOWL])
+SPHERE_RADII = tuple(BOWL_RADIUS if tag == MARKER_NAMES[BOWL] else SPHERE_RADIUS for tag in SPHERE_TAGS)
 
 
-@dataclass(frozen=True)
-class Cylinder:
-    center: np.ndarray
-    axis: np.ndarray
-    length: float
-    radius: float
+@dataclass(frozen=True, eq=False)
+class Geometry:
+    """A sequence's spheres and its bones' cylinders, every frame at once.
 
+    spheres is (frames, 18, 3), in SPHERE_TAGS order. centers and axes
+    are (frames, bones, 3) and lengths (frames, bones), in the order of
+    bones. A bone whose endpoints coincide in a frame has length 0 and a
+    non-finite axis there; the exporters leave it out of that frame.
+    """
 
-@dataclass
-class GeometryFrame:
-    frame_index: int
-    spheres: list[Sphere] = field(default_factory=list)
-    cylinders: list[Cylinder] = field(default_factory=list)
+    spheres: np.ndarray
+    centers: np.ndarray
+    axes: np.ndarray
+    lengths: np.ndarray
+    bones: tuple[tuple[str, str], ...]
 
 
 def cylinder_between(p1, p2) -> tuple[np.ndarray, np.ndarray, float | np.ndarray]:
@@ -58,19 +57,13 @@ def cylinder_between(p1, p2) -> tuple[np.ndarray, np.ndarray, float | np.ndarray
     return center, axis, length
 
 
-# the spheres of a frame, in order: the body markers, the inferred nodes, the bowl
-_SPHERE_NODES = tuple(MARKER_NAMES[:N_BODY_MARKERS]) + (PELVIS, HEAD_CENTER, MARKER_NAMES[BOWL])
-_SPHERE_RADII = tuple(BOWL_RADIUS if node == MARKER_NAMES[BOWL] else SPHERE_RADIUS for node in _SPHERE_NODES)
-
-
-def build_geometry(seq, topo: SkeletonTopology | None = None) -> list[GeometryFrame]:
-    """One GeometryFrame per time step: 18 spheres plus one cylinder per bone.
+def build_geometry(seq, topo: SkeletonTopology | None = None) -> Geometry:
+    """The 18 spheres and one cylinder per bone of every frame, formed in one pass over the sequence.
 
     Spheres cover the 15 body markers, the inferred pelvis and head
-    center, and the bowl. Every frame's nodes and every bone's cylinder
-    are formed in one pass over the whole sequence. A bone whose
-    endpoints coincide in some frame is skipped for that frame with a
-    warning; a non-finite coordinate is a DataError.
+    center, and the bowl. A bone whose endpoints coincide in some frame
+    keeps length 0 there, with one warning per frame and bone; a
+    non-finite coordinate is a DataError.
     """
     if getattr(seq, "normalized", False):
         raise StateError("render world-space sequences; invert the normalizer first")
@@ -82,17 +75,10 @@ def build_geometry(seq, topo: SkeletonTopology | None = None) -> list[GeometryFr
     # (frames, nodes, 3) in NODE_NAMES order: the markers, then the pelvis and the head center
     nodes = np.concatenate([points, points[:, WAIST].mean(axis=1, keepdims=True),
                             points[:, HEAD].mean(axis=1, keepdims=True)], axis=1)
-    spheres = nodes[:, [NODE_NAMES.index(node) for node in _SPHERE_NODES]]
     first = [NODE_NAMES.index(a) for a, _ in topo.bones]
     second = [NODE_NAMES.index(b) for _, b in topo.bones]
     centers, axes, lengths = cylinder_between(nodes[:, first], nodes[:, second])
-    frames = []
-    for t, lengths_t in enumerate(lengths.tolist()):
-        frame = GeometryFrame(t, [Sphere(*sphere) for sphere in zip(spheres[t], _SPHERE_RADII, _SPHERE_NODES)])
-        for (a, b), center, axis, length in zip(topo.bones, centers[t], axes[t], lengths_t):
-            if length == 0.0:
-                warnings.warn(f"frame {t}: bone {a}-{b} has coincident endpoints, skipped")
-                continue
-            frame.cylinders.append(Cylinder(center, axis, length, CYLINDER_RADIUS))
-        frames.append(frame)
-    return frames
+    for t, bone in np.argwhere(lengths == 0.0).tolist():
+        a, b = topo.bones[bone]
+        warnings.warn(f"frame {t}: bone {a}-{b} has coincident endpoints, skipped")
+    return Geometry(nodes[:, [NODE_NAMES.index(tag) for tag in SPHERE_TAGS]], centers, axes, lengths, topo.bones)

@@ -6,6 +6,7 @@ code paths it checks against.
 
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -205,6 +206,63 @@ def cylinder_by_norm(p1, p2):
     delta = p2 - p1
     length = float(np.linalg.norm(delta))
     return (p1 + p2) / 2.0, delta / length, length
+
+
+def render_files_by_frame(geometry):
+    """The JSONL text and each frame's SVG text of a render Geometry, written one primitive at a time.
+
+    Each sphere and each cylinder of length other than 0 becomes a dict
+    or a page element on its own, and the SVG box is Python's min and max
+    over every element's reach.
+    """
+    from mocapsynth.render.export import (BONE_STROKE, BOWL_FILL, CYLINDER_RADIUS, INFERRED_FILL, SPHERE_FILL,
+                                          SPHERE_RADII, SPHERE_TAGS, SVG_MARGIN, SVG_SCALE)
+
+    frames = []
+    for t in range(len(geometry.spheres)):
+        spheres = [(geometry.spheres[t, i], r, tag) for i, (r, tag) in enumerate(zip(SPHERE_RADII, SPHERE_TAGS))]
+        cylinders = [(geometry.centers[t, j], geometry.axes[t, j], float(geometry.lengths[t, j]))
+                     for j in range(len(geometry.bones)) if geometry.lengths[t, j] != 0.0]
+        frames.append((spheres, cylinders))
+    jsonl = "".join(json.dumps({
+        "frame": t,
+        "spheres": [{"c": c.tolist(), "r": r, "tag": tag} for c, r, tag in spheres],
+        "cylinders": [{"c": c.tolist(), "axis": a.tolist(), "len": n, "r": CYLINDER_RADIUS} for c, a, n in cylinders],
+    }) + "\n" for t, (spheres, cylinders) in enumerate(frames))
+
+    xs, zs = [], []
+    for spheres, cylinders in frames:
+        for c, r, _ in spheres:
+            xs += [c[0] - r, c[0] + r]
+            zs += [c[2] - r, c[2] + r]
+        for c, a, n in cylinders:
+            for end in (c - a * (n / 2.0), c + a * (n / 2.0)):
+                xs += [end[0] - CYLINDER_RADIUS, end[0] + CYLINDER_RADIUS]
+                zs += [end[2] - CYLINDER_RADIUS, end[2] + CYLINDER_RADIUS]
+    x_lo, x_hi, z_lo, z_hi = min(xs), max(xs), min(zs), max(zs)
+    width = (x_hi - x_lo) * SVG_SCALE + 2 * SVG_MARGIN
+    height = (z_hi - z_lo) * SVG_SCALE + 2 * SVG_MARGIN
+    meta = json.dumps({"scale_px_per_m": SVG_SCALE, "x_range": [x_lo, x_hi], "z_range": [z_lo, z_hi]})
+
+    def page(p):
+        return f"{SVG_MARGIN + (p[0] - x_lo) * SVG_SCALE:.3f}", f"{height - (SVG_MARGIN + (p[2] - z_lo) * SVG_SCALE):.3f}"
+
+    svgs = []
+    for spheres, cylinders in frames:
+        lines = ['<?xml version="1.0" encoding="UTF-8"?>',
+                 f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:.3f}" height="{height:.3f}" '
+                 f'viewBox="0 0 {width:.3f} {height:.3f}">',
+                 f"<metadata>{meta}</metadata>"]
+        for c, a, n in cylinders:
+            (x1, y1), (x2, y2) = page(c - a * (n / 2.0)), page(c + a * (n / 2.0))
+            lines.append(f'<line x1="{x1}" y1="{y1}" x2="{x2}" y2="{y2}" stroke="{BONE_STROKE}" '
+                         f'stroke-width="{2 * CYLINDER_RADIUS * SVG_SCALE:.3f}" stroke-linecap="round"/>')
+        for c, r, tag in spheres:
+            fill = INFERRED_FILL if tag in ("pelvis", "head_center") else BOWL_FILL if tag == "bowl" else SPHERE_FILL
+            cx, cy = page(c)
+            lines.append(f'<circle cx="{cx}" cy="{cy}" r="{r * SVG_SCALE:.3f}" fill="{fill}"><title>{tag}</title></circle>')
+        svgs.append("\n".join(lines + ["</svg>"]) + "\n")
+    return jsonl, svgs
 
 
 def pairwise_distances(points):

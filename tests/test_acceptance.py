@@ -480,10 +480,10 @@ def test_11_render_geometry(tmp_path):
         npt.assert_allclose(axis, v / want_len, rtol=0.0, atol=1e-12)
         worst = max(worst, float(np.abs(axis - v / want_len).max()))
 
-    frames = build_geometry(demo_sequence())
-    export_jsonl(frames, tmp_path / "demo.jsonl")
+    geometry = build_geometry(demo_sequence())
+    export_jsonl(geometry, tmp_path / "demo.jsonl")
     assert (tmp_path / "demo.jsonl").read_bytes() == open(f"{GOLDEN}/demo.jsonl", "rb").read()
-    export_svg_ortho(frames, tmp_path / "svg")
+    export_svg_ortho(geometry, tmp_path / "svg")
     for name in ("frame_000.svg", "frame_017.svg"):
         assert (tmp_path / "svg" / name).read_bytes() == open(f"{GOLDEN}/{name}", "rb").read()
     _ok(11, "render geometry", f"10000 cylinder pairs (worst axis err {worst:.1e}), goldens byte-identical")

@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -13,7 +14,10 @@ from mocapsynth.render import (
     BOWL_RADIUS,
     CYLINDER_RADIUS,
     DEFAULT_BONES,
+    SPHERE_RADII,
     SPHERE_RADIUS,
+    SPHERE_TAGS,
+    Geometry,
     SkeletonTopology,
     build_geometry,
     cylinder_between,
@@ -24,7 +28,7 @@ from mocapsynth.render import (
 )
 from mocapsynth.seeding import derive_rng
 
-from oracles import cylinder_by_norm, render_nodes_by_frame, same_bits
+from oracles import cylinder_by_norm, render_files_by_frame, render_nodes_by_frame, same_bits
 from pins import pinned_on
 from toys import demo_sequence
 
@@ -92,66 +96,77 @@ def test_topology_may_reference_inferred_nodes_and_bowl():
 # -------------------------------------------------------------- geometry
 
 
+def jsonl_docs(geometry, path):
+    return [json.loads(line) for line in export_jsonl(geometry, path).read_text().splitlines()]
+
+
 def test_constant_pose_yields_identical_frames():
-    frames = build_geometry(constant_pose_sequence())
-    assert len(frames) == 32
-    first = frames[0]
-    assert [f.frame_index for f in frames] == list(range(32))
-    for f in frames[1:]:
-        assert len(f.spheres) == len(first.spheres)
-        assert len(f.cylinders) == len(first.cylinders)
-        for a, b in zip(f.spheres, first.spheres):
-            assert np.array_equal(a.center, b.center) and a.tag == b.tag
-        for a, b in zip(f.cylinders, first.cylinders):
-            assert np.array_equal(a.center, b.center)
-            assert np.array_equal(a.axis, b.axis)
-            assert a.length == b.length
+    geometry = build_geometry(constant_pose_sequence())
+    n_bones = len(DEFAULT_BONES)
+    assert geometry.spheres.shape == (32, 18, 3)
+    assert geometry.centers.shape == geometry.axes.shape == (32, n_bones, 3)
+    assert geometry.lengths.shape == (32, n_bones)
+    assert geometry.bones == DEFAULT_BONES
+    for block in (geometry.spheres, geometry.centers, geometry.axes, geometry.lengths):
+        for frame in block[1:]:
+            assert np.array_equal(frame, block[0])
 
 
-def test_eighteen_spheres_per_frame():
-    frames = build_geometry(demo_sequence())
-    for f in frames:
-        assert len(f.spheres) == 18
-        tags = [s.tag for s in f.spheres]
-        assert tags[:15] == list(MARKER_NAMES[:15])
-        assert tags[15:] == ["pelvis", "head_center", "bowl"]
-        for s in f.spheres:
-            assert s.radius == (BOWL_RADIUS if s.tag == "bowl" else SPHERE_RADIUS)
+def test_eighteen_spheres_per_frame(tmp_path):
+    geometry = build_geometry(demo_sequence())
+    assert geometry.spheres.shape == (32, 18, 3)
+    assert SPHERE_TAGS[:15] == tuple(MARKER_NAMES[:15])
+    assert SPHERE_TAGS[15:] == ("pelvis", "head_center", "bowl")
+    assert SPHERE_RADII == tuple(BOWL_RADIUS if tag == "bowl" else SPHERE_RADIUS for tag in SPHERE_TAGS)
+    for doc in jsonl_docs(geometry, tmp_path / "g.jsonl"):
+        assert [s["tag"] for s in doc["spheres"]] == list(SPHERE_TAGS)
+        for s in doc["spheres"]:
+            assert s["r"] == (BOWL_RADIUS if s["tag"] == "bowl" else SPHERE_RADIUS)
 
 
 def test_inferred_nodes_are_centroids():
     seq = demo_sequence()
-    frames = build_geometry(seq)
+    geometry = build_geometry(seq)
     pts = seq.points()
-    for t, f in enumerate(frames):
-        pelvis = next(s for s in f.spheres if s.tag == "pelvis")
-        head = next(s for s in f.spheres if s.tag == "head_center")
-        assert np.max(np.abs(pelvis.center - pts[t, list(WAIST)].mean(axis=0))) < 1e-12
-        assert np.max(np.abs(head.center - pts[t, list(HEAD)].mean(axis=0))) < 1e-12
+    pelvis = geometry.spheres[:, SPHERE_TAGS.index("pelvis")]
+    head = geometry.spheres[:, SPHERE_TAGS.index("head_center")]
+    assert np.max(np.abs(pelvis - pts[:, list(WAIST)].mean(axis=1))) < 1e-12
+    assert np.max(np.abs(head - pts[:, list(HEAD)].mean(axis=1))) < 1e-12
 
 
-def test_cylinder_lengths_equal_marker_distances():
+def test_cylinder_lengths_equal_marker_distances(tmp_path):
     seq = demo_sequence()
     topo = default_topology()
-    frames = build_geometry(seq, topo)
-    for f in frames:
-        assert len(f.cylinders) == len(topo.bones)
-        for cyl in f.cylinders:
-            assert abs(np.linalg.norm(cyl.axis) - 1.0) < 1e-9
-            assert cyl.length >= 0.0
-            assert cyl.radius == CYLINDER_RADIUS
+    geometry = build_geometry(seq, topo)
+    assert geometry.lengths.shape == (32, len(topo.bones))
+    assert np.max(np.abs(np.linalg.norm(geometry.axes, axis=-1) - 1.0)) < 1e-9
+    assert (geometry.lengths >= 0.0).all()
+    for t, frame in enumerate(seq.points()):
+        nodes = render_nodes_by_frame(frame)
+        want = [np.linalg.norm(nodes[b] - nodes[a]) for a, b in topo.bones]
+        assert np.max(np.abs(geometry.lengths[t] - want)) < 1e-12
+    for doc in jsonl_docs(geometry, tmp_path / "g.jsonl"):
+        assert len(doc["cylinders"]) == len(topo.bones)
+        assert all(c["r"] == CYLINDER_RADIUS for c in doc["cylinders"])
 
 
-def test_degenerate_bone_warns_and_skips():
+def test_degenerate_bone_warns_and_skips(tmp_path):
     seq = constant_pose_sequence()
     data = seq.data.copy()
     # collapse hand_l onto shoulder_l in every frame
     data[:, 33:36] = data[:, 12:15]
     broken = MotionSequence(data, normalized=False, name="broken")
     with pytest.warns(UserWarning, match="hand_l-shoulder_l"):
-        frames = build_geometry(broken)
-    assert len(frames) == 32
-    assert all(len(f.cylinders) == len(DEFAULT_BONES) - 1 for f in frames)
+        geometry = build_geometry(broken)
+    bone = DEFAULT_BONES.index(("hand_l", "shoulder_l"))
+    assert geometry.lengths.shape == (32, len(DEFAULT_BONES))
+    assert np.array_equal(np.flatnonzero(geometry.lengths.min(axis=0) == 0.0), [bone])
+    assert (geometry.lengths[:, bone] == 0.0).all()
+    docs = jsonl_docs(geometry, tmp_path / "g.jsonl")
+    assert len(docs) == 32
+    assert all(len(doc["cylinders"]) == len(DEFAULT_BONES) - 1 for doc in docs)
+    svgs = export_svg_ortho(geometry, tmp_path / "svg")
+    assert all(p.read_text().count("<line") == len(DEFAULT_BONES) - 1 for p in svgs)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -159,36 +174,46 @@ def test_block_geometry_has_the_bits_of_the_per_frame_oracle(seed):
     rng = derive_rng(seed, "world")
     data = rng.uniform(-4.0, 4.0, size=(32, N_FEATURES)) * rng.choice([1.0, 1e-3, 1e3])
     topo = SkeletonTopology(DEFAULT_BONES + (("bowl", "hand_l"), ("pelvis", "head_center")))
-    frames = build_geometry(MotionSequence(data, normalized=False, name="w"), topo)
-    for t, frame in enumerate(frames):
+    geometry = build_geometry(MotionSequence(data, normalized=False, name="w"), topo)
+    assert geometry.bones == topo.bones and geometry.lengths.dtype == np.float64
+    for t in range(32):
         nodes = render_nodes_by_frame(data[t].reshape(16, 3))
-        for sphere in frame.spheres:
-            assert same_bits(sphere.center, nodes[sphere.tag]), (t, sphere.tag)
-        assert len(frame.cylinders) == len(topo.bones)
-        for (a, b), cyl in zip(topo.bones, frame.cylinders):
+        for sphere, tag in zip(geometry.spheres[t], SPHERE_TAGS, strict=True):
+            assert same_bits(sphere, nodes[tag]), (t, tag)
+        cylinders = zip(topo.bones, geometry.centers[t], geometry.axes[t], geometry.lengths[t], strict=True)
+        for (a, b), got_center, got_axis, got_length in cylinders:
             center, axis, length = cylinder_by_norm(nodes[a], nodes[b])
-            assert same_bits(cyl.center, center) and same_bits(cyl.axis, axis), (t, a, b)
-            assert type(cyl.length) is float and same_bits(cyl.length, length), (t, a, b)
+            assert same_bits(got_center, center) and same_bits(got_axis, axis), (t, a, b)
+            assert same_bits(got_length, length), (t, a, b)
 
 
-def test_a_topology_without_bones_gives_spheres_only():
-    frames = build_geometry(demo_sequence(), SkeletonTopology.from_json('{"bones": []}'))
-    assert len(frames) == 32
-    assert all(len(f.spheres) == 18 and f.cylinders == [] for f in frames)
+def test_a_topology_without_bones_gives_spheres_only(tmp_path):
+    geometry = build_geometry(demo_sequence(), SkeletonTopology.from_json('{"bones": []}'))
+    assert geometry.spheres.shape == (32, 18, 3)
+    assert geometry.centers.shape == geometry.axes.shape == (32, 0, 3) and geometry.lengths.shape == (32, 0)
+    docs = jsonl_docs(geometry, tmp_path / "g.jsonl")
+    assert len(docs) == 32
+    assert all(len(doc["spheres"]) == 18 and doc["cylinders"] == [] for doc in docs)
 
 
-def test_a_bone_collapsed_in_one_frame_is_skipped_in_that_frame_only():
+def test_a_bone_collapsed_in_one_frame_is_skipped_in_that_frame_only(tmp_path):
     data = demo_sequence().data.copy()
     data[17, 33:36] = data[17, 12:15]  # hand_l onto shoulder_l in frame 17 alone
     with pytest.warns(UserWarning) as caught:
-        frames = build_geometry(MotionSequence(data, normalized=False, name="one"))
+        geometry = build_geometry(MotionSequence(data, normalized=False, name="one"))
     assert [str(w.message) for w in caught] == ["frame 17: bone hand_l-shoulder_l has coincident endpoints, skipped"]
     whole = build_geometry(demo_sequence())
-    for t, (frame, full) in enumerate(zip(frames, whole)):
-        want = [c for (a, b), c in zip(DEFAULT_BONES, full.cylinders) if t != 17 or (a, b) != ("hand_l", "shoulder_l")]
-        assert len(frame.cylinders) == len(want)
-        for got, cyl in zip(frame.cylinders, want):
-            assert same_bits(got.center, cyl.center) and same_bits(got.axis, cyl.axis) and got.length == cyl.length
+    bone = DEFAULT_BONES.index(("hand_l", "shoulder_l"))
+    assert np.argwhere(geometry.lengths == 0.0).tolist() == [[17, bone]]
+    others = np.ones(geometry.lengths.shape, dtype=bool)
+    others[17, bone] = False
+    assert same_bits(geometry.centers[others], whole.centers[others])
+    assert same_bits(geometry.axes[others], whole.axes[others])
+    assert np.array_equal(geometry.lengths[others], whole.lengths[others])
+    docs, whole_docs = jsonl_docs(geometry, tmp_path / "one.jsonl"), jsonl_docs(whole, tmp_path / "whole.jsonl")
+    for t, (doc, full) in enumerate(zip(docs, whole_docs, strict=True)):
+        want = [c for (a, b), c in zip(DEFAULT_BONES, full["cylinders"]) if t != 17 or (a, b) != ("hand_l", "shoulder_l")]
+        assert doc["cylinders"] == want
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -215,22 +240,18 @@ def test_translation_equivariance():
     )
     base = build_geometry(seq)
     trans = build_geometry(moved)
-    for f0, f1 in zip(base, trans):
-        for a, b in zip(f0.spheres, f1.spheres):
-            assert np.max(np.abs(b.center - (a.center + shift))) < 1e-9
-        for a, b in zip(f0.cylinders, f1.cylinders):
-            assert np.max(np.abs(b.center - (a.center + shift))) < 1e-9
-            assert np.max(np.abs(b.axis - a.axis)) < 1e-9
-            assert abs(b.length - a.length) < 1e-9
+    assert np.max(np.abs(trans.spheres - (base.spheres + shift))) < 1e-9
+    assert np.max(np.abs(trans.centers - (base.centers + shift))) < 1e-9
+    assert np.max(np.abs(trans.axes - base.axes)) < 1e-9
+    assert np.max(np.abs(trans.lengths - base.lengths)) < 1e-9
 
 
 # ---------------------------------------------------------------- export
 
 
 def test_jsonl_schema_and_round_trip(tmp_path):
-    frames = build_geometry(demo_sequence())
-    path = export_jsonl(frames, tmp_path / "frames.jsonl")
-    docs = [json.loads(line) for line in path.read_text().splitlines()]
+    geometry = build_geometry(demo_sequence())
+    docs = jsonl_docs(geometry, tmp_path / "frames.jsonl")
     assert len(docs) == 32
     for t, doc in enumerate(docs):
         assert set(doc) == {"frame", "spheres", "cylinders"}
@@ -242,16 +263,15 @@ def test_jsonl_schema_and_round_trip(tmp_path):
             assert set(c) == {"c", "axis", "len", "r"}
     # coordinates survive the round trip
     for t, doc in enumerate(docs):
-        for s_doc, s in zip(doc["spheres"], frames[t].spheres):
-            assert np.max(np.abs(np.array(s_doc["c"]) - s.center)) < 1e-9
-        for c_doc, c in zip(doc["cylinders"], frames[t].cylinders):
-            assert np.max(np.abs(np.array(c_doc["c"]) - c.center)) < 1e-9
-            assert abs(c_doc["len"] - c.length) < 1e-9
+        assert np.max(np.abs(np.array([s["c"] for s in doc["spheres"]]) - geometry.spheres[t])) < 1e-9
+        assert len(doc["cylinders"]) == len(DEFAULT_BONES)
+        assert np.max(np.abs(np.array([c["c"] for c in doc["cylinders"]]) - geometry.centers[t])) < 1e-9
+        assert np.max(np.abs(np.array([c["len"] for c in doc["cylinders"]]) - geometry.lengths[t])) < 1e-9
 
 
 def test_svg_files_and_naming(tmp_path):
-    frames = build_geometry(demo_sequence())
-    paths = export_svg_ortho(frames, tmp_path / "svg")
+    geometry = build_geometry(demo_sequence())
+    paths = export_svg_ortho(geometry, tmp_path / "svg")
     names = sorted(p.name for p in paths)
     assert names[0] == "frame_000.svg" and names[-1] == "frame_031.svg"
     assert len(names) == 32
@@ -262,22 +282,49 @@ def test_svg_files_and_naming(tmp_path):
 
 
 def test_exports_are_deterministic(tmp_path):
-    frames = build_geometry(demo_sequence())
-    a = export_jsonl(frames, tmp_path / "a.jsonl").read_bytes()
-    b = export_jsonl(frames, tmp_path / "b.jsonl").read_bytes()
+    geometry = build_geometry(demo_sequence())
+    a = export_jsonl(geometry, tmp_path / "a.jsonl").read_bytes()
+    b = export_jsonl(geometry, tmp_path / "b.jsonl").read_bytes()
     assert a == b
-    s1 = export_svg_ortho(frames, tmp_path / "s1")
-    s2 = export_svg_ortho(frames, tmp_path / "s2")
+    s1 = export_svg_ortho(geometry, tmp_path / "s1")
+    s2 = export_svg_ortho(geometry, tmp_path / "s2")
     for p1, p2 in zip(s1, s2):
         assert p1.read_bytes() == p2.read_bytes()
 
 
+def world_sequence(seed, scale):
+    data = derive_rng(seed, "export").uniform(-4.0, 4.0, size=(32, N_FEATURES)) * scale
+    return MotionSequence(data, normalized=False, name="w")
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e-3, 1e3])
+@pytest.mark.parametrize("case", ["random", "collapsed", "boneless"])
+def test_exports_have_the_bytes_of_the_per_frame_writer(tmp_path, case, scale):
+    seqs = [world_sequence(seed, scale) for seed in range(4)]
+    topo = SkeletonTopology(()) if case == "boneless" else None
+    if case == "collapsed":
+        for t, seq in zip((0, 17, 31), seqs):
+            seq.data[t, 33:36] = seq.data[t, 12:15]  # hand_l onto shoulder_l in frame t alone
+    for i, seq in enumerate(seqs):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            geometry = build_geometry(seq, topo)
+        jsonl, svgs = render_files_by_frame(geometry)
+        assert export_jsonl(geometry, tmp_path / f"{i}.jsonl").read_bytes() == jsonl.encode()
+        paths = export_svg_ortho(geometry, tmp_path / f"{i}")
+        assert [p.name for p in paths] == [f"frame_{t:03d}.svg" for t in range(32)]
+        for path, svg in zip(paths, svgs, strict=True):
+            assert path.read_bytes() == svg.encode(), (i, path.name)
+
+
 def test_export_dispatch_and_errors(tmp_path):
     seq = demo_sequence()
+    geometry = build_geometry(seq)
+    empty = Geometry(geometry.spheres[:0], geometry.centers[:0], geometry.axes[:0], geometry.lengths[:0], geometry.bones)
     with pytest.raises(DataError):
-        export_jsonl([], tmp_path / "x.jsonl")
+        export_jsonl(empty, tmp_path / "x.jsonl")
     with pytest.raises(DataError):
-        export_svg_ortho([], tmp_path)
+        export_svg_ortho(empty, tmp_path)
     with pytest.raises(ContractError):
         render_sequence(seq, "obj", tmp_path)
     assert render_sequence(seq, "jsonl", tmp_path) == 1
@@ -286,9 +333,9 @@ def test_export_dispatch_and_errors(tmp_path):
 
 def test_golden_fixtures_are_reproduced(tmp_path):
     """Byte-identical regeneration of checked-in exports of the demo pose."""
-    frames = build_geometry(demo_sequence())
-    jsonl = export_jsonl(frames, tmp_path / "demo.jsonl")
+    geometry = build_geometry(demo_sequence())
+    jsonl = export_jsonl(geometry, tmp_path / "demo.jsonl")
     assert jsonl.read_bytes() == (GOLDEN / "demo.jsonl").read_bytes(), pinned_on()
-    svgs = export_svg_ortho(frames, tmp_path / "svg")
+    svgs = export_svg_ortho(geometry, tmp_path / "svg")
     assert svgs[0].read_bytes() == (GOLDEN / "frame_000.svg").read_bytes(), pinned_on()
     assert svgs[17].read_bytes() == (GOLDEN / "frame_017.svg").read_bytes(), pinned_on()
