@@ -5,6 +5,12 @@ widening convolutions with halving max-pools; the first convolution of
 every branch is dilated (one zero between taps) to widen its receptive
 field. Branch outputs are flattened, concatenated, and classified by a
 small dense head.
+
+The branches have the same shapes after their first convolution, so
+from there on they run as one grouped pass over their stacked outputs,
+with their weights stacked each step. Every grouped operation does on
+each branch the IEEE operations, in the order, of that branch's own
+pass, so the logits and gradients have the bits of three separate ones.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ import numpy as np
 from ..container import JsonRecord, read_container, write_container  # noqa: F401
 from ..dataset.preprocess import SEQUENCE_LENGTH
 from ..errors import ContractError, SettingError, ShapeError
-from ..nn import Sequential, Tensor, concat
+from ..nn import Sequential, Tensor, conv1d, flatten, stack, transpose
 from ..nn.checkpoint import load_model, save_model
 from ..nn.layers import Activation, Conv1D, Dense, Dropout, Flatten, MaxPool, Model
 from ..seeding import derive_rng
@@ -99,8 +105,17 @@ class HierarchicalClassifier(Model):
         for v, width in zip(views, BRANCH_WIDTHS):
             if v.ndim != 3 or v.shape[1] != SEQUENCE_LENGTH or v.shape[2] != width:
                 raise ShapeError(f"branch input must be (B, {SEQUENCE_LENGTH}, {width}), got {v.shape}")
-        outs = [branch.forward(v, training=training, rng=rng) for branch, v in zip(self.branches, views)]
-        h = concat(outs, axis=1)
+        first, *middle, _flatten = zip(*(branch.layers for branch in self.branches))
+        h = stack([conv.forward(v) for conv, v in zip(first, views)])  # (3, B, T, C) from here on
+        for layers in middle:
+            layer = layers[0]
+            if isinstance(layer, Conv1D):
+                weight, bias = stack([c.weight for c in layers]), stack([c.bias for c in layers])
+                h = conv1d(h, weight, bias, stride=layer.stride, spacing=layer.spacing)
+            else:
+                h = layer.forward(h, training=training, rng=rng)
+        # each branch's flattened output side by side, as concatenating them lays them out
+        h = flatten(transpose(h, (1, 0, 2, 3)))
         return self.head.forward(h, training=training, rng=rng)
 
     __call__ = forward

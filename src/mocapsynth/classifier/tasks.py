@@ -23,6 +23,7 @@ TASKS = tuple(_CLASSES)
 DEFAULT_VALIDATION = {"weight": 50, "balance": 100, "strategy": 100}
 # each branch's feature columns: x, y and z of each marker of its cluster, in cluster order
 BRANCH_COLUMNS = tuple([3 * m + axis for m in cluster for axis in range(3)] for cluster in CLUSTERS)
+_BRANCH_INDEX = tuple(np.array(cols, dtype=np.intp) for cols in BRANCH_COLUMNS)  # a list is converted at every use
 
 
 @dataclass(frozen=True)
@@ -87,4 +88,4 @@ def validation_split(n: int, n_validation: int, seed: int) -> tuple[np.ndarray, 
 
 def cluster_views(data: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Split stacked (n, 32, 48) feature matrices into the three branch views."""
-    return tuple(data[:, :, cols] for cols in BRANCH_COLUMNS)
+    return tuple(data[:, :, cols] for cols in _BRANCH_INDEX)

@@ -1,6 +1,11 @@
 """Network building blocks composed from differentiable primitives.
 
-Sequences are (batch, time, channels). A convolution is one graph node:
+Sequences are (batch, time, channels). The convolutions and the pool
+also take leading group axes, (..., batch, time, channels), with weights
+(..., K, Cin, Cout) and biases (..., Cout): each group is convolved with
+its own weights by numpy's stacked matmul, which calls the same gemm on
+each group as on a lone (batch, time, channels) array, so a group has
+the bits it would have alone. A convolution is one graph node:
 its forward pass multiplies an im2col matrix of same-padded input
 windows by the flattened kernel. Its input and weight gradients are two
 further primitives, a transposed convolution and a windows-by-gradient
@@ -46,22 +51,22 @@ def conv_padding(kernel: int, spacing: int) -> tuple[int, int]:
 
 
 def _window_cols(x: np.ndarray, kernel: int, stride: int, spacing: int) -> np.ndarray:
-    """im2col of a (B, T, Cin) array: the (B * Tout, K * Cin) window matrix.
+    """im2col of a (..., B, T, Cin) array: the (..., B * Tout, K * Cin) window matrices.
 
     Row b * Tout + t holds padded steps t * stride + k * (1 + spacing) for
     k = 0..K-1, channels innermost, so it lines up with a (K, Cin, Cout)
     weight flattened to (K * Cin, Cout). Original step p sits at padded
     step p + left.
     """
-    b, t, c = x.shape
+    *lead, b, t, c = x.shape
     left, right = conv_padding(kernel, spacing)
     t_out = conv_output_length(t, stride)
-    padded = np.zeros((b, left + t + right, c), dtype=x.dtype)
-    padded[:, left : left + t] = x
-    sb, st, sc = padded.strides
+    padded = np.zeros((*lead, b, left + t + right, c), dtype=x.dtype)
+    padded[..., left : left + t, :] = x
+    *sl, st, sc = padded.strides
     # the bare constructor: as_strided's checks and wrapping cost a few microseconds a call
-    windows = np.ndarray((b, t_out, kernel, c), padded.dtype, padded, 0, (sb, stride * st, (1 + spacing) * st, sc))
-    return windows.reshape(b * t_out, kernel * c)
+    windows = np.ndarray((*lead, b, t_out, kernel, c), padded.dtype, padded, 0, (*sl, stride * st, (1 + spacing) * st, sc))
+    return windows.reshape(*lead, b * t_out, kernel * c)
 
 
 def conv1d(
@@ -74,28 +79,29 @@ def conv1d(
 ) -> Tensor:
     """Same-padded 1-d convolution over the time axis.
 
-    x: (B, T, Cin); weight: (K, Cin, Cout); bias: (Cout,) or None.
-    Returns (B, ceil(T / stride), Cout). `cols` is x's window matrix when
-    the caller already has it. The node keeps that matrix for the weight
-    gradient only when x is data, which needs no gradient; over an
-    activation it holds x, and the weight gradient rebuilds the windows.
+    x: (..., B, T, Cin); weight: (..., K, Cin, Cout); bias: (..., Cout) or
+    None, with the same leading group axes. Returns (..., B, ceil(T /
+    stride), Cout). `cols` is x's window matrix when the caller already
+    has it. The node keeps that matrix for the weight gradient only when x
+    is data, which needs no gradient; over an activation it holds x, and
+    the weight gradient rebuilds the windows.
     """
-    if x.ndim != 3:
+    if x.ndim < 3:
         raise ShapeError(f"conv1d expects (B, T, C), got shape {x.shape}")
-    if weight.ndim != 3:
-        raise ShapeError(f"conv1d weight must be (K, Cin, Cout), got {weight.shape}")
-    k, c_in, c_out = weight.shape
-    if x.shape[2] != c_in:
-        raise ShapeError(f"conv1d channel mismatch: input {x.shape[2]}, weight {c_in}")
+    if weight.ndim != x.ndim or weight.shape[:-3] != x.shape[:-3]:
+        raise ShapeError(f"conv1d weight must be (K, Cin, Cout) for each group of {x.shape}, got {weight.shape}")
+    *lead, k, c_in, c_out = weight.shape
+    if x.shape[-1] != c_in:
+        raise ShapeError(f"conv1d channel mismatch: input {x.shape[-1]}, weight {c_in}")
     if stride < 1 or spacing < 0:
         raise ContractError(f"invalid stride={stride} spacing={spacing}")
 
-    b, t, _ = x.shape
+    b, t = x.shape[-3], x.shape[-2]
     if cols is None:
         cols = _window_cols(x.data, k, stride, spacing)
-    out = cols @ weight.data.reshape(k * c_in, c_out)
+    out = cols @ weight.data.reshape(*lead, k * c_in, c_out)
     if bias is not None:
-        out += bias.data
+        out += bias.data[..., None, :]
     held = None if x.requires_grad else cols
 
     def vjp(g: Tensor):
@@ -103,29 +109,34 @@ def conv1d(
         gx = conv1d_input_grad(g, weight, t, stride, spacing) if needs_grad(x) else None
         if bias is None:
             return gx, gw
-        return gx, gw, (tsum(g, axis=(0, 1)) if needs_grad(bias) else None)
+        return gx, gw, (tsum(g, axis=(-3, -2)) if needs_grad(bias) else None)
 
     inputs = (x, weight) if bias is None else (x, weight, bias)
-    return _make(out.reshape(b, conv_output_length(t, stride), c_out), inputs, vjp, "conv1d")
+    return _make(out.reshape(*lead, b, conv_output_length(t, stride), c_out), inputs, vjp, "conv1d")
 
 
 def conv1d_input_grad(g: Tensor, weight: Tensor, length: int, stride: int = 1, spacing: int = 0) -> Tensor:
     """Transposed convolution: the adjoint of conv1d in its input.
 
-    g: (B, Tout, Cout); weight: (K, Cin, Cout). Returns (B, length, Cin)
-    with <conv1d(x, w), g> == <x, conv1d_input_grad(g, w, T)>.
+    g: (..., B, Tout, Cout); weight: (..., K, Cin, Cout). Returns (..., B,
+    length, Cin) with <conv1d(x, w), g> == <x, conv1d_input_grad(g, w, T)>.
     """
-    b, t_out, c_out = g.shape
-    k, c_in, _ = weight.shape
-    left, right = conv_padding(k, spacing)
-    taps = g.data.reshape(b * t_out, c_out) @ weight.data.reshape(k * c_in, c_out).T
-    taps = taps.reshape(b, t_out, k, c_in)
-    padded = np.zeros((b, left + length + right, c_in), dtype=taps.dtype)
-    span = (t_out - 1) * stride + 1
-    # last tap first: every step then sums its terms in output-window order
+    *lead, b, t_out, c_out = g.shape
+    k, c_in = weight.shape[-3], weight.shape[-2]
+    left = conv_padding(k, spacing)[0]
+    taps = g.data.reshape(*lead, b * t_out, c_out) @ np.swapaxes(weight.data.reshape(*lead, k * c_in, c_out), -1, -2)
+    taps = taps.reshape(*lead, b, t_out, k, c_in)
+    data = np.zeros((*lead, b, length, c_in), dtype=taps.dtype)
+    # last tap first: every step then sums its terms in output-window order.
+    # Output t of tap j lands on step t * stride + j * (1 + spacing) - left;
+    # the terms that land in the padding are dropped.
     for j in reversed(range(k)):
-        start = j * (1 + spacing)
-        padded[:, start : start + span : stride] += taps[:, :, j]
+        shift = j * (1 + spacing) - left
+        lo = max(0, -(shift // stride))
+        hi = min(t_out, -((shift - length) // stride))
+        if lo < hi:
+            first = lo * stride + shift
+            data[..., first : first + (hi - lo - 1) * stride + 1 : stride, :] += taps[..., lo:hi, j, :]
 
     def vjp(gg: Tensor):
         # one window matrix of gg serves both halves
@@ -133,7 +144,6 @@ def conv1d_input_grad(g: Tensor, weight: Tensor, length: int, stride: int = 1, s
         gw = leaf_grad(g.size * k * c_in, lambda: conv1d_weight_grad(gg, g, k, stride, spacing, cols), weight)
         return (conv1d(gg, weight, stride=stride, spacing=spacing, cols=cols) if needs_grad(g) else None), gw
 
-    data = np.ascontiguousarray(padded[:, left : left + length])
     return _make(data, (g, weight), vjp, "conv1d_input_grad")
 
 
@@ -147,15 +157,14 @@ def conv1d_weight_grad(
 ) -> Tensor:
     """Adjoint of conv1d in its weight: windows of x times the output gradient.
 
-    x: (B, T, Cin); g: (B, Tout, Cout). Returns (K, Cin, Cout) with
-    <conv1d(x, w), g> == <w, conv1d_weight_grad(x, g, K)>. `cols` is x's
-    window matrix when the caller already has it.
+    x: (..., B, T, Cin); g: (..., B, Tout, Cout). Returns (..., K, Cin,
+    Cout) with <conv1d(x, w), g> == <w, conv1d_weight_grad(x, g, K)>.
+    `cols` is x's window matrix when the caller already has it.
     """
-    t, c_in = x.shape[1], x.shape[2]
-    c_out = g.shape[2]
+    lead, (t, c_in), c_out = x.shape[:-3], x.shape[-2:], g.shape[-1]
     if cols is None:
         cols = _window_cols(x.data, kernel, stride, spacing)
-    data = (cols.T @ g.data.reshape(-1, c_out)).reshape(kernel, c_in, c_out)
+    data = (np.swapaxes(cols, -1, -2) @ g.data.reshape(*lead, -1, c_out)).reshape(*lead, kernel, c_in, c_out)
 
     def vjp(gw: Tensor):
         gx = conv1d_input_grad(g, gw, t, stride, spacing) if needs_grad(x) else None
@@ -165,20 +174,21 @@ def conv1d_weight_grad(
 
 
 def _pool_windows(x: np.ndarray, width: int) -> np.ndarray:
-    """(B, T, C) -> (width, B, ceil(T / width), C), window step first; odd tails repeat the last step."""
-    b, t, c = x.shape
+    """(..., B, T, C) -> (width, ..., B, ceil(T / width), C), window step first; odd tails repeat the last step."""
+    *lead, b, t, c = x.shape
     if t % width:
-        x = np.concatenate([x, np.repeat(x[:, t - 1 :], -t % width, axis=1)], axis=1)
-    return x.reshape(b, -1, width, c).transpose(2, 0, 1, 3).copy()
+        x = np.concatenate([x, np.repeat(x[..., t - 1 :, :], -t % width, axis=-2)], axis=-2)
+    n = x.ndim
+    return x.reshape(*lead, b, -1, width, c).transpose(n - 1, *range(n - 1), n).copy()
 
 
 def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
-    """Non-overlapping max pooling over time; odd tails repeat the last step.
+    """Non-overlapping max pooling over time of (..., B, T, C); odd tails repeat the last step.
 
     The winning positions are frozen from the forward values into a mask,
     so the op is locally linear and safe to differentiate twice.
     """
-    if x.ndim != 3:
+    if x.ndim < 3:
         raise ShapeError(f"maxpool1d expects (B, T, C), got shape {x.shape}")
     windows = _pool_windows(x.data, width)
     return select(x, winner_mask(windows), windows)
@@ -186,26 +196,34 @@ def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
 
 def winner_mask(windows: np.ndarray) -> np.ndarray:
     """One-hot mask of each window's first maximum, or first NaN, as np.argmax picks it."""
-    best, winner = windows[0], np.zeros(windows.shape[1:], dtype=np.intp)
+    best = windows[0]
+    if len(windows) == 2:  # the loop below at width 2, in fewer passes
+        mask = np.empty(windows.shape, windows.dtype)
+        np.logical_and(best == best, ~(best >= windows[1]), out=mask[1])
+        np.subtract(1.0, mask[1], out=mask[0])
+        return mask
+    winner = np.zeros(windows.shape[1:], dtype=np.intp)
     for k in range(1, len(windows)):
         later = (best == best) & ~(best >= windows[k])
         best = np.where(later, windows[k], best)
         winner[later] = k
-    return (winner == np.arange(len(windows))[:, None, None, None]).astype(windows.dtype)
+    return (winner == np.arange(len(windows)).reshape((-1,) + (1,) * winner.ndim)).astype(windows.dtype)
 
 
 def select(x: Tensor, mask: np.ndarray, windows: np.ndarray | None = None) -> Tensor:
-    """Sum each window of x against `mask`, laid out as `_pool_windows` lays out x: (B, T, C) -> (B, Tout, C)."""
+    """Sum each window of x against `mask`, laid out as `_pool_windows` lays out x: (..., B, T, C) -> (..., B, Tout, C)."""
     terms = (_pool_windows(x.data, len(mask)) if windows is None else windows) * mask
     out = sum(terms[1:], 0.0 + terms[0])  # from +0.0, as np.sum adds: a window of -0.0 terms sums to +0.0
-    return _make(out, (x,), lambda g: (spread(g, mask, x.shape[1]),), "select")
+    return _make(out, (x,), lambda g: (spread(g, mask, x.shape[-2]),), "select")
 
 
 def spread(g: Tensor, mask: np.ndarray, length: int) -> Tensor:
     """The adjoint of `select`: mask * g laid out over the windows, tail shares on the last step."""
-    out = (g.data * mask).transpose(1, 2, 0, 3).reshape(g.shape[0], -1, g.shape[2])
-    if out.shape[1] > length:
-        out = out[:, :length] + np.pad(out[:, length:].sum(axis=1, keepdims=True), ((0, 0), (length - 1, 0), (0, 0)))
+    n = mask.ndim
+    out = (g.data * mask).transpose(*range(1, n - 1), 0, n - 1).reshape(*g.shape[:-2], -1, g.shape[-1])
+    if out.shape[-2] > length:
+        tail = out[..., length:, :].sum(axis=-2, keepdims=True)
+        out = out[..., :length, :] + np.pad(tail, ((0, 0),) * (n - 3) + ((length - 1, 0), (0, 0)))
     return _make(out, (g,), lambda gg: (select(gg, mask),), "spread")
 
 

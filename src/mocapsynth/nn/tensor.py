@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 import os
 import platform
 import threading
@@ -318,13 +319,28 @@ def _ensure(value) -> Tensor:
     return value if isinstance(value, Tensor) else Tensor(value)
 
 
+_new_tensor = object.__new__
+
+
 def _make(data: np.ndarray, inputs: Sequence[Tensor], vjp, op: str) -> Tensor:
-    out = Tensor(data)
-    if grad_enabled() and any(t.requires_grad for t in inputs):
-        out.requires_grad = True
-        out._prev = tuple(inputs)
-        out._vjp = vjp
-        out.op = op
+    if type(data) is np.ndarray and data.dtype.kind == "f":
+        out = _new_tensor(Tensor)  # a float array needs none of __init__'s conversions
+        out.data = data
+        out.grad = None
+    else:
+        out = Tensor(data)
+    if grad_enabled():
+        for t in inputs:
+            if t.requires_grad:
+                out.requires_grad = True
+                out._prev = tuple(inputs)
+                out._vjp = vjp
+                out.op = op
+                return out
+    out.requires_grad = False
+    out._prev = ()
+    out._vjp = None
+    out.op = "leaf"
     return out
 
 
@@ -349,6 +365,11 @@ def _topo_order(root: Tensor) -> list[Tensor]:
             if child.requires_grad and id(child) not in seen:
                 stack.append((child, False))
     return order
+
+
+def _finite(a: np.ndarray) -> bool:
+    """Whether every element of `a` is finite: a finite sum says so in one pass; else each element is asked."""
+    return math.isfinite(np.add.reduce(a, axis=None)) or bool(np.isfinite(a).all())
 
 
 def backward_pass(
@@ -383,7 +404,7 @@ def backward_pass(
                 if type(g) is Future:  # a leaf whose gradient is still forming on the worker
                     pending.append((node, g))
                     continue
-                if not np.isfinite(g.data).all():
+                if not _finite(g.data):
                     raise NumericalError(f"non-finite gradient at node {node.op!r}")
                 if node._vjp is None or id(node) in wanted:
                     result[node] = g
@@ -402,7 +423,7 @@ def backward_pass(
                         grads[id(inp)] = add(prev, gi)
             for node, g in pending:
                 g = g.result()
-                if not np.isfinite(g.data).all():
+                if not _finite(g.data):
                     raise NumericalError(f"non-finite gradient at node {node.op!r}")
                 result[node] = g
         except BaseException:
@@ -600,7 +621,7 @@ def tsum(a, axis=None, keepdims: bool = False) -> Tensor:
             kept.insert(ax, 1)
         return (broadcast_to(reshape(g, tuple(kept)), a.shape),)
 
-    return _make(np.sum(a.data, axis=axis, keepdims=keepdims), (a,), vjp, "sum")
+    return _make(np.add.reduce(a.data, axis=axis, keepdims=keepdims), (a,), vjp, "sum")
 
 
 def tmean(a, axis=None, keepdims: bool = False) -> Tensor:
@@ -664,6 +685,34 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
         )
 
     return _make(np.concatenate([t.data for t in tensors], axis=axis), tensors, vjp, "concat")
+
+
+def stack(tensors: Sequence[Tensor]) -> Tensor:
+    """Tensors of one shape along a new leading axis; the vjp hands each its slice."""
+    tensors = [_ensure(t) for t in tensors]
+
+    def vjp(g: Tensor):
+        return tuple(pick(g, i) if needs_grad(t) else None for i, t in enumerate(tensors))
+
+    return _make(np.stack([t.data for t in tensors]), tensors, vjp, "stack")
+
+
+def pick(a, i: int) -> Tensor:
+    """Slice i of `a` along its leading axis."""
+    a = _ensure(a)
+    n = len(a.data)
+
+    def vjp(g: Tensor):
+        return (stack([g if j == i else Tensor(np.zeros_like(g.data)) for j in range(n)]),)
+
+    return _make(a.data[i], (a,), vjp, "pick")
+
+
+def transpose(a, axes: tuple[int, ...]) -> Tensor:
+    """`a` with its axes permuted as numpy's transpose permutes them."""
+    a = _ensure(a)
+    back = tuple(np.argsort(axes).tolist())
+    return _make(a.data.transpose(axes).copy(), (a,), lambda g: (transpose(g, back),), "transpose")
 
 
 def narrow(a, axis: int, start: int, length: int) -> Tensor:

@@ -7,6 +7,7 @@ bone out of each frame where its length is 0.
 
 from __future__ import annotations
 
+import functools
 import json
 from pathlib import Path
 
@@ -37,21 +38,55 @@ _SPHERE_STYLES = tuple(f'r="{_fmt(r * SVG_SCALE)}" fill="{_FILLS.get(tag, SPHERE
                        for r, tag in zip(SPHERE_RADII, SPHERE_TAGS))
 
 
+class _Bare(str):
+    """A string that %r writes without quotes."""
+
+    __repr__ = str.__str__
+
+
+# json.dumps's spelling of each non-finite float, by its repr
+_JSON_NON_FINITE = {"inf": _Bare("Infinity"), "-inf": _Bare("-Infinity"), "nan": _Bare("NaN")}
+
+
+@functools.cache
+def _jsonl_template(n_cylinders: int) -> str:
+    """The % template of a frame's line with n cylinders: %d the frame, then %r each sphere's and cylinder's floats.
+
+    %r spells a float as float.__repr__, as json.dumps does, and the text
+    between the floats is json.dumps's.
+    """
+    def text(v) -> str:
+        return json.dumps(v).replace("%", "%%")
+
+    spheres = ", ".join(f'{{"c": [%r, %r, %r], "r": {text(r)}, "tag": {text(tag)}}}'
+                        for r, tag in zip(SPHERE_RADII, SPHERE_TAGS))
+    cylinder = f'{{"c": [%r, %r, %r], "axis": [%r, %r, %r], "len": %r, "r": {text(CYLINDER_RADIUS)}}}'
+    return f'{{"frame": %d, "spheres": [{spheres}], "cylinders": [{", ".join([cylinder] * n_cylinders)}]}}\n'
+
+
 def export_jsonl(geometry: Geometry, path) -> Path:
-    """One JSON object per frame and line; floats keep full precision."""
+    """One JSON object per frame and line, with json.dumps's bytes; floats keep full precision.
+
+    Each line fills the % template of its count of cylinders with the
+    frame's floats; a frame holding a non-finite float spells it as json does.
+    """
     if not len(geometry.spheres):
         raise DataError("nothing to export")
     path = Path(path)
-    cylinders = zip(geometry.centers.tolist(), geometry.axes.tolist(), geometry.lengths.tolist())
+    frames = len(geometry.spheres)
+    spheres = geometry.spheres.reshape(frames, -1)
+    cylinders = np.concatenate([geometry.centers, geometry.axes, geometry.lengths[..., None]], axis=-1)
+    kept = geometry.lengths != 0.0
+    finite = np.isfinite(spheres).all(axis=1) & (np.isfinite(cylinders).all(axis=2) | ~kept).all(axis=1)
+    counts = kept.sum(axis=1).tolist()
+    lines = []
+    for t, (floats, n, whole) in enumerate(zip(spheres.tolist(), counts, finite.tolist())):
+        floats += cylinders[t, kept[t]].reshape(-1).tolist()
+        if not whole:
+            floats = [_JSON_NON_FINITE.get(repr(v), v) for v in floats]
+        lines.append(_jsonl_template(n) % (t, *floats))
     with open(path, "w", newline="\n") as fh:
-        for t, (spheres, (centers, axes, lengths)) in enumerate(zip(geometry.spheres.tolist(), cylinders)):
-            doc = {
-                "frame": t,
-                "spheres": [{"c": c, "r": r, "tag": tag} for c, r, tag in zip(spheres, SPHERE_RADII, SPHERE_TAGS)],
-                "cylinders": [{"c": c, "axis": axis, "len": length, "r": CYLINDER_RADIUS}
-                              for c, axis, length in zip(centers, axes, lengths) if length != 0.0],
-            }
-            fh.write(json.dumps(doc) + "\n")
+        fh.write("".join(lines))
     return path
 
 

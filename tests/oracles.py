@@ -151,6 +151,14 @@ def parameter_count(spec) -> int:
     return total
 
 
+def classifier_by_branches(model, views, training=False, rng=None):
+    """A HierarchicalClassifier's logits with each branch run alone: its Sequential chain, then concat, then the head."""
+    from mocapsynth.nn import concat
+
+    outs = [branch.forward(v, training=training, rng=rng) for branch, v in zip(model.branches, views)]
+    return model.head.forward(concat(outs, axis=1), training=training, rng=rng)
+
+
 def rotate_xy_about(points, angle, center):
     """CCW rotation of each (x, y) about `center`; z untouched. points (N, 3)."""
     c, s = math.cos(angle), math.sin(angle)

@@ -9,7 +9,7 @@ import pytest
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import balanced_rows_by_lists, parameter_count, split_rows_by_lists
+from oracles import balanced_rows_by_lists, classifier_by_branches, parameter_count, same_bits, split_rows_by_lists
 from toys import separable_sequences
 
 from mocapsynth.classifier import (
@@ -24,8 +24,8 @@ from mocapsynth.classifier import (
     validation_split,
 )
 from mocapsynth.dataset import TrialMeta
-from mocapsynth.errors import ContractError, DataError, LabelError, SettingError, ShapeError
-from mocapsynth.nn import Tensor, softmax
+from mocapsynth.errors import ContractError, DataError, LabelError, NumericalError, SettingError, ShapeError
+from mocapsynth.nn import Tensor, cross_entropy, softmax
 
 
 def meta(**overrides) -> TrialMeta:
@@ -76,6 +76,48 @@ def test_branch_shape_chain():
         (4, 8, 8), (4, 8, 8), (4, 4, 8),
         (4, 32),
     ]
+
+
+@pytest.mark.parametrize("spec", [{}, {"branch_filters": (3, 5, 2), "kernel": 5, "first_spacing": 2}],
+                         ids=["default", "other"])
+@pytest.mark.parametrize("batch", [1, 4, 32, 33])
+@pytest.mark.parametrize("n_classes", [2, 3, 5])
+def test_the_grouped_pass_has_the_bits_of_three_branch_passes(n_classes, batch, spec):
+    # the branches run as one grouped pass; each branch's own Sequential chain is the reference
+    model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=n_classes, **spec), seed=batch)
+    rng = np.random.default_rng(100 * batch + n_classes)
+    block = rng.normal(size=(batch, 32, 48))
+    block[0, :3] = 0.0
+    block[0, 3:6] = -0.0
+    onehot = np.eye(n_classes)[rng.integers(0, n_classes, size=batch)]
+    names = list(model.state_arrays())
+
+    def run(forward, data):
+        """Training-mode logits, and each parameter's gradient of the loss (or the error backward raises)."""
+        for p in model.parameters():
+            p.grad = None
+        logits = forward(tuple(Tensor(v) for v in cluster_views(data)), True, np.random.default_rng(7))
+        try:
+            cross_entropy(logits, onehot).backward()
+        except NumericalError as exc:
+            return logits.data, str(exc)
+        return logits.data, [p.grad for p in model.parameters()]
+
+    def by_branches(views, training, rng):
+        return classifier_by_branches(model, views, training, rng)
+
+    logits, grads = run(model.forward, block)
+    want_logits, want_grads = run(by_branches, block)
+    assert same_bits(logits, want_logits)
+    for name, g, want in zip(names, grads, want_grads, strict=True):
+        assert same_bits(g, want), name
+
+    block[-1, 9] = np.nan  # a NaN frame in the last sequence
+    with np.errstate(invalid="ignore"):
+        logits, error = run(model.forward, block)
+        want_logits, want_error = run(by_branches, block)
+    assert np.isnan(logits[-1]).all() and same_bits(logits, want_logits)
+    assert error == want_error and "non-finite gradient" in error
 
 
 def test_forward_logits_shape_and_input_validation():

@@ -3,8 +3,11 @@ import math
 import warnings
 from pathlib import Path
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from mocapsynth.cli import render_sequence
 from mocapsynth.dataset.preprocess import MotionSequence
@@ -315,6 +318,23 @@ def test_exports_have_the_bytes_of_the_per_frame_writer(tmp_path, case, scale):
         assert [p.name for p in paths] == [f"frame_{t:03d}.svg" for t in range(32)]
         for path, svg in zip(paths, svgs, strict=True):
             assert path.read_bytes() == svg.encode(), (i, path.name)
+
+
+# signed zeros, subnormals, and magnitudes whose lengths and centers overflow or underflow
+EXPORT_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1e-300, -1e-300, 1e300, -1e300, 1e308, -1e308, 0.5, -1.25,
+                 1.0 / 3.0, 2.0**52 + 1, 123456.789]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(hnp.arrays(np.float64, (32, N_FEATURES), elements=st.sampled_from(EXPORT_VALUES)), st.integers(0, 31))
+def test_jsonl_has_the_bytes_of_json_dumps_on_any_floats(tmp_path_factory, data, collapsed):
+    data[collapsed, 33:36] = data[collapsed, 12:15]  # hand_l onto shoulder_l: a bone of length 0 in that frame
+    with warnings.catch_warnings(), np.errstate(over="ignore", invalid="ignore"):
+        warnings.simplefilter("ignore")
+        geometry = build_geometry(MotionSequence(data, normalized=False, name="h"))
+        jsonl, _ = render_files_by_frame(geometry)
+    path = export_jsonl(geometry, tmp_path_factory.mktemp("jsonl") / "h.jsonl")
+    assert path.read_bytes() == jsonl.encode()
 
 
 def test_export_dispatch_and_errors(tmp_path):

@@ -39,17 +39,20 @@ from mocapsynth.nn import (
     narrow,
     no_grad,
     pad_axis,
+    pick,
     power,
     relu,
     reshape,
     sigmoid,
     softmax,
+    stack,
     tanh,
     texp,
     tlog,
     tmean,
     tsqrt,
     tsum,
+    transpose,
     upsample1d,
 )
 
@@ -57,7 +60,8 @@ from mocapsynth.nn import fork, grad_enabled, ops, tensor
 from mocapsynth.nn.ops import _pool_windows, select, spread, winner_mask
 
 from gradcheck import check_gradients, numeric_gradient, relative_error
-from oracles import maxpool_by_argmax, maxpool_grad_by_argmax, naive_conv1d, naive_maxpool1d, naive_upsample1d
+from oracles import (maxpool_by_argmax, maxpool_grad_by_argmax, naive_conv1d, naive_maxpool1d, naive_upsample1d,
+                     same_bits)
 
 TOL = 1e-6
 
@@ -189,6 +193,35 @@ def test_a_backward_pass_returns_only_the_leaves_and_wrt_tensors():
         assert {id(t) for t in backward_pass(y, seed, create_graph, wrt=[h, w])} == {id(h), id(w)}
 
 
+def test_the_backward_visiting_order_is_pinned(monkeypatch):
+    # One input feeds paths that meet again, as x_hat does in the gradient
+    # penalty's graph. The order backward_pass visits the nodes in is the
+    # order a shared input's terms are summed in, and three terms summed in
+    # another order have other bits: a reordered traversal moves the bits of
+    # every trained GAN even where it keeps the classifier's.
+    x = Tensor(np.array([1.0]), requires_grad=True)
+    h = mul_const(x, 1.0)
+    a, b, c = mul_const(h, 1.0), mul_const(h, 1e-16), mul_const(h, -1.0)
+    s = add(a, b)
+    u = add(s, c)
+    y = tsum(u)
+    moved = "_topo_order visits the graph in another order, which moves the GAN's trained bytes"
+    assert [id(n) for n in tensor._topo_order(y)] == [id(n) for n in (x, h, c, b, a, s, u, y)], moved
+
+    sums = []
+    add_terms = tensor.add
+
+    def spied(p, q):
+        sums.append((p.item(), q.item()))
+        return add_terms(p, q)
+
+    monkeypatch.setattr(tensor, "add", spied)
+    y.backward()
+    # h's terms arrive from a, b and c, in reverse visiting order
+    assert sums == [(1.0, 1e-16), (1.0, -1.0)], moved
+    assert x.grad.tobytes() == np.zeros(1).tobytes(), moved  # c's term first would leave 1.1e-16
+
+
 def test_shape_errors():
     with pytest.raises(ShapeError):
         matmul(Tensor(np.ones((2, 3))), Tensor(np.ones((4, 2))))
@@ -254,6 +287,20 @@ def test_concat_narrow_pad_gradients():
         return tsum(d * d)
 
     assert check_gradients(f, [a, b]) < 1e-6
+
+
+def test_stack_pick_transpose_gradients():
+    rng = np.random.default_rng(41)
+    a = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+    b = Tensor(rng.normal(size=(2, 3)), requires_grad=True)
+
+    def f():
+        s = transpose(stack([a, b]), (2, 0, 1))  # (3, 2, 2)
+        return tsum(tanh(s) * pick(s, 1) * pick(s, 2))
+
+    assert check_gradients(f, [a, b]) < 1e-6
+    # the gradient of a gradient: pick's vjp is itself a stack
+    assert check_gradients(lambda: tsum(grad(f(), [a], create_graph=True)[0] ** 2.0), [b]) < 1e-5
 
 
 def test_softmax_cross_entropy_gradients():
@@ -390,6 +437,52 @@ def test_conv1d_adjoint_primitives_gradients():
         assert check_gradients(f, [g, w]) < 1e-5
         f = lambda: tsum(tanh(conv1d_weight_grad(x, g, 3, stride, spacing)))
         assert check_gradients(f, [x, g]) < 1e-5
+
+
+@pytest.mark.parametrize("stride, spacing, k", [(1, 0, 3), (1, 2, 5), (2, 0, 3), (3, 1, 2)])
+def test_grouped_convolutions_have_the_bits_of_each_group_alone(stride, spacing, k):
+    rng = np.random.default_rng(42)
+    groups, b, t, c_in, c_out = 3, 4, 11, 5, 6
+    x = Tensor(rng.normal(size=(groups, b, t, c_in)), requires_grad=True)
+    w = Tensor(rng.normal(size=(groups, k, c_in, c_out)), requires_grad=True)
+    bias = Tensor(rng.normal(size=(groups, c_out)), requires_grad=True)
+    g = rng.normal(size=(groups, b, -(-t // stride), c_out))
+    x.data[0, 0, :4, 0] = [0.0, -0.0, -0.0, 0.0]
+
+    def each(f):
+        return np.stack([f(i) for i in range(groups)])
+
+    out = conv1d(x, w, bias, stride=stride, spacing=spacing)
+    assert same_bits(out.data, each(lambda i: conv1d(Tensor(x.data[i]), Tensor(w.data[i]), Tensor(bias.data[i]),
+                                                     stride=stride, spacing=spacing).data))
+    with no_grad():
+        gi = conv1d_input_grad(Tensor(g), w, t, stride, spacing).data
+        gw = conv1d_weight_grad(x, Tensor(g), k, stride, spacing).data
+    assert same_bits(gi, each(lambda i: conv1d_input_grad(Tensor(g[i]), Tensor(w.data[i]), t, stride, spacing).data))
+    assert same_bits(gw, each(lambda i: conv1d_weight_grad(Tensor(x.data[i]), Tensor(g[i]), k, stride, spacing).data))
+    grads = grad(tsum(mul_const(out, g)), [x, w, bias])
+    for i in range(groups):
+        xi, wi, bi = (Tensor(v.data[i], requires_grad=True) for v in (x, w, bias))
+        want = grad(tsum(mul_const(conv1d(xi, wi, bi, stride=stride, spacing=spacing), g[i])), [xi, wi, bi])
+        for got, one in zip(grads, want, strict=True):
+            assert same_bits(got.data[i], one.data)
+
+
+@pytest.mark.parametrize("t, width", [(8, 2), (9, 2), (7, 3), (5, 1)])
+def test_a_grouped_pool_has_the_bits_of_each_group_alone(t, width):
+    rng = np.random.default_rng(43)
+    x = Tensor(rng.normal(size=(2, 3, t, 4)), requires_grad=True)
+    x.data[0, 0, :3, 0] = [np.nan, -0.0, 0.0]
+    x.data[1, 2, :2] = -0.0
+    g = rng.normal(size=(2, 3, -(-t // width), 4))
+    with np.errstate(invalid="ignore"):
+        out = maxpool1d(x, width)
+        (gx,) = grad(tsum(mul_const(out, g)), [x])
+        for i in range(2):
+            xi = Tensor(x.data[i], requires_grad=True)
+            one = maxpool1d(xi, width)
+            assert same_bits(out.data[i], one.data)
+            assert same_bits(gx.data[i], grad(tsum(mul_const(one, g[i])), [xi])[0].data)
 
 
 def test_maxpool_matches_naive_oracle():
