@@ -1,16 +1,19 @@
 """Hierarchical three-branch 1-d CNN over overlapping body clusters.
 
-Each cluster (21/15/21 features wide) runs through its own stack of
-widening convolutions with halving max-pools; the first convolution of
-every branch is dilated (one zero between taps) to widen its receptive
-field. Branch outputs are flattened, concatenated, and classified by a
-small dense head.
+Each cluster (21/15/21 features wide) runs through its own three
+widening convolutions, each followed by a relu and a max-pool that
+halves the time axis; the first convolution of every branch is dilated
+(one zero between taps) to widen its receptive field. Branch outputs
+are flattened, concatenated, and classified by a small dense head.
 
-The branches have the same shapes after their first convolution, so
-from there on they run as one grouped pass over their stacked outputs,
-with their weights stacked each step. Every grouped operation does on
-each branch the IEEE operations, in the order, of that branch's own
-pass, so the logits and gradients have the bits of three separate ones.
+The model holds each branch's three `Conv1D`s directly, saved under
+the names a chain of layers gave them: `branch<b>.layer000`, `layer003`
+and `layer006`. The branches have the same shapes after their first
+convolution, so from there on they run as one grouped pass over their
+stacked outputs, with their weights stacked each step. Every grouped
+operation does on each branch the IEEE operations, in the order, of
+that branch's own pass, so the logits and gradients have the bits of
+three separate ones.
 """
 
 from __future__ import annotations
@@ -24,9 +27,9 @@ import numpy as np
 from ..container import JsonRecord, read_container, write_container  # noqa: F401
 from ..dataset.preprocess import SEQUENCE_LENGTH
 from ..errors import ContractError, SettingError, ShapeError
-from ..nn import Sequential, Tensor, conv1d, flatten, stack, transpose
+from ..nn import Sequential, Tensor, conv1d, flatten, maxpool1d, relu, stack, transpose
 from ..nn.checkpoint import load_model, save_model
-from ..nn.layers import Activation, Conv1D, Dense, Dropout, Flatten, MaxPool, Model
+from ..nn.layers import Activation, Conv1D, Dense, Dropout, Model
 from ..seeding import derive_rng
 from .tasks import BRANCH_COLUMNS
 
@@ -65,25 +68,14 @@ class HierarchicalClassifier(Model):
     def __init__(self, spec: HierarchicalNetSpec, seed: int = 0):
         self.spec = spec
         f1, f2, f3 = spec.branch_filters
-        self.branches: list[Sequential] = []
+        self.convs: list[tuple[Conv1D, Conv1D, Conv1D]] = []  # each branch's, in order
         for b, width in enumerate(BRANCH_WIDTHS):
             rng = derive_rng(seed, "branch", b)
-            self.branches.append(
-                Sequential(
-                    [
-                        Conv1D(spec.kernel, width, f1, spacing=spec.first_spacing, rng=rng),
-                        Activation("relu"),
-                        MaxPool(2),
-                        Conv1D(spec.kernel, f1, f2, rng=rng),
-                        Activation("relu"),
-                        MaxPool(2),
-                        Conv1D(spec.kernel, f2, f3, rng=rng),
-                        Activation("relu"),
-                        MaxPool(2),
-                        Flatten(),
-                    ]
-                )
-            )
+            self.convs.append((
+                Conv1D(spec.kernel, width, f1, spacing=spec.first_spacing, rng=rng),
+                Conv1D(spec.kernel, f1, f2, rng=rng),
+                Conv1D(spec.kernel, f2, f3, rng=rng),
+            ))
         concat_width = 3 * (SEQUENCE_LENGTH // 8) * f3
         rng = derive_rng(seed, "head")
         self.head = Sequential(
@@ -105,24 +97,22 @@ class HierarchicalClassifier(Model):
         for v, width in zip(views, BRANCH_WIDTHS):
             if v.ndim != 3 or v.shape[1] != SEQUENCE_LENGTH or v.shape[2] != width:
                 raise ShapeError(f"branch input must be (B, {SEQUENCE_LENGTH}, {width}), got {v.shape}")
-        first, *middle, _flatten = zip(*(branch.layers for branch in self.branches))
-        h = stack([conv.forward(v) for conv, v in zip(first, views)])  # (3, B, T, C) from here on
-        for layers in middle:
-            layer = layers[0]
-            if isinstance(layer, Conv1D):
-                weight, bias = stack([c.weight for c in layers]), stack([c.bias for c in layers])
-                h = conv1d(h, weight, bias, stride=layer.stride, spacing=layer.spacing)
-            else:
-                h = layer.forward(h, training=training, rng=rng)
+        first, *later = zip(*self.convs)
+        h = stack([conv1d(v, c.weight, c.bias, spacing=c.spacing) for c, v in zip(first, views)])
+        h = maxpool1d(relu(h))  # (3, B, T, C) from here on
+        for convs in later:
+            h = conv1d(h, stack([c.weight for c in convs]), stack([c.bias for c in convs]))
+            h = maxpool1d(relu(h))
         # each branch's flattened output side by side, as concatenating them lays them out
         h = flatten(transpose(h, (1, 0, 2, 3)))
         return self.head.forward(h, training=training, rng=rng)
 
     __call__ = forward
 
-    def parts(self) -> dict[str, Sequential]:
-        """The branches and the head, keyed by the prefix of their saved arrays."""
-        return {**{f"branch{b}": branch for b, branch in enumerate(self.branches)}, "head": self.head}
+    def parts(self) -> dict[str, Conv1D | Sequential]:
+        """The convolutions and the head, keyed by the prefix of their saved arrays."""
+        convs = {f"branch{b}.layer{3 * i:03d}": c for b, cs in enumerate(self.convs) for i, c in enumerate(cs)}
+        return {**convs, "head": self.head}
 
     def architecture(self) -> dict:
         return {"hierarchical": self.spec.to_dict()}

@@ -57,7 +57,7 @@ from .dataset import (
     write_sequence_csv,
 )
 from .dataset.preprocess import N_FEATURES, SEQUENCE_LENGTH, NormStats, SequenceSet, check_stride, check_trim
-from .errors import ContractError, DataError, LabelError, MocapError, NoMotionError, SettingError, StateError, TooShortError
+from .errors import ContractError, DataError, LabelError, MocapError, NoMotionError, SettingError, StateError, TooShortError, TrialFormatError
 from .gan import (
     ConditionLabel,
     CriticSpec,
@@ -216,7 +216,10 @@ def _load_stats(resolved: dict) -> NormStats:
     """The stats of --stats, else the ones saved beside --model."""
     path = resolved["stats"] or Path(resolved["model"]).parent / STATS_FILE
     _, arrays = read_container(path, expect_kind=STATS_KIND)
-    return NormStats.from_arrays(arrays)
+    try:
+        return NormStats.from_arrays(arrays)
+    except ContractError as exc:
+        raise TrialFormatError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------- subcommands
@@ -469,9 +472,11 @@ def cmd_train_gan(resolved: dict) -> int:
 
 
 def _parse_label(text: str) -> ConditionLabel:
-    parts = dict(item.split("=", 1) for item in text.split(",") if "=" in item)
-    if set(parts) != {"weight", "balance"}:
+    """`weight=<w>,balance=<b>`: two key=value items, each key once, in either order."""
+    items = [item.split("=", 1) for item in text.split(",")]
+    if any(len(item) != 2 for item in items) or sorted(key for key, _ in items) != ["balance", "weight"]:
         raise UsageError("--label must look like weight=heavy,balance=balanced")
+    parts = dict(items)
     return ConditionLabel(parts["weight"], parts["balance"])
 
 

@@ -6,7 +6,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import ContractError, DegenerateFeatureError, NoMotionError, SettingError, ShapeError, StateError, TooShortError
+from ..errors import ContractError, DataError, DegenerateFeatureError, NoMotionError, SettingError, ShapeError, StateError, TooShortError, feature_name
 from ..markers import N_FEATURES
 from .trials import Trial, TrialMeta
 
@@ -86,6 +86,11 @@ class NormStats:
     def __post_init__(self):
         if np.shape(self.mean) != (N_FEATURES,) or np.shape(self.std) != (N_FEATURES,):
             raise ContractError(f"norm stats are two ({N_FEATURES},) arrays, got {np.shape(self.mean)}, {np.shape(self.std)}")
+        bad = ~(np.isfinite(self.mean) & np.isfinite(self.std) & (self.std > 0))
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise ContractError(f"norm stats of {feature_name(i)}: mean {self.mean[i]}, std {self.std[i]};"
+                                " the mean must be finite and the std finite and above 0")
 
     def to_arrays(self) -> dict[str, np.ndarray]:
         return {"norm_mean": self.mean, "norm_std": self.std}
@@ -209,7 +214,8 @@ def fit_normalizer(train) -> NormStats:
     train is a SequenceSet, a list of MotionSequence, or an ArchiveRows,
     whose frames are read from its file. The results are frames.mean(axis=0)
     and frames.std(axis=0) of the (N*32, 48) frames, bit for bit, but the
-    frames are walked twice, a chunk at a time, and never held whole.
+    frames are walked twice, a chunk at a time, and never held whole; a
+    feature without a finite mean is refused after the first walk.
     """
     if not hasattr(train, "frame_chunks"):
         train = SequenceSet.of(train)
@@ -219,6 +225,9 @@ def fit_normalizer(train) -> NormStats:
         raise StateError("normalizer must be fit on unnormalized sequences")
     n_frames = len(train) * SEQUENCE_LENGTH
     mean = _column_sum(train.frame_chunks(NORMALIZE_CHUNK_FRAMES)) / n_frames
+    bad = np.flatnonzero(~np.isfinite(mean))
+    if bad.size:
+        raise DataError(f"{feature_name(int(bad[0]))} has no finite mean over the training frames")
     squares = _column_sum(np.square(c - mean) for c in train.frame_chunks(NORMALIZE_CHUNK_FRAMES))
     std = np.sqrt(squares / n_frames)  # population std: every frame is data, not a sample
     bad = np.where(std <= 1e-12 * np.maximum(1.0, np.abs(mean)))[0]

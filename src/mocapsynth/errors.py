@@ -3,6 +3,11 @@
 from .markers import MARKER_NAMES
 
 
+def feature_name(index: int) -> str:
+    """Feature `index` as errors name it: 'feature 47 (bowl_z)'."""
+    return f"feature {index} ({MARKER_NAMES[index // 3]}_{'xyz'[index % 3]})"
+
+
 class MocapError(Exception):
     """Base class for all package errors."""
 
@@ -24,8 +29,7 @@ class DegenerateFeatureError(MocapError):
 
     def __init__(self, feature_index: int):
         self.feature_index = feature_index
-        name = f"{MARKER_NAMES[feature_index // 3]}_{'xyz'[feature_index % 3]}"
-        super().__init__(f"feature {feature_index} ({name}) has zero variance")
+        super().__init__(f"{feature_name(feature_index)} has zero variance")
 
 
 class StateError(MocapError):

@@ -15,7 +15,7 @@ import numpy as np
 
 from ..container import JsonRecord, field_types
 from ..errors import ContractError, DegenerateBatchError, SettingError, ShapeError
-from .ops import conv1d, dense, dropout, flatten, maxpool1d, upsample1d
+from .ops import conv1d, dense, dropout, flatten
 from .tensor import (
     Tensor,
     add,
@@ -25,9 +25,9 @@ from .tensor import (
     mul,
     neg,
     relu,
+    repeat_time,
     reshape,
     sigmoid,
-    tanh,
     tmean,
     tsqrt,
 )
@@ -35,7 +35,6 @@ from .tensor import (
 ACTIVATIONS = {
     "relu": relu,
     "leaky_relu": lambda x: leaky_relu(x, 0.2),
-    "tanh": tanh,
     "sigmoid": sigmoid,
 }
 
@@ -121,10 +120,9 @@ class Conv1D(Layer):
 
 @dataclass(eq=False)
 class BatchNorm(Layer):
-    """Per-feature normalisation with running statistics for evaluation.
+    """Per-channel normalisation of (B, T, C) sequences, with running statistics for evaluation.
 
-    Works on (B, F) feature vectors and (B, T, C) sequences; for sequences
-    the statistics pool over batch and time.
+    The statistics pool over batch and time.
     """
 
     name = "batchnorm"
@@ -141,17 +139,9 @@ class BatchNorm(Layer):
         self.running_var = np.ones(self.features, dtype=np.float64)
 
     def forward(self, x, training=False, rng=None):
-        if x.ndim == 2:
-            axes: tuple[int, ...] = (0,)
-            pshape = (1, self.features)
-        elif x.ndim == 3:
-            axes = (0, 1)
-            pshape = (1, 1, self.features)
-        else:
-            raise ShapeError(f"batchnorm expects 2- or 3-d input, got shape {x.shape}")
-        if x.shape[-1] != self.features:
-            raise ShapeError(f"batchnorm feature mismatch: {x.shape[-1]} != {self.features}")
-
+        if x.ndim != 3 or x.shape[-1] != self.features:
+            raise ShapeError(f"batchnorm expects (B, T, {self.features}), got shape {x.shape}")
+        axes, pshape = (0, 1), (1, 1, self.features)
         if training:
             if x.shape[0] < 2:
                 raise DegenerateBatchError("batch statistics need at least 2 samples")
@@ -194,21 +184,12 @@ class Activation(Layer):
 
 
 @dataclass(eq=False)
-class MaxPool(Layer):
-    name = "maxpool"
-    width: int = 2
-
-    def forward(self, x, training=False, rng=None):
-        return maxpool1d(x, self.width)
-
-
-@dataclass(eq=False)
 class Upsample(Layer):
     name = "upsample"
     factor: int = 2
 
     def forward(self, x, training=False, rng=None):
-        return upsample1d(x, self.factor)
+        return repeat_time(x, self.factor)
 
 
 class Flatten(Layer):
@@ -250,7 +231,7 @@ class Dropout(Layer):
 
 _LAYER_TYPES = {
     cls.name: cls
-    for cls in (Dense, Conv1D, BatchNorm, Activation, MaxPool, Upsample, Flatten, Reshape, Dropout)
+    for cls in (Dense, Conv1D, BatchNorm, Activation, Upsample, Flatten, Reshape, Dropout)
 }
 
 

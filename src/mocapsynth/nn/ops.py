@@ -11,7 +11,8 @@ windows by the flattened kernel. Its input and weight gradients are two
 further primitives, a transposed convolution and a windows-by-gradient
 product. The three are adjoints, so each one's vjp is written with the
 other two and a gradient penalty's double backward stays exact. Max
-pooling (`select`, `spread`) and `dense` are single nodes the same way.
+pooling, over pairs of steps (`select`, `spread`), and `dense` are
+single nodes the same way.
 """
 
 from __future__ import annotations
@@ -27,9 +28,8 @@ from .tensor import (
     matmul,
     mul_const,
     needs_grad,
-    repeat_time,
     reshape,
-    transpose2d,
+    transpose,
     tsum,
 )
 
@@ -173,65 +173,46 @@ def conv1d_weight_grad(
     return _make(data, (x, g), vjp, "conv1d_weight_grad")
 
 
-def _pool_windows(x: np.ndarray, width: int) -> np.ndarray:
-    """(..., B, T, C) -> (width, ..., B, ceil(T / width), C), window step first; odd tails repeat the last step."""
+def _pool_windows(x: np.ndarray) -> np.ndarray:
+    """(..., B, T, C) -> (2, ..., B, T / 2, C): each pair of steps, its earlier step first."""
     *lead, b, t, c = x.shape
-    if t % width:
-        x = np.concatenate([x, np.repeat(x[..., t - 1 :, :], -t % width, axis=-2)], axis=-2)
     n = x.ndim
-    return x.reshape(*lead, b, -1, width, c).transpose(n - 1, *range(n - 1), n).copy()
+    return x.reshape(*lead, b, t // 2, 2, c).transpose(n - 1, *range(n - 1), n).copy()
 
 
-def maxpool1d(x: Tensor, width: int = 2) -> Tensor:
-    """Non-overlapping max pooling over time of (..., B, T, C); odd tails repeat the last step.
+def maxpool1d(x: Tensor) -> Tensor:
+    """Max pooling over time of (..., B, T, C) in pairs of steps: (..., B, T / 2, C), T even.
 
     The winning positions are frozen from the forward values into a mask,
     so the op is locally linear and safe to differentiate twice.
     """
-    if x.ndim < 3:
-        raise ShapeError(f"maxpool1d expects (B, T, C), got shape {x.shape}")
-    windows = _pool_windows(x.data, width)
+    if x.ndim < 3 or x.shape[-2] % 2:
+        raise ShapeError(f"maxpool1d expects (B, T, C) with T even, got shape {x.shape}")
+    windows = _pool_windows(x.data)
     return select(x, winner_mask(windows), windows)
 
 
 def winner_mask(windows: np.ndarray) -> np.ndarray:
-    """One-hot mask of each window's first maximum, or first NaN, as np.argmax picks it."""
+    """One-hot mask of each pair's first maximum, or first NaN, as np.argmax picks it."""
     best = windows[0]
-    if len(windows) == 2:  # the loop below at width 2, in fewer passes
-        mask = np.empty(windows.shape, windows.dtype)
-        np.logical_and(best == best, ~(best >= windows[1]), out=mask[1])
-        np.subtract(1.0, mask[1], out=mask[0])
-        return mask
-    winner = np.zeros(windows.shape[1:], dtype=np.intp)
-    for k in range(1, len(windows)):
-        later = (best == best) & ~(best >= windows[k])
-        best = np.where(later, windows[k], best)
-        winner[later] = k
-    return (winner == np.arange(len(windows)).reshape((-1,) + (1,) * winner.ndim)).astype(windows.dtype)
+    mask = np.empty(windows.shape, windows.dtype)
+    np.logical_and(best == best, ~(best >= windows[1]), out=mask[1])
+    np.subtract(1.0, mask[1], out=mask[0])
+    return mask
 
 
 def select(x: Tensor, mask: np.ndarray, windows: np.ndarray | None = None) -> Tensor:
-    """Sum each window of x against `mask`, laid out as `_pool_windows` lays out x: (..., B, T, C) -> (..., B, Tout, C)."""
-    terms = (_pool_windows(x.data, len(mask)) if windows is None else windows) * mask
-    out = sum(terms[1:], 0.0 + terms[0])  # from +0.0, as np.sum adds: a window of -0.0 terms sums to +0.0
-    return _make(out, (x,), lambda g: (spread(g, mask, x.shape[-2]),), "select")
+    """Sum each pair of steps of x against `mask`, laid out as `_pool_windows` lays out x: (..., B, T, C) -> (..., B, T / 2, C)."""
+    terms = (_pool_windows(x.data) if windows is None else windows) * mask
+    out = 0.0 + terms[0] + terms[1]  # from +0.0, as np.sum adds: a pair of -0.0 terms sums to +0.0
+    return _make(out, (x,), lambda g: (spread(g, mask),), "select")
 
 
-def spread(g: Tensor, mask: np.ndarray, length: int) -> Tensor:
-    """The adjoint of `select`: mask * g laid out over the windows, tail shares on the last step."""
+def spread(g: Tensor, mask: np.ndarray) -> Tensor:
+    """The adjoint of `select`: mask * g laid out over the pairs of steps."""
     n = mask.ndim
     out = (g.data * mask).transpose(*range(1, n - 1), 0, n - 1).reshape(*g.shape[:-2], -1, g.shape[-1])
-    if out.shape[-2] > length:
-        tail = out[..., length:, :].sum(axis=-2, keepdims=True)
-        out = out[..., :length, :] + np.pad(tail, ((0, 0),) * (n - 3) + ((length - 1, 0), (0, 0)))
     return _make(out, (g,), lambda gg: (select(gg, mask),), "spread")
-
-
-def upsample1d(x: Tensor, factor: int = 2) -> Tensor:
-    """Nearest-neighbour upsampling over time."""
-    if factor < 1:
-        raise ContractError(f"upsample factor must be >= 1, got {factor}")
-    return repeat_time(x, factor)
 
 
 def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
@@ -240,8 +221,8 @@ def dense(x: Tensor, weight: Tensor, bias: Tensor) -> Tensor:
         raise ShapeError(f"dense expects (B, F), got shape {x.shape}")
 
     def vjp(g: Tensor):
-        gx = matmul(g, transpose2d(weight)) if needs_grad(x) else None
-        gw = matmul(transpose2d(x), g) if needs_grad(weight) else None
+        gx = matmul(g, transpose(weight, (1, 0))) if needs_grad(x) else None
+        gw = matmul(transpose(x, (1, 0)), g) if needs_grad(weight) else None
         return gx, gw, (reshape(_unbroadcast(g, (1, bias.shape[0])), bias.shape) if needs_grad(bias) else None)
 
     return _make(x.data @ weight.data + bias.data, (x, weight, bias), vjp, "dense")
@@ -254,11 +235,7 @@ def flatten(x: Tensor) -> Tensor:
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator) -> Tensor:
-    """Inverted dropout; scaling keeps the expectation unchanged."""
-    if not 0.0 <= rate < 1.0:
-        raise ContractError(f"dropout rate must be in [0, 1), got {rate}")
-    if rate == 0.0:
-        return x
+    """Inverted dropout at a rate in (0, 1), which the Dropout layer checks; scaling keeps the expectation unchanged."""
     keep = 1.0 - rate
     mask = (rng.random(x.shape) < keep).astype(x.data.dtype) / keep
     return mul_const(x, mask)

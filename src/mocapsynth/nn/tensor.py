@@ -288,9 +288,6 @@ class Tensor:
     def __rtruediv__(self, other):
         return div(_ensure(other), self)
 
-    def __pow__(self, exponent):
-        return power(self, exponent)
-
     def __matmul__(self, other):
         return matmul(self, other)
 
@@ -511,16 +508,6 @@ def div(a, b) -> Tensor:
     return _make(a.data / b.data, (a, b), vjp, "div")
 
 
-def power(a, exponent: float) -> Tensor:
-    a = _ensure(a)
-    exponent = float(exponent)
-
-    def vjp(g: Tensor):
-        return (mul(g, mul_const(power(a, exponent - 1.0), exponent)),)
-
-    return _make(a.data**exponent, (a,), vjp, "pow")
-
-
 def mul_const(a: Tensor, c: float | np.ndarray) -> Tensor:
     a = _ensure(a)
     return _make(a.data * c, (a,), lambda g: (mul_const(g, c),), "mul_const")
@@ -554,12 +541,6 @@ def tsqrt(a) -> Tensor:
     a = _ensure(a)
     out = _make(np.sqrt(a.data), (a,), None, "sqrt")
     return _vjp_of_output(out, lambda g, y: (div(mul_const(g, 0.5), y),))
-
-
-def tanh(a) -> Tensor:
-    a = _ensure(a)
-    out = _make(np.tanh(a.data), (a,), None, "tanh")
-    return _vjp_of_output(out, lambda g, y: (mul(g, add(1.0, neg(mul(y, y)))),))
 
 
 def sigmoid(a) -> Tensor:
@@ -652,13 +633,6 @@ def broadcast_to(a, shape: tuple[int, ...]) -> Tensor:
     return _make(np.broadcast_to(a.data, shape).copy(), (a,), vjp, "broadcast")
 
 
-def transpose2d(a) -> Tensor:
-    a = _ensure(a)
-    if a.ndim != 2:
-        raise ShapeError(f"transpose2d expects a matrix, got shape {a.shape}")
-    return _make(a.data.T.copy(), (a,), lambda g: (transpose2d(g),), "transpose")
-
-
 def matmul(a, b) -> Tensor:
     a, b = _ensure(a), _ensure(b)
     if a.ndim != 2 or b.ndim != 2:
@@ -667,8 +641,8 @@ def matmul(a, b) -> Tensor:
         raise ShapeError(f"matmul inner dims differ: {a.shape} @ {b.shape}")
 
     def vjp(g: Tensor):
-        ga = matmul(g, transpose2d(b)) if needs_grad(a) else None
-        gb = matmul(transpose2d(a), g) if needs_grad(b) else None
+        ga = matmul(g, transpose(b, (1, 0))) if needs_grad(a) else None
+        gb = matmul(transpose(a, (1, 0)), g) if needs_grad(b) else None
         return ga, gb
 
     return _make(a.data @ b.data, (a, b), vjp, "matmul")
@@ -711,7 +685,7 @@ def pick(a, i: int) -> Tensor:
 def transpose(a, axes: tuple[int, ...]) -> Tensor:
     """`a` with its axes permuted as numpy's transpose permutes them."""
     a = _ensure(a)
-    back = tuple(np.argsort(axes).tolist())
+    back = tuple(sorted(range(len(axes)), key=axes.__getitem__))
     return _make(a.data.transpose(axes).copy(), (a,), lambda g: (transpose(g, back),), "transpose")
 
 
@@ -755,17 +729,10 @@ def repeat_time(a, factor: int) -> Tensor:
 # -- composite activations ----------------------------------------------------
 
 
-def softmax(a, axis: int = -1) -> Tensor:
-    a = _ensure(a)
-    # constant shift for stability; softmax is invariant to it so the
-    # gradient ignoring the shift's input-dependence is exact
-    shift = np.max(a.data, axis=axis, keepdims=True)
-    e = texp(add(a, Tensor(-shift)))
-    return div(e, tsum(e, axis=axis, keepdims=True))
-
-
 def log_softmax(a, axis: int = -1) -> Tensor:
     a = _ensure(a)
+    # constant shift for stability; log_softmax is invariant to it so the
+    # gradient ignoring the shift's input-dependence is exact
     shift = np.max(a.data, axis=axis, keepdims=True)
     s = add(a, Tensor(-shift))
     return add(s, neg(tlog(tsum(texp(s), axis=axis, keepdims=True))))

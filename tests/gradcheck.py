@@ -9,6 +9,11 @@ import numpy as np
 from mocapsynth.nn import Tensor
 
 
+def square(t: Tensor) -> Tensor:
+    """t * t, a smooth outer function for gradient checks."""
+    return t * t
+
+
 def numeric_gradient(
     f: Callable[[], Tensor],
     x: Tensor,

@@ -36,44 +36,32 @@ def naive_conv1d(x, w, b, stride=1, spacing=0):
     return out
 
 
-def naive_maxpool1d(x, width=2):
-    """Max over non-overlapping windows; a short tail repeats the last step."""
+def naive_maxpool1d(x):
+    """Max over non-overlapping pairs of steps."""
     B, T, C = x.shape
-    Tout = math.ceil(T / width)
-    out = np.empty((B, Tout, C), dtype=x.dtype)
-    for t in range(Tout):
-        hi = min((t + 1) * width, T)
-        out[:, t, :] = np.max(x[:, t * width : hi, :], axis=1)
+    out = np.empty((B, T // 2, C), dtype=x.dtype)
+    for t in range(T // 2):
+        out[:, t, :] = np.max(x[:, 2 * t : 2 * t + 2, :], axis=1)
     return out
 
 
-def maxpool_by_argmax(x, width):
+def maxpool_by_argmax(x):
     """The pool as whole-array numpy steps: np.argmax winners, a put_along_axis mask, np.sum.
 
-    Returns (mask, out); mask is (B, Tout, width, C), one-hot at each
-    window's np.argmax, and a short tail repeats the last step.
+    Returns (mask, out); mask is (B, T / 2, 2, C), one-hot at each pair's np.argmax.
     """
     b, t, c = x.shape
-    t_out = -(-t // width)
-    tail = t_out * width - t
-    if tail:
-        x = np.concatenate([x, np.repeat(x[:, t - 1 : t], tail, axis=1)], axis=1)
-    windows = x.reshape(b, t_out, width, c)
+    windows = x.reshape(b, t // 2, 2, c)
     winners = np.argmax(windows, axis=2)
     mask = np.zeros(windows.shape)
     np.put_along_axis(mask, winners[:, :, None, :], 1.0, axis=2)
     return mask, np.sum(windows * mask, axis=2)
 
 
-def maxpool_grad_by_argmax(g, mask, length):
-    """The pool's input gradient formed step by step: mask * g laid out, the tail summed onto the last step."""
+def maxpool_grad_by_argmax(g, mask):
+    """The pool's input gradient formed step by step: mask * g laid out over the pairs."""
     b, t_out, width, c = mask.shape
-    laid = (np.broadcast_to(g[:, :, None, :], mask.shape).copy() * mask).reshape(b, t_out * width, c)
-    grad = laid[:, :length].copy()
-    if t_out * width > length:
-        last = np.sum(laid[:, length:].reshape(b, 1, -1, c), axis=2)
-        grad = grad + np.pad(last, ((0, 0), (length - 1, 0), (0, 0)))
-    return grad
+    return (np.broadcast_to(g[:, :, None, :], mask.shape).copy() * mask).reshape(b, t_out * width, c)
 
 
 def naive_upsample1d(x, factor=2):
@@ -152,10 +140,14 @@ def parameter_count(spec) -> int:
 
 
 def classifier_by_branches(model, views, training=False, rng=None):
-    """A HierarchicalClassifier's logits with each branch run alone: its Sequential chain, then concat, then the head."""
-    from mocapsynth.nn import concat
+    """A HierarchicalClassifier's logits with each branch run alone: conv, relu and pool three times, then flatten, concat and the head."""
+    from mocapsynth.nn import concat, conv1d, flatten, maxpool1d, relu
 
-    outs = [branch.forward(v, training=training, rng=rng) for branch, v in zip(model.branches, views)]
+    outs = []
+    for convs, h in zip(model.convs, views):
+        for c in convs:
+            h = maxpool1d(relu(conv1d(h, c.weight, c.bias, stride=c.stride, spacing=c.spacing)))
+        outs.append(flatten(h))
     return model.head.forward(concat(outs, axis=1), training=training, rng=rng)
 
 

@@ -25,7 +25,7 @@ from mocapsynth.classifier import (
 )
 from mocapsynth.dataset import TrialMeta
 from mocapsynth.errors import ContractError, DataError, LabelError, NumericalError, SettingError, ShapeError
-from mocapsynth.nn import Tensor, cross_entropy, softmax
+from mocapsynth.nn import Tensor, conv1d, cross_entropy, flatten, maxpool1d, relu
 
 
 def meta(**overrides) -> TrialMeta:
@@ -61,15 +61,27 @@ def test_parameter_count_closed_form_one_filter():
     assert HierarchicalClassifier(spec).num_parameters() == want
 
 
+def test_saved_arrays_keep_the_names_and_order_of_the_per_branch_layer_chains():
+    # the parameter order is Adam's flat vector; the names are every checkpoint's
+    model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=3))
+    convs = [f"branch{b}.layer{i:03d}.{p}" for b in range(3) for i in (0, 3, 6) for p in ("weight", "bias")]
+    head = [f"head.layer{i:03d}.{p}" for i in (0, 3) for p in ("weight", "bias")]
+    assert list(model.state_arrays()) == convs + head
+    saved = list(model.state_arrays().values())
+    assert len(saved) == len(model.parameters()) and all(p.data is a for p, a in zip(model.parameters(), saved))
+
+
 def test_branch_shape_chain():
     spec = HierarchicalNetSpec(n_classes=3)
     model = HierarchicalClassifier(spec, seed=1)
     rng = np.random.default_rng(0)
     x = Tensor(rng.normal(size=(4, 32, 21)))
     shapes = []
-    for layer in model.branches[0].layers:
-        x = layer.forward(x)
-        shapes.append(x.shape)
+    for c in model.convs[0]:
+        for step in (lambda h: conv1d(h, c.weight, c.bias, spacing=c.spacing), relu, maxpool1d):
+            x = step(x)
+            shapes.append(x.shape)
+    shapes.append(flatten(x).shape)
     assert shapes == [
         (4, 32, 4), (4, 32, 4), (4, 16, 4),
         (4, 16, 8), (4, 16, 8), (4, 8, 8),
@@ -83,7 +95,7 @@ def test_branch_shape_chain():
 @pytest.mark.parametrize("batch", [1, 4, 32, 33])
 @pytest.mark.parametrize("n_classes", [2, 3, 5])
 def test_the_grouped_pass_has_the_bits_of_three_branch_passes(n_classes, batch, spec):
-    # the branches run as one grouped pass; each branch's own Sequential chain is the reference
+    # the branches run as one grouped pass; each branch run alone from its convolutions is the reference
     model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=n_classes, **spec), seed=batch)
     rng = np.random.default_rng(100 * batch + n_classes)
     block = rng.normal(size=(batch, 32, 48))
@@ -134,8 +146,10 @@ def test_forward_logits_shape_and_input_validation():
 def test_zero_input_gives_exactly_uniform_softmax():
     model = HierarchicalClassifier(HierarchicalNetSpec(n_classes=4), seed=3)
     views = (Tensor(np.zeros((2, 32, 21))), Tensor(np.zeros((2, 32, 15))), Tensor(np.zeros((2, 32, 21))))
-    probs = softmax(model.forward(views)).data
-    npt.assert_array_equal(probs, np.full((2, 4), 0.25))
+    logits = model.forward(views).data
+    # equal logits in a row: each shifted exponential is exactly 1.0
+    e = np.exp(logits - logits.max(axis=1, keepdims=True))
+    npt.assert_array_equal(e / e.sum(axis=1, keepdims=True), np.full((2, 4), 0.25))
 
 
 def test_logit_shift_invariance_of_prediction():

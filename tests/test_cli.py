@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from mocapsynth.augment import AugmentSpec, augment_dataset
-from mocapsynth.classifier import TASKS, HierarchicalClassifier, HierarchicalNetSpec
+from mocapsynth.classifier import TASKS, HierarchicalClassifier, HierarchicalNetSpec, TaskSpec, balance_classes, validation_split
 from mocapsynth import cli
 from mocapsynth.cli import AUGMENT_CHUNK_ROWS, COMMANDS, UsageError, _resolve, build_parser, main
 from mocapsynth.container import read_container, write_container
@@ -852,10 +852,57 @@ def test_conditional_generate_label_flow(cond_gan_dir, gan_dir, tmp_path, capsys
                "--label", "weight=heavy,balance=balanced"])
     assert rc == 1
 
-    rc = main(["generate", "--model", model, "--out", str(tmp_path / "c"),
-               "--count", "1", "--label", "heaviest"])
-    assert rc == 2
     capsys.readouterr()
+    # every item is key=value, with weight and balance once each
+    for label in ("heaviest", "weight=heavy,weight=heaviest,balance=balanced", "weight=heavy,balance=balanced,balance=x",
+                  "weight=heavy,balanced", "weight=heavy,balance=balanced,", "weight=heavy", "weight=heavy,=balanced"):
+        rc = main(["generate", "--model", model, "--out", str(tmp_path / "c"), "--count", "1", "--label", label])
+        assert rc == 2, label
+        assert "--label" in one_error_line(capsys)
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.mark.parametrize("command", ["generate", "eval-classifier"])
+@pytest.mark.parametrize("array, value", [("norm_std", math.nan), ("norm_std", 0.0), ("norm_std", -1.0),
+                                          ("norm_mean", math.inf)])
+def test_norm_stats_need_a_finite_mean_and_a_finite_positive_std(archive, gan_dir, tmp_path, capsys, command, array,
+                                                                  value):
+    _, arrays = read_container(gan_dir / "norm-stats.bin")
+    arrays[array][7] = value
+    stats = tmp_path / "norm-stats.bin"
+    write_container(stats, cli.STATS_KIND, {}, arrays)
+    argv = [command, "--stats", str(stats), "--out", str(tmp_path / "o")]
+    if command == "generate":
+        argv += ["--model", str(gan_dir / "generator.model"), "--count", "1"]
+    else:
+        model = tmp_path / "classifier.model"
+        HierarchicalClassifier(HierarchicalNetSpec(n_classes=2)).save(model, {"task": "weight"})
+        argv += ["--model", str(model), "--input", str(archive)]
+    assert main(argv) == 1
+    line = one_error_line(capsys)
+    assert str(stats) in line and "feature 7 (head_bl_y)" in line
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("command", ["train-gan", "train-classifier"])
+def test_training_on_an_archive_with_one_inf_names_its_feature(archive, tmp_path, capsys, command):
+    sequences, _, _ = load_sequences(archive)
+    row = 5
+    if command == "train-classifier":  # a row the normalizer is fitted to: one of the weight task's training rows
+        pool = balance_classes(TaskSpec("weight").labels(sequences.labels), 3)
+        row = pool[validation_split(len(pool), 2, 3)[0][0]]
+    sequences.data[row, 9, 22] = math.inf
+    bad = tmp_path / "inf.bin"
+    save_sequences(bad, sequences)
+    argv = [command, "--input", str(bad), "--out", str(tmp_path / "o"), "--epochs", "1", "--seed", "3"]
+    if command == "train-gan":
+        argv += ["--batch", "4", "--critic-steps", "2"]
+    else:
+        argv += ["--task", "weight", "--val-size", "2", "--augment-factor", "1"]
+    assert main(argv) == 1
+    assert "feature 22 (waist_fl_y)" in one_error_line(capsys)
+    assert not (tmp_path / "o").exists()
 
 
 def test_conditional_training_names_an_unlabelled_row(augmented, tmp_path, capsys):

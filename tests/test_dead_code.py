@@ -17,7 +17,6 @@ ALLOWED = {
     "pairwise_distance_stats": "the planned `evaluate` subcommand reports sample diversity with it",
     "assign_modes": "the planned `evaluate` subcommand reports mode coverage with it",
     "js_divergence": "the planned `evaluate` subcommand compares label histograms with it",
-    "softmax": "an autodiff primitive with its own gradient tests",
 }
 
 FUNCTIONS = (ast.FunctionDef, ast.AsyncFunctionDef)
@@ -92,3 +91,27 @@ def test_every_allowed_name_is_still_defined():
     for path in (ROOT / "src").rglob("*.py"):
         defined.update(n.name for n in ast.walk(ast.parse(path.read_text())) if isinstance(n, FUNCTIONS))
     assert set(ALLOWED) <= defined
+
+
+def test_every_layer_and_activation_kind_is_built_by_a_network():
+    # the check above counts a registry entry as a use, so an entry no network
+    # builds goes unseen there: build every network the CLI can make instead
+    from mocapsynth.classifier.network import HierarchicalClassifier, HierarchicalNetSpec
+    from mocapsynth.gan import N_CONDITIONS, CriticSpec, GanTrainSpec, GeneratorSpec, build_critic, build_generator
+    from mocapsynth.gan.training import KINDS
+    from mocapsynth.nn.layers import _LAYER_TYPES, ACTIVATIONS, Activation, Model
+
+    models = [HierarchicalClassifier(HierarchicalNetSpec(n_classes=2))]
+    for kind in KINDS:
+        spec = GanTrainSpec(kind=kind)
+        cond = N_CONDITIONS if spec.conditional else 0
+        models += [build_generator(GeneratorSpec(cond_dim=cond, batchnorm=bn)) for bn in (False, True)]
+        models.append(build_critic(CriticSpec(cond_channels=cond, head="linear" if spec.wasserstein else "sigmoid")))
+
+    def layers(model):
+        for part in model.parts().values():
+            yield from layers(part) if isinstance(part, Model) else [part]
+
+    built = [layer for model in models for layer in layers(model)]
+    assert {layer.name for layer in built} == set(_LAYER_TYPES)
+    assert {layer.kind for layer in built if isinstance(layer, Activation)} == set(ACTIVATIONS)

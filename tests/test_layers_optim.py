@@ -5,7 +5,7 @@ import numpy.testing as npt
 import pytest
 
 from mocapsynth.container import write_container
-from mocapsynth.errors import ContractError, DegenerateBatchError
+from mocapsynth.errors import ContractError, DegenerateBatchError, ShapeError
 from mocapsynth.nn import (
     Activation,
     Adam,
@@ -14,7 +14,6 @@ from mocapsynth.nn import (
     Dense,
     Dropout,
     Flatten,
-    MaxPool,
     Reshape,
     Sequential,
     Tensor,
@@ -26,7 +25,7 @@ from mocapsynth.nn import (
 )
 from mocapsynth.seeding import derive_rng
 
-from gradcheck import check_gradients
+from gradcheck import check_gradients, square
 from oracles import adam_per_parameter, adam_single_step, naive_js, naive_kl
 
 
@@ -36,9 +35,8 @@ def small_net(seed=0):
         [
             Conv1D(3, 2, 4, stride=1, spacing=1, rng=rng),
             Activation("relu"),
-            MaxPool(2),
             Flatten(),
-            Dense(16, 3, rng=rng),
+            Dense(32, 3, rng=rng),
         ]
     )
 
@@ -48,45 +46,51 @@ def test_sequential_forward_shape_and_param_count():
     x = Tensor(np.random.default_rng(0).normal(size=(5, 8, 2)))
     out = net(x)
     assert out.shape == (5, 3)
-    # conv 3*2*4 + 4, dense 16*3 + 3
-    assert net.num_parameters() == 24 + 4 + 48 + 3
+    # conv 3*2*4 + 4, dense 32*3 + 3
+    assert net.num_parameters() == 24 + 4 + 96 + 3
 
 
 def test_sequential_gradcheck_end_to_end():
     net = small_net(1)
     x = np.random.default_rng(1).normal(size=(3, 8, 2))
     params = net.parameters()
-    f = lambda: tsum(net(Tensor(x)) ** 2.0)
+    f = lambda: tsum(square(net(Tensor(x))))
     assert check_gradients(f, params) < 1e-5
 
 
 def test_batchnorm_train_statistics():
     rng = np.random.default_rng(2)
     bn = BatchNorm(3)
-    x = Tensor(rng.normal(loc=5.0, scale=2.0, size=(64, 3)))
+    x = Tensor(rng.normal(loc=5.0, scale=2.0, size=(16, 4, 3)))
     out = bn.forward(x, training=True)
-    npt.assert_allclose(out.data.mean(axis=0), np.zeros(3), atol=1e-10)
-    npt.assert_allclose(out.data.std(axis=0), np.ones(3), atol=1e-3)
+    npt.assert_allclose(out.data.mean(axis=(0, 1)), np.zeros(3), atol=1e-10)
+    npt.assert_allclose(out.data.std(axis=(0, 1)), np.ones(3), atol=1e-3)
 
 
 def test_batchnorm_rejects_single_sample_batch():
     bn = BatchNorm(3)
     with pytest.raises(DegenerateBatchError):
-        bn.forward(Tensor(np.ones((1, 3))), training=True)
+        bn.forward(Tensor(np.ones((1, 4, 3))), training=True)
     # inference mode is fine with one sample
-    out = bn.forward(Tensor(np.ones((1, 3))), training=False)
-    assert out.shape == (1, 3)
+    out = bn.forward(Tensor(np.ones((1, 4, 3))), training=False)
+    assert out.shape == (1, 4, 3)
+
+
+@pytest.mark.parametrize("shape", [(4, 3), (2, 4, 5), (2, 2, 4, 3)])
+def test_batchnorm_refuses_anything_but_sequences_of_its_channels(shape):
+    with pytest.raises(ShapeError, match="batchnorm"):
+        BatchNorm(3).forward(Tensor(np.ones(shape)), training=True)
 
 
 def test_batchnorm_eval_uses_running_stats():
     rng = np.random.default_rng(3)
     bn = BatchNorm(2, momentum=0.0)  # running stats copy the last batch
-    x = rng.normal(loc=3.0, scale=1.5, size=(256, 2))
+    x = rng.normal(loc=3.0, scale=1.5, size=(64, 4, 2))
     bn.forward(Tensor(x), training=True)
-    probe = Tensor(np.array([[3.0, 3.0]]))
+    probe = Tensor(np.full((1, 1, 2), 3.0))
     out = bn.forward(probe, training=False)
-    want = (3.0 - x.mean(axis=0)) / np.sqrt(x.var(axis=0) + bn.eps)
-    npt.assert_allclose(out.data[0], want, atol=1e-10)
+    want = (3.0 - x.mean(axis=(0, 1))) / np.sqrt(x.var(axis=(0, 1)) + bn.eps)
+    npt.assert_allclose(out.data[0, 0], want, atol=1e-10)
 
 
 def test_batchnorm_gradcheck():
@@ -142,7 +146,7 @@ def test_checkpoint_architecture_mismatch(tmp_path):
     # another architecture over these weights, one weight with the wrong shape, one weight gone
     for arch, saved in [
         (other.architecture(), arrays),
-        (net.architecture(), {**arrays, "layer004.weight": np.zeros((3, 16))}),
+        (net.architecture(), {**arrays, "layer003.weight": np.zeros((3, 32))}),
         (net.architecture(), {k: v for k, v in arrays.items() if k != "layer000.bias"}),
     ]:
         write_container(path, "model", {"architecture": arch, "extra": {}}, saved)
@@ -224,7 +228,7 @@ def test_adam_converges_on_quadratic():
     target = np.array([1.0, 2.0])
     for _ in range(500):
         opt.zero_grad()
-        loss = tsum((p - Tensor(target)) ** 2.0)
+        loss = tsum(square(p - Tensor(target)))
         loss.backward()
         opt.step()
     npt.assert_allclose(p.data, target, atol=1e-4)
